@@ -51,7 +51,6 @@ from .estimator import (
     ensemble_expectation,
     run_ensemble,
     squared_error_scan,
-    tpq_expectation,
 )
 
 __all__ = [
@@ -101,5 +100,4 @@ __all__ = [
     "ensemble_expectation",
     "run_ensemble",
     "squared_error_scan",
-    "tpq_expectation",
 ]

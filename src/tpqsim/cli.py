@@ -204,9 +204,8 @@ def sweep_beta(config_path, output, seed, realizations):
         est = run_ensemble(spec)
         rows = []
         for i, beta in enumerate(betas):
-            ref = est.ensemble_ref[i] if est.ensemble_ref is not None else ""
-            sq = est.squared_error[i] if est.ensemble_ref is not None else ""
-            rows.append([beta, est.mean[i], est.uncertainty[i], ref, sq,
+            rows.append([beta, est.mean[i], est.uncertainty[i],
+                         est.ensemble_ref[i], est.squared_error[i],
                          spec.backend.kind, lattice.n_sites, spec.depth,
                          spec.realizations, spec.base_seed])
         write_csv(_output_path(config, output), config,
@@ -263,7 +262,7 @@ def dilation_scan(config_path, output, seed):
         h_pauli = build_heisenberg(lattice)
         dense = to_dense(h_pauli, lattice.n_sites)
         op = ThermalOperator(beta, dense)
-        ref = ensemble_expectation(dense, h_pauli, beta)
+        ref = ensemble_expectation(dense, None, beta)
         states = [random_state(RandomCircuitSpec(
             lattice, depth=depth, entangler=rc.get("entangler", "cz"),
             seed=realization_seed(base_seed, r))) for r in range(r_count)]

@@ -3,7 +3,7 @@
 A run draws R independent random-circuit states, filters each with the chosen
 backend, measures the observable per beta, and aggregates mean and
 stddev/sqrt(R).  The exact canonical ensemble value Tr[e^{-beta H} A] /
-Tr[e^{-beta H}] is attached as a reference wherever the dense oracle fits.
+Tr[e^{-beta H}] from the dense eigenbasis is attached as a reference.
 
 Reproducibility: realization r uses the circuit seed drawn from
 numpy SeedSequence(entropy=base_seed, spawn_key=(r,)); shot noise (when
@@ -23,7 +23,7 @@ from .fable import apply_fable, fable_encode
 from .pauli import DenseHermitian, PauliSum, apply_pauli_sum, to_dense
 from .qite import QiteSpec, qite_evolve
 from .random_state import RandomCircuitSpec, random_state
-from .statevector import StateVector, expectation, sample_expectation
+from .statevector import expectation, sample_expectation
 
 BACKEND_KINDS = ("exact", "dilated", "fable", "qite")
 
@@ -51,7 +51,6 @@ class TpqRunSpec:
     backend: BackendSpec = BackendSpec()
     base_seed: int = 0
     shots: int = 0
-    oracle_max_qubits: int = 14
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
@@ -65,7 +64,7 @@ class TpqRunSpec:
 class TpqEstimate:
     betas: tuple[float, ...]
     values: np.ndarray          # (n_betas, R) per-realization observables
-    ensemble_ref: np.ndarray | None = None
+    ensemble_ref: np.ndarray
     shot_stderr: np.ndarray | None = None
     mean: np.ndarray = field(init=False)
     uncertainty: np.ndarray = field(init=False)
@@ -80,9 +79,7 @@ class TpqEstimate:
             self.uncertainty = np.zeros(len(self.betas))
 
     @property
-    def squared_error(self) -> np.ndarray | None:
-        if self.ensemble_ref is None:
-            return None
+    def squared_error(self) -> np.ndarray:
         return (self.mean - self.ensemble_ref) ** 2
 
 
@@ -91,25 +88,26 @@ def realization_seed(base_seed: int, r: int) -> int:
                                       spawn_key=(r,)).generate_state(1)[0])
 
 
-def _observable_diagonal(h: DenseHermitian, a: PauliSum) -> np.ndarray:
-    """<v_i|A|v_i> over the eigenbasis of H, cached on the Hamiltonian."""
-    cached = h._diag_cache.get(a)
-    if cached is None:
-        vecs = h.eigenvectors
-        av = apply_pauli_sum(vecs, h.n_qubits, a)
-        cached = np.einsum("ij,ij->j", vecs.conj(), av).real
-        h._diag_cache[a] = cached
-    return cached
+def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
+                         beta: float | np.ndarray) -> float | np.ndarray:
+    """Tr[e^{-beta H} A] / Tr[e^{-beta H}] with spectrum-shifted weights.
 
-
-def ensemble_expectation(h: DenseHermitian, a: PauliSum, beta: float) -> float:
-    """Tr[e^{-beta H} A] / Tr[e^{-beta H}] with spectrum-shifted weights."""
-    if beta < 0:
+    `a=None` means A = H.  `beta` is a scalar (float result) or a 1-D
+    sequence (one value per beta); A's eigenbasis diagonal <v_k|A|v_k> is
+    computed once per call.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta < 0):
         raise ValueError("beta must be >= 0")
-    vals = h.eigenvalues
-    w = np.exp(-beta * (vals - vals[0]))
-    diag = _observable_diagonal(h, a)
-    return float(np.dot(w, diag) / np.sum(w))
+    vals, vecs = h.eig
+    if a is None:
+        diag = vals
+    else:
+        av = apply_pauli_sum(vecs, h.n_qubits, a)
+        diag = np.einsum("ij,ij->j", vecs.conj(), av).real
+    w = np.exp(-np.multiply.outer(beta, vals - vals[0]))
+    ref = w @ diag / w.sum(axis=-1)
+    return float(ref) if ref.ndim == 0 else ref
 
 
 def make_backend(spec: BackendSpec, beta: float, dense_h: DenseHermitian,
@@ -126,11 +124,6 @@ def make_backend(spec: BackendSpec, beta: float, dense_h: DenseHermitian,
         return lambda psi: apply_dilated(dspec, psi)[0]
     encoding = fable_encode(op)
     return lambda psi: apply_fable(encoding, psi)[0]
-
-
-def tpq_expectation(psi_r: StateVector, backend, a: PauliSum) -> float:
-    """<A> in the normalized backend-filtered state."""
-    return expectation(backend(psi_r), a)
 
 
 def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
@@ -164,10 +157,7 @@ def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
             else:
                 values[bi, r] = expectation(filtered, observable)
 
-    ref = None
-    if n <= spec.oracle_max_qubits:
-        ref = np.array([ensemble_expectation(dense_h, observable, b)
-                        for b in spec.betas])
+    ref = ensemble_expectation(dense_h, spec.observable, spec.betas)
     shot_stderr = None
     if spec.shots > 0:
         shot_stderr = np.sqrt(shot_var) / spec.realizations

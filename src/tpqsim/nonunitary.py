@@ -3,6 +3,12 @@
 All downstream quantities are normalized ratios, so Q may be rescaled freely;
 internally the spectrum is shifted by the ground-state energy before
 exponentiating to keep weights in (0, 1].
+
+Both forms are simulated in the eigenbasis V of H, which is real for the
+real-symmetric Hamiltonians built here: a state enters as c = V^dagger psi,
+is weighted per eigenvalue, and leaves as V times the weighted coefficients.
+The dilated unitary Omega is only built by `dilated_omega`, the unitarity
+oracle and the artifact whose synthesis the `resources` subcommand times.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ZeroProbability
 from .pauli import DenseHermitian
-from .statevector import StateVector, postselect
+from .statevector import StateVector
 
 
 @dataclass
@@ -53,10 +60,7 @@ class ThermalOperator:
     @cached_property
     def scaled(self) -> np.ndarray:
         """Q/s, real symmetric for the real-symmetric Hamiltonians used here."""
-        m = self._shifted_matrix / self._shifted_scale
-        if np.max(np.abs(m.imag)) < 1e-12:
-            m = m.real.astype(float)
-        return m
+        return self._shifted_matrix / self._shifted_scale
 
     @property
     def scale(self) -> float:
@@ -78,13 +82,24 @@ def exact_thermal_operator(h: DenseHermitian, beta: float) -> ThermalOperator:
     return ThermalOperator(beta, h)
 
 
+def _basis_change(vecs: np.ndarray, amps: np.ndarray,
+                  adjoint: bool = False) -> np.ndarray:
+    """V amps, or V^dagger amps when `adjoint`.
+
+    A real V is never cast to complex: it multiplies the real and imaginary
+    parts of amps, interleaved as two columns, in one real product.
+    """
+    if np.iscomplexobj(vecs):
+        return (amps.conj() @ vecs).conj() if adjoint else vecs @ amps
+    parts = np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2)
+    return ((vecs.T if adjoint else vecs) @ parts).view(complex).ravel()
+
+
 def apply_exact(op: ThermalOperator, psi: StateVector) -> StateVector:
     """Normalized Q psi via the eigenbasis; never materializes Q."""
-    _, vecs = op.hamiltonian.eig
-    # (V^dag psi) without materializing the conjugate-transposed matrix
-    coeffs = (psi.amps.conj() @ vecs).conj()
-    coeffs *= op.shifted_weights()
-    return StateVector(psi.n, vecs @ coeffs).normalized()
+    vecs = op.hamiltonian.eigenvectors
+    coeffs = op.shifted_weights() * _basis_change(vecs, psi.amps, adjoint=True)
+    return StateVector(psi.n, _basis_change(vecs, coeffs)).normalized()
 
 
 @dataclass(frozen=True)
@@ -99,19 +114,13 @@ class DilationSpec:
             raise ValueError("epsilon must be > 0")
 
 
-def _trig_blocks(spec: DilationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """cos(eps Q') and sin(eps Q') from the shared eigenbasis of H."""
-    _, vecs = spec.operator.hamiltonian.eig
-    q = spec.operator.scaled_eigenvalues()
-    cos_b = (vecs * np.cos(spec.epsilon * q)) @ vecs.conj().T
-    sin_b = (vecs * np.sin(spec.epsilon * q)) @ vecs.conj().T
-    return cos_b, sin_b
-
-
 def dilated_omega(spec: DilationSpec) -> np.ndarray:
     """exp(i eps [[0, -iQ'], [iQ', 0]]) = [[cos(eps Q'), sin(eps Q')],
     [-sin(eps Q'), cos(eps Q')]], with the ancilla as the most significant qubit."""
-    cos_b, sin_b = _trig_blocks(spec)
+    vecs = spec.operator.hamiltonian.eigenvectors
+    angles = spec.epsilon * spec.operator.scaled_eigenvalues()
+    cos_b = (vecs * np.cos(angles)) @ vecs.conj().T
+    sin_b = (vecs * np.sin(angles)) @ vecs.conj().T
     return np.block([[cos_b, sin_b], [-sin_b, cos_b]])
 
 
@@ -119,26 +128,24 @@ def apply_dilated(spec: DilationSpec, psi: StateVector) -> tuple[StateVector, fl
     """Dilated application of Q: returns (post-selected state, P0, fidelity F).
 
     The ancilla starts in |1>, Omega is applied, and the ancilla is
-    post-selected in |0>; the surviving branch carries sin(eps Q') psi.
-    F is the overlap magnitude with the exact filtered state.
+    post-selected in |0>; the surviving branch is b = sin(eps Q') psi, which
+    is diagonal in H's eigenbasis, so Omega itself is never built.  P0 is
+    ||b||^2 and F the overlap magnitude with the exact filtered state, in
+    [0, 1].
+    Raises ZeroProbability when P0 underflows.
     """
-    n = psi.n
-    omega = dilated_omega(spec)
-    augmented = np.concatenate([np.zeros_like(psi.amps), psi.amps])
-    out, p0 = postselect(StateVector(n + 1, omega @ augmented), [n], [0])
-    exact = apply_exact(spec.operator, psi)
-    return out, p0, out.fidelity(exact)
-
-
-def dilated_sin_action(spec: DilationSpec, psi: StateVector) -> np.ndarray:
-    """Closed-form unnormalized post-selected branch sin(eps Q') psi.
-
-    Independent check for apply_dilated: the dilation generator is
-    sigma_y (x) Q', whose exponential acts as a rotation between the two
-    ancilla branches.
-    """
-    _, sin_b = _trig_blocks(spec)
-    return sin_b @ psi.amps
+    op = spec.operator
+    vecs = op.hamiltonian.eigenvectors
+    coeffs = _basis_change(vecs, psi.amps, adjoint=True)
+    branch = np.sin(spec.epsilon * op.scaled_eigenvalues()) * coeffs
+    p0 = float(np.vdot(branch, branch).real)
+    if p0 < 1e-14:
+        raise ZeroProbability(f"outcome probability {p0:.3e} underflows")
+    exact = op.shifted_weights() * coeffs
+    fid = abs(np.vdot(branch, exact)) / (math.sqrt(p0) * np.linalg.norm(exact))
+    out = StateVector(psi.n, _basis_change(vecs, branch / math.sqrt(p0)))
+    # Cauchy-Schwarz bounds F by 1; round-off must not push it past
+    return out, p0, min(1.0, float(fid))
 
 
 def dilated_cnot_count(n_system: int) -> int:

@@ -7,7 +7,7 @@ array index sum_q b_q 2^q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -107,36 +107,32 @@ def pauli_string_action(term: PauliTerm, n: int) -> tuple[np.ndarray, np.ndarray
     return idx ^ flip_mask, phase.astype(complex)
 
 
-def apply_pauli_term(amps: np.ndarray, n: int, term: PauliTerm,
-                     include_coefficient: bool = True) -> np.ndarray:
-    """Apply one Pauli term to an amplitude array (or a (2^n, m) batch)."""
-    target, phase = pauli_string_action(term, n)
-    out = np.empty_like(amps, dtype=complex)
-    if amps.ndim == 1:
-        out[target] = phase * amps
-    else:
-        out[target, :] = phase[:, None] * amps
-    if include_coefficient:
-        out *= term.coefficient
-    return out
-
-
 def apply_pauli_sum(amps: np.ndarray, n: int, p: PauliSum) -> np.ndarray:
-    out = np.zeros_like(amps, dtype=complex)
+    """A amps for one state or a (2^n, m) batch of column states."""
+    out = np.zeros(amps.shape, dtype=complex)
     for term in p:
-        out += apply_pauli_term(amps, n, term)
+        target, phase = pauli_string_action(term, n)
+        if amps.ndim == 2:
+            phase = phase[:, None]
+        out[target] += term.coefficient * phase * amps
     return out
 
 
 @dataclass
 class DenseHermitian:
-    """Dense Hermitian matrix with a lazily cached spectral decomposition."""
+    """Dense Hermitian matrix with a lazily cached spectral decomposition.
+
+    A matrix whose imaginary part is exactly zero is stored as float64, so
+    its eigenvectors are real too.
+    """
 
     matrix: np.ndarray
-    _diag_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = m.real
+        m = np.ascontiguousarray(m, dtype=np.result_type(m, float))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
         if np.max(np.abs(m - m.conj().T)) >= 1e-12:
@@ -154,13 +150,7 @@ class DenseHermitian:
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues ascending, orthonormal eigenvector columns)."""
-        m = self.matrix
-        if np.max(np.abs(m.imag)) == 0.0:
-            # real-symmetric path; divide-and-conquer is much faster here
-            vals, vecs = scipy.linalg.eigh(m.real, driver="evd")
-            return vals, vecs.astype(complex)
-        vals, vecs = scipy.linalg.eigh(m, driver="evd")
-        return vals, vecs
+        return scipy.linalg.eigh(self.matrix, driver="evd")
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -169,11 +159,6 @@ class DenseHermitian:
     @property
     def eigenvectors(self) -> np.ndarray:
         return self.eig[1]
-
-    def function_of(self, f) -> np.ndarray:
-        """f(M) through the spectral decomposition."""
-        vals, vecs = self.eig
-        return (vecs * f(vals)) @ vecs.conj().T
 
 
 def to_dense(p: PauliSum, n: int, max_qubits: int = MAX_DENSE_QUBITS) -> DenseHermitian:

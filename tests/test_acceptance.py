@@ -38,9 +38,9 @@ from tpqsim import (
 )
 from tpqsim.cli import main as cli_main
 from tpqsim.estimator import ensemble_expectation, realization_seed
-from tpqsim.nonunitary import ThermalOperator, dilated_sin_action
+from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
-from tpqsim.statevector import expectation
+from tpqsim.statevector import StateVector, expectation, postselect
 
 BETAS = tuple(float(b) for b in np.round(np.arange(0.1, 2.01, 0.1), 10))
 
@@ -241,12 +241,15 @@ def test_invariants(tmp_path):
         assert np.max(np.abs(omega.conj().T @ omega
                              - np.eye(omega.shape[0]))) < 1e-10
 
-    # closed-form post-selected branch
+    # closed-form post-selected branch against the dense Omega
     spec = DilationSpec(0.2, op)
-    out, p0, _ = apply_dilated(spec, psi)
-    branch = dilated_sin_action(spec, psi)
-    assert abs(p0 - np.linalg.norm(branch) ** 2) < 1e-10
-    assert np.max(np.abs(out.amps - branch / np.linalg.norm(branch))) < 1e-10
+    out, p0, fid = apply_dilated(spec, psi)
+    augmented = np.concatenate([np.zeros_like(psi.amps), psi.amps])
+    ref, ref_p0 = postselect(StateVector(4, dilated_omega(spec) @ augmented),
+                             [3], [0])
+    assert abs(p0 - ref_p0) < 1e-10
+    assert np.max(np.abs(out.amps - ref.amps)) < 1e-10
+    assert abs(fid - ref.fidelity(apply_exact(op, psi))) < 1e-10
 
     # normalized output is invariant under rescaling the thermal operator
     rescaled = ThermalOperator(1.0, dense)

@@ -9,7 +9,6 @@ from tpqsim import (
     run_ensemble,
     squared_error_scan,
     to_dense,
-    tpq_expectation,
 )
 from tpqsim.estimator import BackendSpec, make_backend, realization_seed
 from tpqsim.lattice import magnetization_x
@@ -46,11 +45,34 @@ def test_ensemble_against_direct_matrix_oracle(dense2, chain2):
     assert ensemble_expectation(dense2, h, beta) == pytest.approx(ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_ensemble_magnetization_against_expm_oracle(chain3, beta):
+    import scipy.linalg
+
+    h = to_dense(build_heisenberg(chain3), 3)
+    mx = to_dense(magnetization_x(chain3), 3).matrix
+    rho = scipy.linalg.expm(-beta * h.matrix)
+    ref = np.trace(rho @ mx).real / np.trace(rho).real
+    got = ensemble_expectation(h, magnetization_x(chain3), beta)
+    assert got == pytest.approx(ref, abs=1e-10)
+
+
+def test_ensemble_array_beta_matches_scalar_calls(chain3):
+    h = to_dense(build_heisenberg(chain3), 3)
+    betas = np.array([0.0, 0.5, 2.0])
+    for a in (None, build_heisenberg(chain3), magnetization_x(chain3)):
+        batch = ensemble_expectation(h, a, betas)
+        assert batch.shape == betas.shape
+        for b, value in zip(betas, batch):
+            assert value == pytest.approx(ensemble_expectation(h, a, b),
+                                          abs=1e-12)
+
+
 def test_tpq_expectation_beta_zero_reduction(dense2, chain2):
     h = build_heisenberg(chain2)
     psi = sample_haar_state(2, 5)
     backend = make_backend(BackendSpec("exact"), 0.0, dense2, h)
-    assert tpq_expectation(psi, backend, h) == pytest.approx(
+    assert expectation(backend(psi), h) == pytest.approx(
         expectation(psi, h), abs=1e-12)
 
 
@@ -66,8 +88,8 @@ def test_backends_agree_with_exact(kind, kwargs, chain3):
     beta = 1.0
     exact = make_backend(BackendSpec("exact"), beta, dense, h, chain3)
     other = make_backend(BackendSpec(kind, **kwargs), beta, dense, h, chain3)
-    e0 = tpq_expectation(psi, exact, h)
-    e1 = tpq_expectation(psi, other, h)
+    e0 = expectation(exact(psi), h)
+    e1 = expectation(other(psi), h)
     assert abs(e1 - e0) / abs(e0) < 0.02
 
 
@@ -77,7 +99,7 @@ def test_run_ensemble_single_realization(chain3):
     assert est.values.shape == (1, 1)
     assert est.mean[0] == est.values[0, 0]
     assert est.uncertainty[0] == 0.0
-    assert est.ensemble_ref is not None
+    assert est.ensemble_ref.shape == (1,)
 
 
 def test_run_ensemble_deterministic(chain3):
@@ -113,7 +135,7 @@ def test_magnetization_observable(chain3):
     spec = TpqRunSpec(chain3, (0.5,), observable=magnetization_x(chain3),
                       realizations=3, depth=10, base_seed=2)
     est = run_ensemble(spec)
-    assert est.ensemble_ref is not None
+    assert est.ensemble_ref.shape == (1,)
     assert np.all(np.abs(est.values) <= 3.0 + 1e-9)
 
 

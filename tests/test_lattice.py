@@ -97,6 +97,14 @@ def test_dense_matches_kron_oracle(n):
 def test_spectral_reconstruction(chain3):
     dense = to_dense(build_heisenberg(chain3), 3)
     vals, vecs = dense.eig
+    assert vecs.dtype == np.float64
+    recon = (vecs * vals) @ vecs.conj().T
+    assert np.max(np.abs(recon - dense.matrix)) < 1e-9
+    # a single Y makes the matrix imaginary, so the basis stays complex
+    h = PauliSum((PauliTerm(1.0, ((0, "Y"),)), PauliTerm(0.5, ((1, "Z"),))))
+    dense = to_dense(h, 2)
+    vals, vecs = dense.eig
+    assert np.iscomplexobj(dense.matrix) and np.iscomplexobj(vecs)
     recon = (vecs * vals) @ vecs.conj().T
     assert np.max(np.abs(recon - dense.matrix)) < 1e-9
 

@@ -15,7 +15,9 @@ from tpqsim import (
     exact_thermal_operator,
     to_dense,
 )
-from tpqsim.nonunitary import ThermalOperator, dilated_sin_action
+from tpqsim.errors import ZeroProbability
+from tpqsim.nonunitary import ThermalOperator
+from tpqsim.statevector import StateVector, postselect
 from tpqsim.random_state import sample_haar_state
 
 
@@ -96,14 +98,42 @@ def test_omega_identity_q_case(chain2):
     assert np.max(np.abs(omega - expected)) < 1e-12
 
 
+def omega_branch(spec, psi):
+    """Post-selected state and P0 from the dense Omega on [0; psi]."""
+    augmented = np.concatenate([np.zeros_like(psi.amps), psi.amps])
+    full = StateVector(psi.n + 1, dilated_omega(spec) @ augmented)
+    return postselect(full, [psi.n], [0])
+
+
 def test_apply_dilated_closed_form_oracle(op2):
     psi = sample_haar_state(2, 3)
-    spec = DilationSpec(0.25, op2)
-    out, p0, fid = apply_dilated(spec, psi)
-    branch = dilated_sin_action(spec, psi)
-    assert p0 == pytest.approx(np.linalg.norm(branch) ** 2, abs=1e-10)
-    assert np.max(np.abs(out.amps - branch / np.linalg.norm(branch))) < 1e-10
-    assert 0.0 < fid <= 1.0
+    exact = apply_exact(op2, psi)
+    # at eps = 4.0 sin(eps q) changes sign across the scaled spectrum
+    for eps in (0.25, 0.3, 2.0, 4.0):
+        spec = DilationSpec(eps, op2)
+        out, p0, fid = apply_dilated(spec, psi)
+        ref, ref_p0 = omega_branch(spec, psi)
+        assert p0 == pytest.approx(ref_p0, abs=1e-10)
+        assert np.max(np.abs(out.amps - ref.amps)) < 1e-10
+        assert fid == pytest.approx(ref.fidelity(exact), abs=1e-10)
+        assert 0.0 < fid <= 1.0
+
+
+def test_apply_dilated_zero_probability(op2):
+    psi = sample_haar_state(2, 3)
+    with pytest.raises(ZeroProbability):
+        apply_dilated(DilationSpec(1e-9, op2), psi)
+
+
+def test_apply_dilated_fidelity_at_most_one(chain2):
+    # at beta = 0 the branch is parallel to the exact state, so the raw
+    # overlap ratio lands on either side of 1 by round-off
+    op = exact_thermal_operator(to_dense(build_heisenberg(chain2), 2), 0.0)
+    for seed in range(10):
+        _, _, fid = apply_dilated(DilationSpec(0.3, op),
+                                  sample_haar_state(2, seed))
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        assert fid <= 1.0
 
 
 def test_dilated_identity_q_half_pi(chain2):
@@ -155,3 +185,20 @@ def test_dilated_cnot_count_recurrence():
     assert dilated_cnot_count(2) == 36
     assert dilated_cnot_count(3) == 168
     assert dilated_cnot_count(4) == 720
+
+
+def test_complex_basis_filters_match_oracles():
+    # a single Y keeps H's eigenbasis complex
+    h = to_dense(PauliSum((PauliTerm(1.0, ((0, "Y"),)),
+                           PauliTerm(0.7, ((0, "X"), (1, "Z"))))), 2)
+    assert np.iscomplexobj(h.eigenvectors)
+    op = exact_thermal_operator(h, 1.0)
+    psi = sample_haar_state(2, 5)
+    q_psi = scipy.linalg.expm(-0.5 * h.matrix) @ psi.amps
+    out = apply_exact(op, psi)
+    assert np.max(np.abs(out.amps - q_psi / np.linalg.norm(q_psi))) < 1e-10
+    spec = DilationSpec(0.6, op)
+    branch, p0, _ = apply_dilated(spec, psi)
+    ref, ref_p0 = omega_branch(spec, psi)
+    assert p0 == pytest.approx(ref_p0, abs=1e-10)
+    assert np.max(np.abs(branch.amps - ref.amps)) < 1e-10
