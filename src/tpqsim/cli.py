@@ -69,7 +69,8 @@ def _check_keys(config: dict) -> None:
         if unknown:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
         for key, value in body.items():
-            if isinstance(value, float) and not np.isfinite(value):
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not np.isfinite(v) for v in values):
                 raise ConfigError(f"{section}.{key} must be finite")
 
 
@@ -255,6 +256,8 @@ def dilation_scan(config_path, output, seed):
         beta = float(scan.get("beta", 0.5))
         epsilons = [float(e) for e in scan.get(
             "epsilons", np.logspace(-3, 0, 10))]
+        if not all(e > 0 for e in epsilons):
+            raise ConfigError("dilation.epsilons must all be > 0")
         r_count = int(scan.get("R", 100))
         rc = config.get("random_circuit", {})
         base_seed = seed if seed is not None else int(rc.get("seed", 0))
@@ -346,8 +349,13 @@ def resources(config_path, output, seed):
         sizes = [int(n) for n in scan.get("sizes", (2, 3, 4, 5))]
         backends = list(scan.get("backends", ("qite", "dilated", "fable")))
         beta = float(scan.get("beta", 1.0))
-        n_steps = int(scan.get("n_steps", 10))
-        domain = scan.get("domain")
+        # validated like sweep-beta's backend section
+        try:
+            qite_backend = BackendSpec("qite",
+                                       n_steps=int(scan.get("n_steps", 10)),
+                                       domain=scan.get("domain"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid resources: {exc}") from exc
         base_seed = seed if seed is not None else 0
         rows = []
         for kind in backends:
@@ -357,7 +365,8 @@ def resources(config_path, output, seed):
                 lattice = LatticeSpec(1, (n,), **couplings)
                 h_pauli = build_heisenberg(lattice)
                 if kind == "qite":
-                    qspec = QiteSpec(beta, n_steps=n_steps, domain=domain)
+                    qspec = QiteSpec(beta, n_steps=qite_backend.n_steps,
+                                     domain=qite_backend.domain)
                     samples = [qite_resources(qspec, h_pauli, n, lattice,
                                               seed=base_seed + i)
                                for i in range(3)]

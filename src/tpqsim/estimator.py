@@ -12,6 +12,7 @@ enabled) uses spawn_key=(r, 1 + beta_index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,13 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
+        if not self.epsilon > 0:
+            raise ConfigError("backend epsilon must be > 0")
+        if self.n_steps < 1:
+            raise ConfigError("backend n_steps must be >= 1")
+        if self.domain is not None and (not isinstance(self.domain, int)
+                                        or self.domain < 1):
+            raise ConfigError("backend domain must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,8 @@ class TpqRunSpec:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
-        if any(b < 0 for b in self.betas):
-            raise ConfigError("beta values must be >= 0")
+        if not all(math.isfinite(b) and b >= 0 for b in self.betas):
+            raise ConfigError("beta values must be finite and >= 0")
 
 
 @dataclass

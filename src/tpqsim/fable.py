@@ -9,31 +9,36 @@ Synthesis: Hadamards on the index register, one uniformly-controlled RY over
 all 2N control bits decomposed into a Gray-code walk of RY/CNOT pairs
 (rotation angles via a scaled Walsh-Hadamard transform), a register swap, and
 closing Hadamards.
+
+The circuit is emitted for resource counts and for replay; simulation does not
+run it.  The uniformly-controlled RY with angle theta_c for control value
+c = (i << N) | j puts cos(theta_c / 2) / 2^N at (i, j) of the leading block
+(Camps & Van Beeumen, arXiv:2205.00081), so `fable_encode` also recovers the
+angles the circuit realizes (after pruning) from its compiled angles, and
+`apply_fable` multiplies by that 2^N x 2^N block.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import EntryOutOfRange
+from .errors import EntryOutOfRange, ZeroProbability
 from .nonunitary import ThermalOperator
-from .statevector import StateVector, apply_circuit, postselect
+from .statevector import StateVector
 
 
 def _sfwht(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform scaled by 1/2 per stage (in place)."""
-    a = a.copy()
+    """Walsh-Hadamard transform scaled by 1/2 per stage."""
     h = 1
     while h < len(a):
-        for i in range(0, len(a), 2 * h):
-            x = a[i:i + h].copy()
-            y = a[i + h:i + 2 * h].copy()
-            a[i:i + h] = (x + y) / 2.0
-            a[i + h:i + 2 * h] = (x - y) / 2.0
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0], pairs[:, 1]
+        a = np.stack(((x + y) / 2.0, (x - y) / 2.0), axis=1).reshape(-1)
         h *= 2
     return a
 
@@ -41,6 +46,20 @@ def _sfwht(a: np.ndarray) -> np.ndarray:
 def _gray_permute(a: np.ndarray) -> np.ndarray:
     idx = np.arange(len(a))
     return a[idx ^ (idx >> 1)]
+
+
+def _encoded_block(phi: np.ndarray, n: int) -> np.ndarray:
+    """cos(theta/2) for the angles theta whose compiled angles are `phi`.
+
+    Inverts `_gray_permute` and then `_sfwht` (whose inverse is the unscaled
+    transform), so a pruned (zeroed) compiled angle yields the block the
+    compressed circuit actually encodes.
+    """
+    idx = np.arange(len(phi))
+    walsh = np.empty_like(phi)
+    walsh[idx ^ (idx >> 1)] = phi
+    theta = len(phi) * _sfwht(walsh)
+    return np.cos(theta / 2.0).reshape(1 << n, 1 << n)
 
 
 def _gray_walk_controls(m: int) -> list[int]:
@@ -54,8 +73,11 @@ def _gray_walk_controls(m: int) -> list[int]:
 
 @dataclass
 class BlockEncoding:
+    """The encoding circuit; `block` is alpha times its leading block (real)."""
+
     n_system: int
     circuit: Circuit
+    block: np.ndarray
     alpha: float
     generation_seconds: float
 
@@ -96,9 +118,10 @@ def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEnco
     circuit = Circuit(2 * n + 1)
     for q in range(n, 2 * n):
         circuit.append("h", q)
+    kept = np.abs(phi) > compression_tol
     pending = 0  # parity mask of CNOT controls deferred by pruning
     for k, ctrl_bit in enumerate(_gray_walk_controls(m)):
-        if abs(phi[k]) > compression_tol:
+        if kept[k]:
             bit = 0
             while pending:
                 if pending & 1:
@@ -119,19 +142,24 @@ def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEnco
         circuit.append("swap", q, n + q)
     for q in range(n, 2 * n):
         circuit.append("h", q)
-    return BlockEncoding(n, circuit, float(2**n), time.perf_counter() - t0)
+    block = _encoded_block(np.where(kept, phi, 0.0), n)
+    return BlockEncoding(n, circuit, block, float(2**n),
+                         time.perf_counter() - t0)
 
 
 def apply_fable(be: BlockEncoding, psi: StateVector) -> tuple[StateVector, float]:
-    """Run the encoding circuit with ancillas in |0>, post-select all zeros.
+    """The encoding circuit with ancillas in |0>, post-selected on all zeros.
 
-    Returns the filtered system state (equal to apply_exact's output up to
-    synthesis round-off) and the success probability ||(Q/s) psi||^2 / 4^N.
+    The surviving branch is (block / 2^N) psi, computed directly.  Returns the
+    filtered system state (equal to apply_exact's output up to synthesis
+    round-off) and the success probability ||(Q/s) psi||^2 / 4^N.
+    Raises ZeroProbability when that probability underflows.
     """
     n = be.n_system
     if psi.n != n:
         raise ValueError(f"state has {psi.n} qubits, encoding expects {n}")
-    full = np.zeros(1 << be.width, dtype=complex)
-    full[: 1 << n] = psi.amps
-    out = apply_circuit(StateVector(be.width, full), be.circuit)
-    return postselect(out, range(n, be.width), [0] * be.ancilla_count)
+    branch = be.block @ psi.amps / be.alpha
+    p0 = float(np.vdot(branch, branch).real)
+    if p0 < 1e-14:
+        raise ZeroProbability(f"outcome probability {p0:.3e} underflows")
+    return StateVector(n, branch / math.sqrt(p0)), p0

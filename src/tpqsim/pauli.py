@@ -8,7 +8,7 @@ array index sum_q b_q 2^q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -78,13 +78,20 @@ def pauli_string_action(term: PauliTerm, n: int) -> tuple[np.ndarray, np.ndarray
 
     A Pauli string maps |b> to phase(b) |b ^ mask>.  Returns (target_index,
     phase) arrays of length 2^n such that (P psi)[target_index] = phase * psi.
+    The arrays are cached per (string, n) and read-only.
     """
+    return _string_action(term.operators, n)
+
+
+@lru_cache(maxsize=1024)
+def _string_action(operators: tuple[tuple[int, str], ...],
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
     dim = 1 << n
     idx = np.arange(dim)
     flip_mask = 0
     sign_mask = 0
     n_y = 0
-    for q, o in term.operators:
+    for q, o in operators:
         if q >= n:
             raise IndexError(f"qubit {q} out of range for n={n}")
         bit = 1 << q
@@ -103,8 +110,11 @@ def pauli_string_action(term: PauliTerm, n: int) -> tuple[np.ndarray, np.ndarray
         parity ^= par & 1
         par >>= 1
         sign_mask >>= 1
-    phase = (1j**n_y) * np.where(parity, -1.0, 1.0)
-    return idx ^ flip_mask, phase.astype(complex)
+    target = idx ^ flip_mask
+    phase = ((1j**n_y) * np.where(parity, -1.0, 1.0)).astype(complex)
+    target.flags.writeable = False
+    phase.flags.writeable = False
+    return target, phase
 
 
 def apply_pauli_sum(amps: np.ndarray, n: int, p: PauliSum) -> np.ndarray:

@@ -4,19 +4,25 @@ The half-beta evolution is split into n_steps Trotter steps.  Within a step,
 each Hamiltonian term h is handled in construction order: the normalized
 target (e^{-dtau h} psi)/|| || - psi is fitted, in least squares, by the
 action of -i dtau A psi with A expanded in the non-identity Pauli strings on a
-bounded qubit window around h's support.  The fitted exponential is emitted
-as a product of Pauli-rotation gadgets (first-order split within the window),
-and the state is advanced by exactly the emitted gates, so replaying the
+bounded qubit window around h's support.  The fitted exponential is a
+product of Pauli rotations (first-order split within the window).  Each
+rotation advances the state in closed form, exp(-i x P) psi =
+cos(x) psi - i sin(x) P psi (Motta et al., Nat. Phys. 16, 205, 2020), and is
+emitted as a CNOT-ladder gadget for resource counts and replay; replaying the
 circuit reproduces the evolution.
 
 Sign convention: coefficients x solve (Re S + Re S^T + reg I) x = 2 b with
 S_IJ = <psi| s_I s_J |psi> and b_J = Im <delta | s_J psi>, which minimizes
 ||delta + i sum_J x_J s_J psi||; each string then contributes exp(-i x_J s_J).
+The solve runs in the eigenbasis of the symmetric matrix and drops
+eigen-directions at round-off level: b has no component there, so keeping
+them would only turn round-off into coefficients near the pruning threshold.
 Validated against the exact dense filter, not against any external QITE code.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -25,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Gate
 from .errors import DomainTooSmallWarning, SingularSystem
 from .lattice import LatticeSpec
 from .pauli import PauliSum, PauliTerm, pauli_string_action
 from .random_state import sample_haar_state
-from .statevector import StateVector, apply_circuit
+from .statevector import StateVector
 
 
 @dataclass(frozen=True)
@@ -89,24 +95,33 @@ def _window_basis(window: tuple[int, ...], n: int):
     return actions, labels
 
 
-def _pauli_rotation_gadget(circuit: Circuit, placed, theta: float) -> None:
-    """Append gates for exp(-i theta/2 * PauliString)."""
+@functools.lru_cache(maxsize=4096)
+def _gadget_template(placed) -> tuple[tuple[Gate, ...], int, tuple[Gate, ...]]:
+    """Gates before and after the RZ of exp(-i theta/2 * PauliString), and
+    the RZ qubit (the highest qubit of the string)."""
     qubits = [q for q, _ in placed]
+    ladder = [Gate("cnot", (a, b)) for a, b in zip(qubits, qubits[1:])]
+    into, out_of = [], []
     for q, o in placed:
         if o == "X":
-            circuit.append("h", q)
+            into.append(Gate("h", (q,)))
+            out_of.append(Gate("h", (q,)))
         elif o == "Y":
-            circuit.append("rx", q, angle=math.pi / 2)
-    for a, b in zip(qubits, qubits[1:]):
-        circuit.append("cnot", a, b)
-    circuit.append("rz", qubits[-1], angle=theta)
-    for a, b in reversed(list(zip(qubits, qubits[1:]))):
-        circuit.append("cnot", a, b)
-    for q, o in placed:
-        if o == "X":
-            circuit.append("h", q)
-        elif o == "Y":
-            circuit.append("rx", q, angle=-math.pi / 2)
+            into.append(Gate("rx", (q,), math.pi / 2))
+            out_of.append(Gate("rx", (q,), -math.pi / 2))
+    return tuple(into + ladder), qubits[-1], tuple(ladder[::-1] + out_of)
+
+
+def _pauli_rotation_gadget(circuit: Circuit, placed, theta: float) -> None:
+    """Append gates for exp(-i theta/2 * PauliString).
+
+    `placed` lists (qubit, letter) pairs in ascending qubit order, as
+    `PauliTerm.operators` does, so range-checking the RZ checks them all.
+    """
+    prefix, rz_qubit, suffix = _gadget_template(tuple(placed))
+    circuit.gates.extend(prefix)
+    circuit.append("rz", rz_qubit, angle=theta)
+    circuit.gates.extend(suffix)
 
 
 def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
@@ -131,12 +146,12 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
             basis_cache[w] = _window_basis(w, n)
 
     state = psi.amps.copy()
+    shifted = np.empty_like(state)  # P state for the string P at hand
     for _ in range(spec.n_steps):
         for term, window in zip(h, windows):
             actions, labels = basis_cache[window]
             # e^{-dtau c P} = cosh(dtau c) I - sinh(dtau c) P on the term's string
             target_idx, phase = pauli_string_action(term, n)
-            shifted = np.empty_like(state)
             shifted[target_idx] = phase * state
             evolved = math.cosh(dtau * term.coefficient) * state \
                 - math.sinh(dtau * term.coefficient) * shifted
@@ -149,21 +164,33 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
             gram = sigma_psi.conj() @ sigma_psi.T
             s_sym = gram.real + gram.real.T
             b = 2.0 * (sigma_psi @ delta.conj()).imag
-            try:
-                x = np.linalg.solve(s_sym + spec.reg * np.eye(len(actions)), b)
-            except np.linalg.LinAlgError:
-                x, *_ = np.linalg.lstsq(s_sym + spec.reg * np.eye(len(actions)),
-                                        b, rcond=None)
-                if not np.all(np.isfinite(x)):
-                    raise SingularSystem("QITE least-squares solve failed")
+            x = _regularized_solve(s_sym, b, spec.reg)
 
-            start = len(circuit.gates)
-            for x_j, placed in zip(x, labels):
+            for x_j, (tgt, ph), placed in zip(x, actions, labels):
                 if abs(x_j) > spec.prune_tol:
+                    # exp(-i x P) = cos(x) I - i sin(x) P
+                    shifted[tgt] = ph * state
+                    state = math.cos(x_j) * state - 1j * math.sin(x_j) * shifted
                     _pauli_rotation_gadget(circuit, placed, 2.0 * x_j)
-            step = Circuit(n, circuit.gates[start:])
-            state = apply_circuit(StateVector(n, state), step).amps
     return StateVector(n, state), circuit
+
+
+def _regularized_solve(s_sym: np.ndarray, b: np.ndarray, reg: float) -> np.ndarray:
+    """(s_sym + reg I)^{-1} b on the eigen-directions of s_sym above round-off.
+
+    Directions with eigenvalue at or below #strings * eps * lambda_max are
+    null analytically (b is orthogonal to them), so they get coefficient 0.
+    """
+    try:
+        lam, vecs = np.linalg.eigh(s_sym)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("QITE least-squares solve failed") from exc
+    keep = lam > len(lam) * np.finfo(float).eps * lam[-1]
+    vecs = vecs[:, keep]
+    x = vecs @ ((vecs.T @ b) / (lam[keep] + reg))
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("QITE least-squares solve failed")
+    return x
 
 
 def qite_resources(spec: QiteSpec, h: PauliSum, n: int,

@@ -99,6 +99,37 @@ def test_missing_output_path(runner, tmp_path):
     assert "output" in result.output
 
 
+_ONE_BETA = {"betas": [0.5], "R": 1}
+
+
+@pytest.mark.parametrize("subcommand,body", [
+    ("sweep-beta", {"backend": {"kind": "dilated", "epsilon": 0},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "dilated", "epsilon": -0.1},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "qite", "n_steps": 0},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "qite", "domain": "2"},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "qite", "domain": 0},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"estimate": {"betas": [float("nan")], "R": 1}}),
+    ("sweep-beta", {"estimate": {"betas": [0.5, float("inf")], "R": 1}}),
+    ("dilation-scan", {"dilation": {"epsilons": [0.1, 0.0], "R": 1}}),
+    ("resources", {"resources": {"sizes": [2], "domain": "2"}}),
+])
+def test_bad_values_are_config_errors(runner, tmp_path, subcommand, body):
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [2]},
+        "output": {"path": str(tmp_path / "x.csv")}, **body,
+    })
+    result = runner.invoke(main, [subcommand, cfg])
+    assert result.exit_code == 1
+    assert "config error:" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_magnetization_observable(runner, tmp_path):
     cfg = sweep_config(tmp_path, observable="magnetization_x")
     result = runner.invoke(main, ["sweep-beta", cfg])

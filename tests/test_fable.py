@@ -3,14 +3,19 @@ import pytest
 
 from tpqsim import (
     LatticeSpec,
+    StateVector,
+    ZeroProbability,
+    apply_circuit,
     apply_exact,
     apply_fable,
     build_heisenberg,
     circuit_unitary,
     exact_thermal_operator,
     fable_encode,
+    postselect,
     to_dense,
 )
+from tpqsim.fable import _sfwht
 from tpqsim.random_state import sample_haar_state
 
 
@@ -92,3 +97,42 @@ def test_entry_range_guard():
     bad.__dict__["scaled"] = op.scaled * 1.5
     with pytest.raises(EntryOutOfRange):
         fable_encode(bad)
+
+
+def test_sfwht_matches_butterfly_loop():
+    def loop_sfwht(a):
+        a = a.copy()
+        h = 1
+        while h < len(a):
+            for i in range(0, len(a), 2 * h):
+                x, y = a[i:i + h].copy(), a[i + h:i + 2 * h].copy()
+                a[i:i + h], a[i + h:i + 2 * h] = (x + y) / 2.0, (x - y) / 2.0
+            h *= 2
+        return a
+
+    for m in (0, 1, 2, 5, 8):
+        a = np.random.default_rng(m).normal(size=1 << m)
+        assert np.array_equal(_sfwht(a), loop_sfwht(a))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("tol", [0.0, 0.05, 0.3])
+def test_apply_matches_gate_path(n, tol):
+    # the block applied in closed form against replaying the emitted circuit
+    op = thermal_op(n, 0.7)
+    be = fable_encode(op, compression_tol=tol)
+    psi = sample_haar_state(n, 11 + n)
+    full = np.zeros(1 << be.width, dtype=complex)
+    full[: 1 << n] = psi.amps
+    replayed = apply_circuit(StateVector(be.width, full), be.circuit)
+    ref, ref_p = postselect(replayed, range(n, be.width), [0] * be.ancilla_count)
+    out, p = apply_fable(be, psi)
+    assert np.max(np.abs(out.amps - ref.amps)) < 1e-12
+    assert p == pytest.approx(ref_p, abs=1e-12)
+
+
+def test_zero_probability_raises():
+    op = thermal_op(2, 40.0)
+    top = StateVector(2, op.hamiltonian.eigenvectors[:, -1])
+    with pytest.raises(ZeroProbability):
+        apply_fable(fable_encode(op), top)

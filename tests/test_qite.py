@@ -9,6 +9,7 @@ from tpqsim import (
     DomainTooSmallWarning,
     LatticeSpec,
     QiteSpec,
+    StateVector,
     apply_circuit,
     apply_exact,
     build_heisenberg,
@@ -86,6 +87,16 @@ def test_replay_reproduces_state(chain3):
     assert abs(out.norm - 1.0) < 1e-9
 
 
+def test_replay_reproduces_state_2d_window():
+    lattice = LatticeSpec(2, (2, 2))
+    h = build_heisenberg(lattice)
+    psi = sample_haar_state(4, 9)
+    out, circuit = qite_evolve(QiteSpec(0.8, n_steps=3, domain=3), h, psi,
+                               lattice)
+    replay = apply_circuit(psi, circuit)
+    assert np.max(np.abs(replay.amps - out.amps)) < 1e-9
+
+
 def test_fidelity_improves_with_steps(chain2):
     h = build_heisenberg(chain2)
     op = exact_thermal_operator(to_dense(h, 2), 1.0)
@@ -133,6 +144,20 @@ def test_cnot_count_additive_in_steps(chain2):
     inc2 = (per_step[2] - per_step[1]) / 2
     assert per_step[1] > per_step[0]
     assert abs(inc2 - inc1) <= 0.2 * max(inc1, 1)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 3)])
+def test_cnot_count_invariant_under_global_phase(n, d):
+    lattice = LatticeSpec(1, (n,))
+    h = build_heisenberg(lattice)
+    psi = sample_haar_state(n, 0)
+    counts = set()
+    for angle in (0.0, 0.3, 1.7, 2.9):
+        rotated = StateVector(n, np.exp(1j * angle) * psi.amps)
+        _, circuit = qite_evolve(QiteSpec(1.0, n_steps=2, domain=d), h, rotated,
+                                 lattice)
+        counts.add(circuit.cnot_count)
+    assert len(counts) == 1
 
 
 def test_resources_zero_beta(chain2):
