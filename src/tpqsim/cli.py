@@ -98,12 +98,44 @@ def _require(config: dict, *sections: str) -> None:
             raise ConfigError(f"missing config section {s!r}")
 
 
+def _int(value, name: str) -> int:
+    """A config integer: an int or an integral float, never a bool.
+
+    A bare int() would truncate 3.7 to 3 and accept True as 1.
+    """
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _ints(values, name: str) -> list[int]:
+    if not isinstance(values, (list, tuple, range)):
+        raise ConfigError(f"{name} must be a list of integers")
+    return [_int(v, name) for v in values]
+
+
+def _beta(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not value >= 0:
+        raise ConfigError(f"{name} must be a number >= 0, got {value!r}")
+    return float(value)
+
+
+def _base_seed(config: dict, override: int | None) -> int:
+    if override is not None:
+        return override
+    return _int(config.get("random_circuit", {}).get("seed", 0),
+                "random_circuit.seed")
+
+
 def _lattice(config: dict) -> LatticeSpec:
     m = config["model"]
     try:
         return LatticeSpec(
-            dimension=int(m.get("dimension", 1)),
-            extents=tuple(m["extents"]),
+            dimension=_int(m.get("dimension", 1), "model.dimension"),
+            extents=tuple(_ints(m["extents"], "model.extents")),
             Jx=float(m.get("Jx", 0.5)), Jy=float(m.get("Jy", 1.25)),
             Jz=float(m.get("Jz", 2.0)), hx=float(m.get("hx", 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
@@ -116,7 +148,7 @@ def _backend(config: dict) -> BackendSpec:
         return BackendSpec(
             kind=b.get("kind", "exact"),
             epsilon=float(b.get("epsilon", 1e-3)),
-            n_steps=int(b.get("n_steps", 10)),
+            n_steps=_int(b.get("n_steps", 10), "backend.n_steps"),
             domain=b.get("domain"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid backend: {exc}") from exc
@@ -196,12 +228,13 @@ def sweep_beta(config_path, output, seed, realizations):
         spec = TpqRunSpec(
             lattice, betas,
             observable=observable,
-            realizations=realizations or int(est_cfg.get("R", 10)),
-            depth=int(rc.get("depth", 20)),
+            realizations=realizations or _int(est_cfg.get("R", 10),
+                                              "estimate.R"),
+            depth=_int(rc.get("depth", 20), "random_circuit.depth"),
             entangler=rc.get("entangler", "cz"),
             backend=_backend(config),
-            base_seed=seed if seed is not None else int(rc.get("seed", 0)),
-            shots=int(est_cfg.get("shots", 0)))
+            base_seed=_base_seed(config, seed),
+            shots=_int(est_cfg.get("shots", 0), "estimate.shots"))
         est = run_ensemble(spec)
         rows = []
         for i, beta in enumerate(betas):
@@ -225,10 +258,10 @@ def entropy_scan(config_path, output, seed):
         _require(config, "model", "entropy")
         lattice = _lattice(config)
         scan = config["entropy"]
-        depths = [int(d) for d in scan.get("depths", range(1, 31))]
-        n_seeds = int(scan.get("seeds", 50))
+        depths = _ints(scan.get("depths", range(1, 31)), "entropy.depths")
+        n_seeds = _int(scan.get("seeds", 50), "entropy.seeds")
         rc = config.get("random_circuit", {})
-        base_seed = seed if seed is not None else int(rc.get("seed", 0))
+        base_seed = _base_seed(config, seed)
         entangler = rc.get("entangler", "cz")
         ref = haar_entropy_reference(lattice.n_sites)
         rows = []
@@ -253,15 +286,17 @@ def dilation_scan(config_path, output, seed):
         _require(config, "model", "dilation")
         lattice = _lattice(config)
         scan = config["dilation"]
-        beta = float(scan.get("beta", 0.5))
+        beta = _beta(scan.get("beta", 0.5), "dilation.beta")
         epsilons = [float(e) for e in scan.get(
             "epsilons", np.logspace(-3, 0, 10))]
         if not all(e > 0 for e in epsilons):
             raise ConfigError("dilation.epsilons must all be > 0")
-        r_count = int(scan.get("R", 100))
+        r_count = _int(scan.get("R", 100), "dilation.R")
+        if r_count < 1:
+            raise ConfigError("dilation.R must be >= 1")
         rc = config.get("random_circuit", {})
-        base_seed = seed if seed is not None else int(rc.get("seed", 0))
-        depth = int(rc.get("depth", 20))
+        base_seed = _base_seed(config, seed)
+        depth = _int(rc.get("depth", 20), "random_circuit.depth")
         h_pauli = build_heisenberg(lattice)
         dense = to_dense(h_pauli, lattice.n_sites)
         op = ThermalOperator(beta, dense)
@@ -300,12 +335,15 @@ def error_scan(config_path, output, seed):
         m = config["model"]
         couplings = dict(Jx=float(m.get("Jx", 0.5)), Jy=float(m.get("Jy", 1.25)),
                          Jz=float(m.get("Jz", 2.0)), hx=float(m.get("hx", 1.0)))
-        sizes = [int(n) for n in scan.get("sizes", range(2, 11))]
-        depths = [int(d) for d in scan.get("depths", (2, 50))]
+        sizes = _ints(scan.get("sizes", range(2, 11)), "error_scan.sizes")
+        depths = _ints(scan.get("depths", (2, 50)), "error_scan.depths")
         beta = float(scan.get("beta", 0.5))
-        r_count = int(scan.get("R", 100))
-        rc = config.get("random_circuit", {})
-        base_seed = seed if seed is not None else int(rc.get("seed", 0))
+        r_count = _int(scan.get("R", 100), "error_scan.R")
+        base_seed = _base_seed(config, seed)
+        cmp_rs = _ints(scan.get("compare_R", (1, 100)), "error_scan.compare_R")
+        cmp_n = _int(scan.get("compare_N", 6), "error_scan.compare_N")
+        n_base_seeds = _int(scan.get("compare_seeds", 5),
+                            "error_scan.compare_seeds")
         rows = []
         comments = []
         for d in depths:
@@ -316,9 +354,6 @@ def error_scan(config_path, output, seed):
             slope = np.polyfit(sizes, np.log(np.array([dsq[n] for n in sizes])), 1)[0]
             comments.append(f"trend_d{d}_slope={slope:.6g} "
                             f"monotone_down={str(slope < 0).lower()}")
-        cmp_rs = [int(r) for r in scan.get("compare_R", (1, 100))]
-        cmp_n = int(scan.get("compare_N", 6))
-        n_base_seeds = int(scan.get("compare_seeds", 5))
         lattice = LatticeSpec(1, (cmp_n,), **couplings)
         betas = tuple(np.round(np.arange(0.1, 2.01, 0.1), 10))
         for r_cmp in cmp_rs:
@@ -346,13 +381,14 @@ def resources(config_path, output, seed):
         m = config["model"]
         couplings = dict(Jx=float(m.get("Jx", 0.5)), Jy=float(m.get("Jy", 1.25)),
                          Jz=float(m.get("Jz", 2.0)), hx=float(m.get("hx", 1.0)))
-        sizes = [int(n) for n in scan.get("sizes", (2, 3, 4, 5))]
+        sizes = _ints(scan.get("sizes", (2, 3, 4, 5)), "resources.sizes")
         backends = list(scan.get("backends", ("qite", "dilated", "fable")))
-        beta = float(scan.get("beta", 1.0))
+        beta = _beta(scan.get("beta", 1.0), "resources.beta")
         # validated like sweep-beta's backend section
         try:
             qite_backend = BackendSpec("qite",
-                                       n_steps=int(scan.get("n_steps", 10)),
+                                       n_steps=_int(scan.get("n_steps", 10),
+                                                    "resources.n_steps"),
                                        domain=scan.get("domain"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid resources: {exc}") from exc

@@ -28,8 +28,9 @@ from .statevector import StateVector
 class ThermalOperator:
     """e^{-beta H / 2} over a dense Hamiltonian's cached eigenbasis.
 
-    `scaled` holds Q/s with max-abs entry 1 (the form consumed by the
-    block-encoding and dilation backends); `scale` recovers the literal Q.
+    `scaled` holds Q/s with max-abs entry 1, the form consumed by the
+    block-encoding and dilation backends; every filter normalizes its
+    output, so the literal Q is never needed.
     """
 
     beta: float
@@ -61,17 +62,6 @@ class ThermalOperator:
     def scaled(self) -> np.ndarray:
         """Q/s, real symmetric for the real-symmetric Hamiltonians used here."""
         return self._shifted_matrix / self._shifted_scale
-
-    @property
-    def scale(self) -> float:
-        """s such that e^{-beta H / 2} = s * scaled."""
-        lam_min = float(self.hamiltonian.eigenvalues[0])
-        return self._shifted_scale * math.exp(-self.beta * lam_min / 2.0)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Literal e^{-beta H / 2}; may overflow for extreme beta * ||H||."""
-        return self.scale * np.asarray(self.scaled, dtype=complex)
 
     def scaled_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of `scaled`, sharing the Hamiltonian's eigenvectors."""

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionOverflow
 
@@ -159,8 +158,12 @@ class DenseHermitian:
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, orthonormal eigenvector columns)."""
-        return scipy.linalg.eigh(self.matrix, driver="evd")
+        """(eigenvalues ascending, orthonormal eigenvector columns).
+
+        numpy's eigh is LAPACK's divide-and-conquer ?syevd/?heevd on the
+        lower triangle, real for a float64 matrix.
+        """
+        return np.linalg.eigh(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy >= 2 defers this import to first use; every subcommand draws
+# random states, so load it with the package, not inside the first run
+import numpy.random
 
 from .circuit import Circuit
 from .lattice import LatticeSpec

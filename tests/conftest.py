@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,17 @@ def kron_chain(n, placed):
     for q in reversed(range(n)):
         out = np.kron(out, placed.get(q, I2))
     return out
+
+
+def thermal_scale(op):
+    """s such that e^{-beta H / 2} = s * op.scaled."""
+    lam_min = float(op.hamiltonian.eigenvalues[0])
+    return op._shifted_scale * math.exp(-op.beta * lam_min / 2.0)
+
+
+def thermal_matrix(op):
+    """Literal e^{-beta H / 2}; may overflow for extreme beta * ||H||."""
+    return thermal_scale(op) * np.asarray(op.scaled, dtype=complex)
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tpqsim
 from tpqsim.cli import config_hash, load_config, main
 from tpqsim.errors import ConfigError
 
@@ -100,6 +105,8 @@ def test_missing_output_path(runner, tmp_path):
 
 
 _ONE_BETA = {"betas": [0.5], "R": 1}
+_SCAN = {"sizes": [2, 3], "depths": [2], "R": 1, "compare_R": [1],
+         "compare_N": 2, "compare_seeds": 1}
 
 
 @pytest.mark.parametrize("subcommand,body", [
@@ -117,6 +124,33 @@ _ONE_BETA = {"betas": [0.5], "R": 1}
     ("sweep-beta", {"estimate": {"betas": [0.5, float("inf")], "R": 1}}),
     ("dilation-scan", {"dilation": {"epsilons": [0.1, 0.0], "R": 1}}),
     ("resources", {"resources": {"sizes": [2], "domain": "2"}}),
+    # integers that int() would truncate, and bools it would accept
+    ("sweep-beta", {"model": {"dimension": 1, "extents": [3.7]},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"model": {"dimension": 1.5, "extents": [2]},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"estimate": {"betas": [0.5], "R": 2.9}}),
+    ("sweep-beta", {"estimate": {"betas": [0.5], "R": True}}),
+    ("sweep-beta", {"estimate": {"betas": [0.5], "R": 1, "shots": 1.5}}),
+    ("sweep-beta", {"random_circuit": {"depth": 2.5}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"random_circuit": {"seed": 0.5}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "qite", "n_steps": 2.5},
+                    "estimate": _ONE_BETA}),
+    ("entropy-scan", {"entropy": {"depths": [1.5], "seeds": 1}}),
+    ("entropy-scan", {"entropy": {"depths": [1], "seeds": 2.5}}),
+    ("error-scan", {"error_scan": {**_SCAN, "sizes": [2, 3.5]}}),
+    ("error-scan", {"error_scan": {**_SCAN, "depths": [2.5]}}),
+    ("error-scan", {"error_scan": {**_SCAN, "R": 1.5}}),
+    ("error-scan", {"error_scan": {**_SCAN, "compare_R": [1.5]}}),
+    ("error-scan", {"error_scan": {**_SCAN, "compare_N": 2.5}}),
+    ("error-scan", {"error_scan": {**_SCAN, "compare_seeds": 1.5}}),
+    ("dilation-scan", {"dilation": {"epsilons": [0.1], "R": 1.5}}),
+    ("resources", {"resources": {"sizes": [2.5]}}),
+    ("resources", {"resources": {"sizes": [2], "n_steps": 1.5}}),
+    # values that ended in a ValueError or ZeroDivisionError traceback
+    ("dilation-scan", {"dilation": {"beta": -0.5, "epsilons": [0.1], "R": 1}}),
+    ("dilation-scan", {"dilation": {"epsilons": [0.1], "R": 0}}),
+    ("resources", {"resources": {"sizes": [2], "beta": -1.0}}),
 ])
 def test_bad_values_are_config_errors(runner, tmp_path, subcommand, body):
     cfg = write_config(tmp_path, {
@@ -219,3 +253,16 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; a fresh interpreter checks the CLI's
+    # whole import graph
+    src = str(Path(tpqsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, tpqsim.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

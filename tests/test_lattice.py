@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tpqsim import LatticeSpec, PauliSum, PauliTerm, build_heisenberg, nearest_neighbor_pairs, to_dense
 
@@ -107,6 +108,23 @@ def test_spectral_reconstruction(chain3):
     assert np.iscomplexobj(dense.matrix) and np.iscomplexobj(vecs)
     recon = (vecs * vals) @ vecs.conj().T
     assert np.max(np.abs(recon - dense.matrix)) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["chain", "single_y"])
+def test_eig_matches_scipy_evd_oracle(case):
+    if case == "chain":
+        dense = to_dense(build_heisenberg(LatticeSpec(1, (6,))), 6)
+    else:
+        dense = to_dense(PauliSum((PauliTerm(1.0, ((0, "Y"),)),
+                                   PauliTerm(0.5, ((1, "Z"),)))), 2)
+    m = dense.matrix
+    vals, vecs = dense.eig
+    ref_vals = scipy.linalg.eigh(m, driver="evd", eigvals_only=True)
+    assert np.max(np.abs(vals - ref_vals)) < 1e-12
+    eye = np.eye(dense.dim)
+    assert np.max(np.abs(vecs.conj().T @ vecs - eye)) < 1e-12
+    assert np.max(np.abs((vecs * vals) @ vecs.conj().T - m)) < 1e-12
+    assert (vecs.dtype == np.float64) == (case == "chain")
 
 
 def test_dense_overflow_guard():

@@ -20,6 +20,8 @@ from tpqsim.nonunitary import ThermalOperator
 from tpqsim.statevector import StateVector, postselect
 from tpqsim.random_state import sample_haar_state
 
+from conftest import thermal_matrix, thermal_scale
+
 
 @pytest.fixture
 def op2(chain2):
@@ -28,7 +30,7 @@ def op2(chain2):
 
 def test_beta_zero_is_identity(chain2):
     op = exact_thermal_operator(to_dense(build_heisenberg(chain2), 2), 0.0)
-    assert np.allclose(op.matrix, np.eye(4))
+    assert np.allclose(thermal_matrix(op), np.eye(4))
     psi = sample_haar_state(2, 0)
     assert np.max(np.abs(apply_exact(op, psi).amps - psi.amps)) < 1e-12
 
@@ -36,18 +38,18 @@ def test_beta_zero_is_identity(chain2):
 def test_diagonal_hamiltonian():
     h = to_dense(PauliSum((PauliTerm(1.0, ((0, "Z"),)),)), 1)
     op = exact_thermal_operator(h, 2.0)
-    assert np.allclose(op.matrix, np.diag([np.exp(-1.0), np.exp(1.0)]))
+    assert np.allclose(thermal_matrix(op), np.diag([np.exp(-1.0), np.exp(1.0)]))
 
 
 def test_matches_expm_oracle(op2, chain2):
     h = to_dense(build_heisenberg(chain2), 2)
     ref = scipy.linalg.expm(-0.5 * h.matrix)
-    assert np.max(np.abs(op2.matrix - ref)) < 1e-9
-    assert np.max(np.abs(op2.scaled * op2.scale - ref)) < 1e-9
+    assert np.max(np.abs(thermal_matrix(op2) - ref)) < 1e-9
+    assert np.max(np.abs(op2.scaled * thermal_scale(op2) - ref)) < 1e-9
 
 
 def test_q_positive_definite_and_scaled(op2):
-    vals = np.linalg.eigvalsh(op2.matrix)
+    vals = np.linalg.eigvalsh(thermal_matrix(op2))
     assert np.all(vals > 0)
     assert np.max(np.abs(op2.scaled)) == pytest.approx(1.0)
 
