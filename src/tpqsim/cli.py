@@ -1,9 +1,11 @@
 """Experiment CLI: JSON config in, deterministic CSV out.
 
 Subcommands: sweep-beta, entropy-scan, dilation-scan, error-scan, resources.
-Every CSV starts with a comment line embedding the SHA-256 of the canonical
-config so outputs are auditable and regenerable.  Exit codes: 0 success,
-1 configuration error, 2 backend failure.
+Each config key is declared once in `_TABLE`, with its kind and default, and
+each run checks its whole config and builds its specs before computing.  Every
+CSV starts with a comment line embedding the SHA-256 of the config as loaded.
+Exit codes: 0 success, 1 configuration error (including an output file that
+cannot be written), 2 backend failure.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, TpqsimError
 from .estimator import (
+    BACKEND_KINDS,
     BackendSpec,
     TpqRunSpec,
     ensemble_expectation,
@@ -45,36 +48,111 @@ from .random_state import (
 )
 from .statevector import expectation
 
-_SCHEMA = {
-    "model": {"dimension", "extents", "Jx", "Jy", "Jz", "hx"},
-    "random_circuit": {"depth", "entangler", "seed"},
-    "backend": {"kind", "epsilon", "n_steps", "domain"},
-    "estimate": {"betas", "R", "shots", "observable"},
-    "output": {"path"},
-    "entropy": {"depths", "seeds"},
-    "dilation": {"beta", "epsilons", "R"},
-    "error_scan": {"sizes", "depths", "beta", "R", "compare_R", "compare_N",
-                   "compare_seeds"},
-    "resources": {"sizes", "backends", "beta", "n_steps", "domain"},
+_BIG = sys.float_info.max
+
+
+def _number(lo=None, integer=False, above=False):
+    """Kind: a finite number >= lo (> lo when `above`), never a bool or a
+    string; an integer kind rejects 3.7, which int() would truncate to 3."""
+    rule = "an integer" if integer else "a finite number"
+    if lo is not None:
+        rule += f" {'>' if above else '>='} {lo}"
+
+    def parse(v, name):
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not -_BIG <= v <= _BIG
+                or lo is not None and not (v > lo if above else v >= lo)
+                or integer and not float(v).is_integer()):
+            raise ConfigError(f"{name} must be {rule}, got {v!r}")
+        return int(v) if integer else float(v)
+    return parse
+
+
+def _choice(*options):
+    """Kind: one of the given strings."""
+    def parse(v, name):
+        if not isinstance(v, str) or v not in options:
+            raise ConfigError(f"{name} must be one of {list(options)}, got {v!r}")
+        return v
+    return parse
+
+
+def _list(item, distinct=1):
+    """Kind: a list of `item` values, at least `distinct` of them distinct."""
+    def parse(value, name):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        items = tuple(item(x, f"{name}[{i}]") for i, x in enumerate(value))
+        if len(set(items)) < distinct:
+            raise ConfigError(f"{name} needs {distinct} or more distinct "
+                              f"values, got {value!r}")
+        return items
+    return parse
+
+
+def _path(value, name):
+    """Kind: a non-empty string naming a file in an existing directory."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+    try:
+        click.Path(exists=True, file_okay=False).convert(
+            value.rpartition("/")[0] or ".", None, None)
+    except click.BadParameter as exc:
+        raise ConfigError(f"{name}: {exc.message}") from exc
+    return value
+
+
+_REQUIRED = object()  # a key without a default
+_BETA_GRID = tuple(float(b) for b in np.round(np.arange(0.1, 2.01, 0.1), 10))
+_COUNT = _number(1, integer=True)
+
+# "section.key" -> (kind, default); the model and backend keys are the field
+# names of LatticeSpec and BackendSpec, which are built with **v[section]
+_TABLE = {
+    "model.dimension": (_COUNT, 1),  # LatticeSpec allows 1 or 2
+    "model.extents": (_list(_COUNT), _REQUIRED),
+    "model.Jx": (_number(), 0.5),
+    "model.Jy": (_number(), 1.25),
+    "model.Jz": (_number(), 2.0),
+    "model.hx": (_number(), 1.0),
+    "random_circuit.depth": (_COUNT, 20),
+    "random_circuit.entangler": (_choice("cz", "cnot"), "cz"),
+    "random_circuit.seed": (_number(0, integer=True), 0),
+    "backend.kind": (_choice(*BACKEND_KINDS), "exact"),
+    "backend.epsilon": (_number(0, above=True), 1e-3),
+    "backend.n_steps": (_COUNT, 10),
+    "backend.domain": (_COUNT, None),  # None: min(N, 3)
+    "estimate.betas": (_list(_number(0)), _BETA_GRID),
+    "estimate.R": (_COUNT, 10),
+    "estimate.shots": (_number(0, integer=True), 0),
+    "estimate.observable": (_choice("energy", "magnetization_x"), "energy"),
+    "output.path": (_path, _REQUIRED),
+    "entropy.depths": (_list(_COUNT), tuple(range(1, 31))),
+    "entropy.seeds": (_COUNT, 50),
+    "dilation.beta": (_number(0), 0.5),
+    "dilation.epsilons": (_list(_number(0, above=True)),
+                          tuple(float(e) for e in np.logspace(-3, 0, 10))),
+    "dilation.R": (_COUNT, 100),
+    # a log-slope in N needs two sizes
+    "error_scan.sizes": (_list(_number(2, integer=True), distinct=2),
+                         tuple(range(2, 11))),
+    "error_scan.depths": (_list(_COUNT), (2, 50)),
+    "error_scan.beta": (_number(0), 0.5),
+    "error_scan.R": (_COUNT, 100),
+    "error_scan.compare_R": (_list(_COUNT), (1, 100)),
+    "error_scan.compare_N": (_number(2, integer=True), 6),
+    "error_scan.compare_seeds": (_COUNT, 5),
+    "resources.sizes": (_list(_number(2, integer=True)), (2, 3, 4, 5)),
+    "resources.backends": (_list(_choice("qite", "dilated", "fable")),
+                           ("qite", "dilated", "fable")),
+    "resources.beta": (_number(0), 1.0),
+    "resources.n_steps": (_COUNT, 10),
+    "resources.domain": (_COUNT, None),  # None: min(N, 3)
 }
 
 
-def _check_keys(config: dict) -> None:
-    for section, body in config.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        unknown = set(body) - _SCHEMA[section]
-        if unknown:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-        for key, value in body.items():
-            values = value if isinstance(value, list) else [value]
-            if any(isinstance(v, float) and not np.isfinite(v) for v in values):
-                raise ConfigError(f"{section}.{key} must be finite")
-
-
 def load_config(path: str) -> dict:
+    """The JSON object at `path`; every section and key must be in `_TABLE`."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -82,7 +160,15 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(config)
+    sections = {name.split(".")[0] for name in _TABLE}
+    for section, body in config.items():
+        if section not in sections:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(body, dict):
+            raise ConfigError(f"section {section!r} must be an object")
+        unknown = sorted(k for k in body if f"{section}.{k}" not in _TABLE)
+        if unknown:
+            raise ConfigError(f"unknown keys in {section!r}: {unknown}")
     return config
 
 
@@ -92,66 +178,56 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
-def _require(config: dict, *sections: str) -> None:
-    for s in sections:
-        if s not in config:
-            raise ConfigError(f"missing config section {s!r}")
+class _Config:
+    """`with _Config(...) as (config, v):` loads and checks a config and the
+    given overrides into v[section][key]; the block builds the run's specs,
+    and a ValueError or TypeError raised there is a config error."""
+
+    def __init__(self, config_path, sections, output, seed, realizations=None):
+        self.config = load_config(config_path)
+        for section in sections:
+            if section not in self.config:
+                raise ConfigError(f"missing config section {section!r}")
+        overrides = {"output.path": output, "random_circuit.seed": seed,
+                     "estimate.R": realizations}
+        self.values = {}
+        for name, (kind, default) in _TABLE.items():
+            section, key = name.split(".")
+            body = self.config.get(section, {})
+            typed = self.values.setdefault(section, {})
+            if overrides.get(name) is not None:
+                typed[key] = kind(overrides[name], name)
+            elif key in body:
+                typed[key] = kind(body[key], name)
+            elif default is not _REQUIRED:
+                typed[key] = default
+        if "path" not in self.values["output"]:
+            raise ConfigError("no output path: set output.path or pass --output")
+
+    def __enter__(self):
+        return self.config, self.values
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (TypeError, ValueError)):
+            raise ConfigError(str(exc)) from exc
 
 
-def _int(value, name: str) -> int:
-    """A config integer: an int or an integral float, never a bool.
-
-    A bare int() would truncate 3.7 to 3 and accept True as 1.
-    """
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _chains(v: dict, sizes) -> list[LatticeSpec]:
+    """The 1D chains a size scan runs; it reads only the model's couplings."""
+    m = v["model"]
+    if m["dimension"] != 1:
+        raise ConfigError("size scans run 1D chains: model.dimension must be 1")
+    return [LatticeSpec(1, (n,), m["Jx"], m["Jy"], m["Jz"], m["hx"])
+            for n in sizes]
 
 
-def _ints(values, name: str) -> list[int]:
-    if not isinstance(values, (list, tuple, range)):
-        raise ConfigError(f"{name} must be a list of integers")
-    return [_int(v, name) for v in values]
-
-
-def _beta(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not value >= 0:
-        raise ConfigError(f"{name} must be a number >= 0, got {value!r}")
-    return float(value)
-
-
-def _base_seed(config: dict, override: int | None) -> int:
-    if override is not None:
-        return override
-    return _int(config.get("random_circuit", {}).get("seed", 0),
-                "random_circuit.seed")
-
-
-def _lattice(config: dict) -> LatticeSpec:
-    m = config["model"]
-    try:
-        return LatticeSpec(
-            dimension=_int(m.get("dimension", 1), "model.dimension"),
-            extents=tuple(_ints(m["extents"], "model.extents")),
-            Jx=float(m.get("Jx", 0.5)), Jy=float(m.get("Jy", 1.25)),
-            Jz=float(m.get("Jz", 2.0)), hx=float(m.get("hx", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
-
-
-def _backend(config: dict) -> BackendSpec:
-    b = config.get("backend", {})
-    try:
-        return BackendSpec(
-            kind=b.get("kind", "exact"),
-            epsilon=float(b.get("epsilon", 1e-3)),
-            n_steps=_int(b.get("n_steps", 10), "backend.n_steps"),
-            domain=b.get("domain"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid backend: {exc}") from exc
+def _circuits(v: dict, lattice: LatticeSpec, depth: int,
+              count: int) -> list[RandomCircuitSpec]:
+    """The random circuits of realizations 0..count-1."""
+    rc = v["random_circuit"]
+    return [RandomCircuitSpec(lattice, depth, rc["entangler"],
+                              realization_seed(rc["seed"], r))
+            for r in range(count)]
 
 
 def _fmt(x) -> str:
@@ -166,19 +242,28 @@ def write_csv(path: str, config: dict, header: list[str],
     lines.extend(f"# {c}" for c in (comments or []))
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-def _output_path(config: dict, override: str | None) -> str:
-    if override:
-        return override
-    if "output" in config and "path" in config["output"]:
-        return config["output"]["path"]
-    raise ConfigError("no output path: set output.path or pass --output")
+class _Main(click.Group):
+    """Exit 1 with `config error:` on a ConfigError, 2 on other package errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(1)
+        except TpqsimError as exc:
+            click.echo(f"backend failure: {exc}", err=True)
+            sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Estimate thermal observables of spin models with TPQ states."""
 
@@ -192,249 +277,160 @@ def _common_options(fn):
     return fn
 
 
-def _run(config_path, body):
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
-    try:
-        body(config)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
-    except TpqsimError as exc:
-        click.echo(f"backend failure: {exc}", err=True)
-        sys.exit(2)
-
-
 @main.command("sweep-beta")
 @_common_options
 @click.option("--realizations", "-R", type=int, default=None,
               help="Override estimate.R.")
 def sweep_beta(config_path, output, seed, realizations):
     """Thermal observable over a beta grid, averaged over R TPQ states."""
-
-    def body(config):
-        _require(config, "model", "estimate")
-        lattice = _lattice(config)
-        est_cfg = config["estimate"]
-        rc = config.get("random_circuit", {})
-        betas = tuple(float(b) for b in est_cfg.get(
-            "betas", np.round(np.arange(0.1, 2.01, 0.1), 10)))
-        observable = None
-        if est_cfg.get("observable", "energy") == "magnetization_x":
-            observable = magnetization_x(lattice)
+    with _Config(config_path, ("model", "estimate"), output, seed,
+                 realizations) as (config, v):
+        est_cfg, rc = v["estimate"], v["random_circuit"]
+        lattice = LatticeSpec(**v["model"])
         spec = TpqRunSpec(
-            lattice, betas,
-            observable=observable,
-            realizations=realizations or _int(est_cfg.get("R", 10),
-                                              "estimate.R"),
-            depth=_int(rc.get("depth", 20), "random_circuit.depth"),
-            entangler=rc.get("entangler", "cz"),
-            backend=_backend(config),
-            base_seed=_base_seed(config, seed),
-            shots=_int(est_cfg.get("shots", 0), "estimate.shots"))
-        est = run_ensemble(spec)
-        rows = []
-        for i, beta in enumerate(betas):
-            rows.append([beta, est.mean[i], est.uncertainty[i],
-                         est.ensemble_ref[i], est.squared_error[i],
-                         spec.backend.kind, lattice.n_sites, spec.depth,
-                         spec.realizations, spec.base_seed])
-        write_csv(_output_path(config, output), config,
-                  ["beta", "mean", "uncertainty", "ensemble_ref",
-                   "squared_error", "backend", "N", "d", "R", "seed"], rows)
-
-    _run(config_path, body)
+            lattice, est_cfg["betas"],
+            observable=(magnetization_x(lattice) if est_cfg["observable"]
+                        == "magnetization_x" else None),
+            realizations=est_cfg["R"], depth=rc["depth"],
+            entangler=rc["entangler"], backend=BackendSpec(**v["backend"]),
+            base_seed=rc["seed"], shots=est_cfg["shots"])
+    est = run_ensemble(spec)
+    rows = [[beta, est.mean[i], est.uncertainty[i], est.ensemble_ref[i],
+             est.squared_error[i], spec.backend.kind, lattice.n_sites,
+             spec.depth, spec.realizations, spec.base_seed]
+            for i, beta in enumerate(spec.betas)]
+    write_csv(v["output"]["path"], config,
+              ["beta", "mean", "uncertainty", "ensemble_ref",
+               "squared_error", "backend", "N", "d", "R", "seed"], rows)
 
 
 @main.command("entropy-scan")
 @_common_options
 def entropy_scan(config_path, output, seed):
     """Mean basis entropy of random-circuit states vs depth."""
-
-    def body(config):
-        _require(config, "model", "entropy")
-        lattice = _lattice(config)
-        scan = config["entropy"]
-        depths = _ints(scan.get("depths", range(1, 31)), "entropy.depths")
-        n_seeds = _int(scan.get("seeds", 50), "entropy.seeds")
-        rc = config.get("random_circuit", {})
-        base_seed = _base_seed(config, seed)
-        entangler = rc.get("entangler", "cz")
-        ref = haar_entropy_reference(lattice.n_sites)
-        rows = []
-        for d in depths:
-            ent = [state_entropy(random_state(RandomCircuitSpec(
-                lattice, depth=d, entangler=entangler,
-                seed=realization_seed(base_seed, s)))) for s in range(n_seeds)]
-            rows.append([d, float(np.mean(ent)),
-                         float(np.std(ent) / np.sqrt(n_seeds)), ref])
-        write_csv(_output_path(config, output), config,
-                  ["depth", "mean_entropy", "stderr", "haar_reference"], rows)
-
-    _run(config_path, body)
+    with _Config(config_path, ("model", "entropy"), output, seed) as (config, v):
+        lattice = LatticeSpec(**v["model"])
+        scan = [(d, _circuits(v, lattice, d, v["entropy"]["seeds"]))
+                for d in v["entropy"]["depths"]]
+    ref = haar_entropy_reference(lattice.n_sites)
+    rows = []
+    for d, circuits in scan:
+        ent = [state_entropy(random_state(c)) for c in circuits]
+        rows.append([d, float(np.mean(ent)),
+                     float(np.std(ent) / np.sqrt(len(ent))), ref])
+    write_csv(v["output"]["path"], config,
+              ["depth", "mean_entropy", "stderr", "haar_reference"], rows)
 
 
 @main.command("dilation-scan")
 @_common_options
 def dilation_scan(config_path, output, seed):
     """Mean energy, success probability P0, and fidelity F vs epsilon."""
-
-    def body(config):
-        _require(config, "model", "dilation")
-        lattice = _lattice(config)
-        scan = config["dilation"]
-        beta = _beta(scan.get("beta", 0.5), "dilation.beta")
-        epsilons = [float(e) for e in scan.get(
-            "epsilons", np.logspace(-3, 0, 10))]
-        if not all(e > 0 for e in epsilons):
-            raise ConfigError("dilation.epsilons must all be > 0")
-        r_count = _int(scan.get("R", 100), "dilation.R")
-        if r_count < 1:
-            raise ConfigError("dilation.R must be >= 1")
-        rc = config.get("random_circuit", {})
-        base_seed = _base_seed(config, seed)
-        depth = _int(rc.get("depth", 20), "random_circuit.depth")
-        h_pauli = build_heisenberg(lattice)
-        dense = to_dense(h_pauli, lattice.n_sites)
-        op = ThermalOperator(beta, dense)
-        ref = ensemble_expectation(dense, None, beta)
-        states = [random_state(RandomCircuitSpec(
-            lattice, depth=depth, entangler=rc.get("entangler", "cz"),
-            seed=realization_seed(base_seed, r))) for r in range(r_count)]
-        rows = []
-        for eps in epsilons:
-            dspec = DilationSpec(eps, op)
-            energies, p0s, fids = [], [], []
-            for psi in states:
-                out, p0, fid = apply_dilated(dspec, psi)
-                energies.append(expectation(out, h_pauli))
-                p0s.append(p0)
-                fids.append(fid)
-            # successful post-selections occur in proportion to P0, so the
-            # measured-energy average weights each realization by it
-            mean_energy = float(np.average(energies, weights=p0s))
-            rows.append([eps, mean_energy, float(np.mean(p0s)),
-                         float(np.mean(fids)), ref])
-        write_csv(_output_path(config, output), config,
-                  ["epsilon", "mean_energy", "P0", "F", "ensemble_ref"], rows)
-
-    _run(config_path, body)
+    with _Config(config_path, ("model", "dilation"), output, seed) as (config, v):
+        scan = v["dilation"]
+        lattice = LatticeSpec(**v["model"])
+        circuits = _circuits(v, lattice, v["random_circuit"]["depth"],
+                             scan["R"])
+    h_pauli = build_heisenberg(lattice)
+    dense = to_dense(h_pauli, lattice.n_sites)
+    op = ThermalOperator(scan["beta"], dense)
+    ref = ensemble_expectation(dense, None, scan["beta"])
+    states = [random_state(c) for c in circuits]
+    rows = []
+    for eps in scan["epsilons"]:
+        dspec = DilationSpec(eps, op)
+        energies, p0s, fids = [], [], []
+        for psi in states:
+            out, p0, fid = apply_dilated(dspec, psi)
+            energies.append(expectation(out, h_pauli))
+            p0s.append(p0)
+            fids.append(fid)
+        # successful post-selections occur in proportion to P0, so the
+        # measured-energy average weights each realization by it
+        mean_energy = float(np.average(energies, weights=p0s))
+        rows.append([eps, mean_energy, float(np.mean(p0s)),
+                     float(np.mean(fids)), ref])
+    write_csv(v["output"]["path"], config,
+              ["epsilon", "mean_energy", "P0", "F", "ensemble_ref"], rows)
 
 
 @main.command("error-scan")
 @_common_options
 def error_scan(config_path, output, seed):
     """Single-TPQ squared-error scaling in N, plus the R-averaging comparison."""
-
-    def body(config):
-        _require(config, "model", "error_scan")
-        scan = config["error_scan"]
-        m = config["model"]
-        couplings = dict(Jx=float(m.get("Jx", 0.5)), Jy=float(m.get("Jy", 1.25)),
-                         Jz=float(m.get("Jz", 2.0)), hx=float(m.get("hx", 1.0)))
-        sizes = _ints(scan.get("sizes", range(2, 11)), "error_scan.sizes")
-        depths = _ints(scan.get("depths", (2, 50)), "error_scan.depths")
-        beta = float(scan.get("beta", 0.5))
-        r_count = _int(scan.get("R", 100), "error_scan.R")
-        base_seed = _base_seed(config, seed)
-        cmp_rs = _ints(scan.get("compare_R", (1, 100)), "error_scan.compare_R")
-        cmp_n = _int(scan.get("compare_N", 6), "error_scan.compare_N")
-        n_base_seeds = _int(scan.get("compare_seeds", 5),
-                            "error_scan.compare_seeds")
-        rows = []
-        comments = []
-        for d in depths:
-            dsq = squared_error_scan(sizes, d, beta, r_count,
-                                     base_seed=base_seed, **couplings)
-            for n in sizes:
-                rows.append(["dsq", d, n, "", dsq[n]])
-            slope = np.polyfit(sizes, np.log(np.array([dsq[n] for n in sizes])), 1)[0]
-            comments.append(f"trend_d{d}_slope={slope:.6g} "
-                            f"monotone_down={str(slope < 0).lower()}")
-        lattice = LatticeSpec(1, (cmp_n,), **couplings)
-        betas = tuple(np.round(np.arange(0.1, 2.01, 0.1), 10))
-        for r_cmp in cmp_rs:
-            errs = []
-            for s in range(n_base_seeds):
-                est = run_ensemble(TpqRunSpec(
-                    lattice, betas, realizations=r_cmp,
-                    base_seed=base_seed + s))
-                errs.append(float(np.mean(np.abs(est.mean - est.ensemble_ref))))
-            rows.append(["rcomp", "", cmp_n, r_cmp, float(np.mean(errs))])
-        write_csv(_output_path(config, output), config,
-                  ["scan", "d", "N", "R", "value"], rows, comments=comments)
-
-    _run(config_path, body)
+    with _Config(config_path, ("model", "error_scan"), output,
+                 seed) as (config, v):
+        scan, base_seed = v["error_scan"], v["random_circuit"]["seed"]
+        sizes, cmp_n = scan["sizes"], scan["compare_N"]
+        c = _chains(v, (*sizes, cmp_n))[-1]  # checks every size's chain
+        comparisons = [(r, [TpqRunSpec(c, _BETA_GRID, realizations=r,
+                                       base_seed=base_seed + s)
+                            for s in range(scan["compare_seeds"])])
+                       for r in scan["compare_R"]]
+    rows = []
+    comments = []
+    for d in scan["depths"]:
+        dsq = squared_error_scan(sizes, d, scan["beta"], scan["R"], base_seed,
+                                 c.Jx, c.Jy, c.Jz, c.hx)
+        for n in sizes:
+            rows.append(["dsq", d, n, "", dsq[n]])
+        slope = np.polyfit(sizes, np.log(np.array([dsq[n] for n in sizes])), 1)[0]
+        comments.append(f"trend_d{d}_slope={slope:.6g} "
+                        f"monotone_down={str(slope < 0).lower()}")
+    for r_cmp, specs in comparisons:
+        errs = [float(np.mean(np.abs(est.mean - est.ensemble_ref)))
+                for est in map(run_ensemble, specs)]
+        rows.append(["rcomp", "", cmp_n, r_cmp, float(np.mean(errs))])
+    write_csv(v["output"]["path"], config, ["scan", "d", "N", "R", "value"],
+              rows, comments=comments)
 
 
 @main.command("resources")
 @_common_options
 def resources(config_path, output, seed):
     """Per-backend CNOT counts, ancilla counts, and generation times."""
-
-    def body(config):
-        _require(config, "model", "resources")
-        scan = config["resources"]
-        m = config["model"]
-        couplings = dict(Jx=float(m.get("Jx", 0.5)), Jy=float(m.get("Jy", 1.25)),
-                         Jz=float(m.get("Jz", 2.0)), hx=float(m.get("hx", 1.0)))
-        sizes = _ints(scan.get("sizes", (2, 3, 4, 5)), "resources.sizes")
-        backends = list(scan.get("backends", ("qite", "dilated", "fable")))
-        beta = _beta(scan.get("beta", 1.0), "resources.beta")
-        # validated like sweep-beta's backend section
-        try:
-            qite_backend = BackendSpec("qite",
-                                       n_steps=_int(scan.get("n_steps", 10),
-                                                    "resources.n_steps"),
-                                       domain=scan.get("domain"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid resources: {exc}") from exc
-        base_seed = seed if seed is not None else 0
-        rows = []
-        for kind in backends:
-            if kind not in ("qite", "dilated", "fable"):
-                raise ConfigError(f"unknown resource backend {kind!r}")
-            for n in sizes:
-                lattice = LatticeSpec(1, (n,), **couplings)
-                h_pauli = build_heisenberg(lattice)
-                if kind == "qite":
-                    qspec = QiteSpec(beta, n_steps=qite_backend.n_steps,
-                                     domain=qite_backend.domain)
-                    samples = [qite_resources(qspec, h_pauli, n, lattice,
-                                              seed=base_seed + i)
-                               for i in range(3)]
-                    cnots = samples[0][0]
-                    seconds = statistics.median(s[1] for s in samples)
-                    ancillas = 0
+    with _Config(config_path, ("model", "resources"), output,
+                 seed) as (config, v):
+        scan = v["resources"]
+        chains = _chains(v, scan["sizes"])
+        qspec = QiteSpec(scan["beta"], n_steps=scan["n_steps"],
+                         domain=scan["domain"])
+        qspec.resolved_domain(min(scan["sizes"]))
+    rows = []
+    for kind in scan["backends"]:
+        for lattice in chains:
+            n = lattice.n_sites
+            h_pauli = build_heisenberg(lattice)
+            if kind == "qite":
+                samples = [qite_resources(qspec, h_pauli, n, lattice,
+                                          seed=v["random_circuit"]["seed"] + i)
+                           for i in range(3)]
+                cnots = samples[0][0]
+                seconds = statistics.median(s[1] for s in samples)
+                ancillas = 0
+            else:
+                dense = to_dense(h_pauli, n)
+                op = ThermalOperator(scan["beta"], dense)
+                if kind == "dilated":
+                    times = []
+                    for _ in range(3):
+                        t0 = time.perf_counter()
+                        dilated_omega(DilationSpec(1e-1, op))
+                        times.append(time.perf_counter() - t0)
+                    cnots = dilated_cnot_count(n)
+                    seconds = statistics.median(times)
+                    ancillas = 1
                 else:
-                    dense = to_dense(h_pauli, n)
-                    op = ThermalOperator(beta, dense)
-                    if kind == "dilated":
-                        times = []
-                        for _ in range(3):
-                            t0 = time.perf_counter()
-                            dilated_omega(DilationSpec(1e-1, op))
-                            times.append(time.perf_counter() - t0)
-                        cnots = dilated_cnot_count(n)
-                        seconds = statistics.median(times)
-                        ancillas = 1
-                    else:
-                        encodings = [fable_encode(op) for _ in range(3)]
-                        cnots = encodings[0].cnot_count
-                        seconds = statistics.median(
-                            e.generation_seconds for e in encodings)
-                        ancillas = n + 1
-                rows.append([kind, n, cnots, ancillas, seconds])
-        write_csv(_output_path(config, output), config,
-                  ["backend", "N", "cnot_count", "ancillas",
-                   "generation_seconds"], rows,
-                  comments=["generation_seconds are machine-relative "
-                            "(median of 3 runs)"])
-
-    _run(config_path, body)
+                    encodings = [fable_encode(op) for _ in range(3)]
+                    cnots = encodings[0].cnot_count
+                    seconds = statistics.median(
+                        e.generation_seconds for e in encodings)
+                    ancillas = n + 1
+            rows.append([kind, n, cnots, ancillas, seconds])
+    write_csv(v["output"]["path"], config,
+              ["backend", "N", "cnot_count", "ancillas", "generation_seconds"],
+              rows, comments=["generation_seconds are machine-relative "
+                              "(median of 3 runs)"])
 
 
 if __name__ == "__main__":

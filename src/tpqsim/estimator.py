@@ -66,6 +66,8 @@ class TpqRunSpec:
             raise ConfigError("realizations must be >= 1")
         if not all(math.isfinite(b) and b >= 0 for b in self.betas):
             raise ConfigError("beta values must be finite and >= 0")
+        if (self.backend.domain or 0) > self.lattice.n_sites:
+            raise ConfigError("backend domain exceeds the number of sites")
 
 
 @dataclass

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tpqsim
 from tpqsim.cli import config_hash, load_config, main
@@ -151,6 +153,47 @@ _SCAN = {"sizes": [2, 3], "depths": [2], "R": 1, "compare_R": [1],
     ("dilation-scan", {"dilation": {"beta": -0.5, "epsilons": [0.1], "R": 1}}),
     ("dilation-scan", {"dilation": {"epsilons": [0.1], "R": 0}}),
     ("resources", {"resources": {"sizes": [2], "beta": -1.0}}),
+    # values the spec constructors rejected with a traceback, or that ran
+    ("sweep-beta", {"random_circuit": {"depth": 0}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"random_circuit": {"entangler": "cx"},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"random_circuit": {"entangler": 5}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"random_circuit": {"seed": -1}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"estimate": {"betas": "0.5", "R": 1}}),
+    ("sweep-beta", {"estimate": {"betas": 0.5, "R": 1}}),
+    ("sweep-beta", {"estimate": {"betas": [[0.5]], "R": 1}}),
+    ("sweep-beta", {"estimate": {**_ONE_BETA, "observable": "bogus"}}),
+    ("sweep-beta", {"estimate": {**_ONE_BETA, "observable": 5}}),
+    ("sweep-beta", {"estimate": {**_ONE_BETA, "shots": -1}}),
+    ("entropy-scan", {"entropy": {"depths": [0], "seeds": 1}}),
+    ("entropy-scan", {"entropy": {"depths": [1], "seeds": 0}}),
+    ("error-scan", {"error_scan": {**_SCAN, "compare_seeds": 0}}),
+    ("error-scan", {"error_scan": {**_SCAN, "sizes": [1, 2]}}),
+    ("error-scan", {"error_scan": {**_SCAN, "sizes": [2]}}),
+    ("resources", {"resources": {"sizes": [1]}}),
+    ("error-scan", {"error_scan": {**_SCAN, "beta": "x"}}),
+    ("error-scan", {"model": {"dimension": 1, "extents": [2], "Jx": "a"},
+                    "error_scan": _SCAN}),
+    ("resources", {"model": {"dimension": 1, "extents": [2], "Jx": "a"},
+                   "resources": {"sizes": [2]}}),
+    ("dilation-scan", {"dilation": {"epsilons": "0.1", "R": 1}}),
+    ("resources", {"resources": {"sizes": [2], "backends": {"fable": 1}}}),
+    # the size scans run 1D chains and used to ignore a 2D model
+    ("error-scan", {"model": {"dimension": 2, "extents": [2, 2]},
+                    "error_scan": _SCAN}),
+    ("resources", {"model": {"dimension": 2, "extents": [2, 2]},
+                   "resources": {"sizes": [2]}}),
+    # a numeric string used to be read as a float
+    ("sweep-beta", {"model": {"dimension": 1, "extents": [2], "Jx": "0.5"},
+                    "estimate": _ONE_BETA}),
+    # the output path is checked before the run, not when writing
+    ("sweep-beta", {"output": {"path": 5}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"output": {"path": "no-such-dir/x.csv"},
+                    "estimate": _ONE_BETA}),
+    # a QITE domain larger than the system
+    ("sweep-beta", {"backend": {"kind": "qite", "domain": 3},
+                    "estimate": _ONE_BETA}),
+    ("resources", {"resources": {"sizes": [2], "domain": 3}}),
 ])
 def test_bad_values_are_config_errors(runner, tmp_path, subcommand, body):
     cfg = write_config(tmp_path, {
@@ -266,3 +309,101 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["-R", "0"],
+    ["--seed", "-1"],
+    ["-o", "no-such-dir/x.csv"],
+])
+def test_bad_overrides_are_config_errors(runner, tmp_path, args):
+    cfg = sweep_config(tmp_path)
+    result = runner.invoke(main, ["sweep-beta", cfg, *args])
+    assert result.exit_code == 1
+    assert "config error:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_unwritable_output_is_config_error(runner, tmp_path):
+    cfg = sweep_config(tmp_path)
+    result = runner.invoke(main, ["sweep-beta", cfg, "-o", str(tmp_path)])
+    assert result.exit_code == 1
+    assert "config error: cannot write output:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("subcommand,body", [
+    ("sweep-beta", {"estimate": _ONE_BETA}),
+    ("entropy-scan", {"entropy": {"depths": [1], "seeds": 1}}),
+    ("dilation-scan", {"dilation": {"epsilons": [0.1], "R": 1}}),
+    ("error-scan", {"error_scan": _SCAN}),
+    ("resources", {"resources": {"sizes": [2]}}),
+])
+def test_config_errors_come_before_compute(runner, tmp_path, monkeypatch,
+                                           subcommand, body):
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before the config was checked")
+
+    for name in ("build_heisenberg", "random_state", "run_ensemble",
+                 "squared_error_scan", "to_dense"):
+        monkeypatch.setattr(f"tpqsim.cli.{name}", compute)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [2]},
+        "output": {"path": str(tmp_path / "missing" / "x.csv")}, **body,
+    })
+    result = runner.invoke(main, [subcommand, cfg])
+    assert result.exit_code == 1
+    assert "config error:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+_MODEL = {"dimension": 1, "extents": [2], "Jx": 0.5, "Jy": 1.25, "Jz": 2.0,
+          "hx": 1.0}
+_CIRCUIT = {"depth": 2, "entangler": "cz", "seed": 0}
+# a tiny valid config per subcommand that sets every key it reads
+_TINY = {
+    "sweep-beta": {
+        "model": _MODEL, "random_circuit": _CIRCUIT,
+        "backend": {"kind": "qite", "epsilon": 0.1, "n_steps": 1,
+                    "domain": 2},
+        "estimate": {"betas": [0.5], "R": 2, "shots": 0,
+                     "observable": "energy"}},
+    "entropy-scan": {"model": _MODEL, "random_circuit": _CIRCUIT,
+                     "entropy": {"depths": [1, 2], "seeds": 2}},
+    "dilation-scan": {"model": _MODEL, "random_circuit": _CIRCUIT,
+                      "dilation": {"beta": 0.5, "epsilons": [0.1], "R": 2}},
+    "error-scan": {"model": _MODEL, "random_circuit": {"seed": 0},
+                   "error_scan": {"sizes": [2, 3], "depths": [2],
+                                  "beta": 0.5, "R": 2, "compare_R": [1],
+                                  "compare_N": 2, "compare_seeds": 1}},
+    "resources": {"model": _MODEL, "random_circuit": {"seed": 0},
+                  "resources": {"sizes": [2],
+                                "backends": ["qite", "dilated", "fable"],
+                                "beta": 0.5, "n_steps": 1, "domain": 2}},
+}
+_FUZZ_KEYS = [(command, section, key)
+              for command, config in _TINY.items()
+              for section, body in config.items() for key in body]
+_FUZZ_KEYS += [(command, "output", "path") for command in _TINY]
+_HOSTILE = [None, True, "x", -1, 0, 1.5, [[1]], [], {}]
+
+
+# max_examples exceeds the number of cases, so every case runs once
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.sampled_from([(*target, value) for target in _FUZZ_KEYS
+                        for value in _HOSTILE]))
+def test_hostile_config_value_runs_or_exits_cleanly(case):
+    command, section, key, value = case
+    config = json.loads(json.dumps(_TINY[command]))
+    config["output"] = {"path": "out.csv"}
+    config[section][key] = value
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("config.json").write_text(json.dumps(config))
+        result = runner.invoke(main, [command, "config.json"])
+        written = set(os.listdir(".")) - {"config.json"}
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert bool(written) == (result.exit_code == 0), (written, result.output)
