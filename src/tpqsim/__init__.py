@@ -41,7 +41,6 @@ from .nonunitary import (
     apply_exact,
     dilated_cnot_count,
     dilated_omega,
-    exact_thermal_operator,
 )
 from .fable import BlockEncoding, apply_fable, fable_encode
 from .qite import QiteSpec, qite_evolve, qite_resources
@@ -88,7 +87,6 @@ __all__ = [
     "apply_exact",
     "dilated_cnot_count",
     "dilated_omega",
-    "exact_thermal_operator",
     "BlockEncoding",
     "apply_fable",
     "fable_encode",

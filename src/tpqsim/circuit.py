@@ -42,11 +42,6 @@ class Circuit:
             raise IndexError(f"gate {g} out of range for width {self.width}")
         self.gates.append(g)
 
-    def extend(self, other: "Circuit") -> None:
-        if other.width > self.width:
-            raise IndexError("cannot extend with a wider circuit")
-        self.gates.extend(other.gates)
-
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -56,13 +51,3 @@ class Circuit:
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)
-
-    @property
-    def depth(self) -> int:
-        """Greedy layering depth: gates on disjoint qubits share a layer."""
-        frontier = [0] * self.width
-        for g in self.gates:
-            layer = 1 + max(frontier[q] for q in g.qubits)
-            for q in g.qubits:
-                frontier[q] = layer
-        return max(frontier, default=0)

@@ -181,13 +181,31 @@ def config_hash(config: dict) -> str:
 class _Config:
     """`with _Config(...) as (config, v):` loads and checks a config and the
     given overrides into v[section][key]; the block builds the run's specs,
-    and a ValueError or TypeError raised there is a config error."""
+    and a ValueError or TypeError raised there is a config error.
 
-    def __init__(self, config_path, sections, output, seed, realizations=None):
+    `required` names the sections that must be present, `optional` the other
+    sections, or single "section.key" names, the subcommand reads; `output`
+    is always read.  Any other section or key is rejected, since it would be
+    silently ignored.
+    """
+
+    def __init__(self, config_path, required, optional, output, seed,
+                 realizations=None):
         self.config = load_config(config_path)
-        for section in sections:
+        for section in required:
             if section not in self.config:
                 raise ConfigError(f"missing config section {section!r}")
+        reads = {*required, *optional, "output"}
+        for section, body in self.config.items():
+            if section in reads:
+                continue
+            if not any(name.startswith(f"{section}.") for name in reads):
+                raise ConfigError(f"this subcommand does not read section "
+                                  f"{section!r}")
+            unread = sorted(k for k in body if f"{section}.{k}" not in reads)
+            if unread:
+                raise ConfigError(f"this subcommand does not read keys "
+                                  f"{unread} of {section!r}")
         overrides = {"output.path": output, "random_circuit.seed": seed,
                      "estimate.R": realizations}
         self.values = {}
@@ -283,7 +301,8 @@ def _common_options(fn):
               help="Override estimate.R.")
 def sweep_beta(config_path, output, seed, realizations):
     """Thermal observable over a beta grid, averaged over R TPQ states."""
-    with _Config(config_path, ("model", "estimate"), output, seed,
+    with _Config(config_path, ("model", "estimate"),
+                 ("random_circuit", "backend"), output, seed,
                  realizations) as (config, v):
         est_cfg, rc = v["estimate"], v["random_circuit"]
         lattice = LatticeSpec(**v["model"])
@@ -308,7 +327,8 @@ def sweep_beta(config_path, output, seed, realizations):
 @_common_options
 def entropy_scan(config_path, output, seed):
     """Mean basis entropy of random-circuit states vs depth."""
-    with _Config(config_path, ("model", "entropy"), output, seed) as (config, v):
+    with _Config(config_path, ("model", "entropy"), ("random_circuit",),
+                 output, seed) as (config, v):
         lattice = LatticeSpec(**v["model"])
         scan = [(d, _circuits(v, lattice, d, v["entropy"]["seeds"]))
                 for d in v["entropy"]["depths"]]
@@ -326,7 +346,8 @@ def entropy_scan(config_path, output, seed):
 @_common_options
 def dilation_scan(config_path, output, seed):
     """Mean energy, success probability P0, and fidelity F vs epsilon."""
-    with _Config(config_path, ("model", "dilation"), output, seed) as (config, v):
+    with _Config(config_path, ("model", "dilation"), ("random_circuit",),
+                 output, seed) as (config, v):
         scan = v["dilation"]
         lattice = LatticeSpec(**v["model"])
         circuits = _circuits(v, lattice, v["random_circuit"]["depth"],
@@ -358,8 +379,8 @@ def dilation_scan(config_path, output, seed):
 @_common_options
 def error_scan(config_path, output, seed):
     """Single-TPQ squared-error scaling in N, plus the R-averaging comparison."""
-    with _Config(config_path, ("model", "error_scan"), output,
-                 seed) as (config, v):
+    with _Config(config_path, ("model", "error_scan"),
+                 ("random_circuit.seed",), output, seed) as (config, v):
         scan, base_seed = v["error_scan"], v["random_circuit"]["seed"]
         sizes, cmp_n = scan["sizes"], scan["compare_N"]
         c = _chains(v, (*sizes, cmp_n))[-1]  # checks every size's chain
@@ -389,8 +410,8 @@ def error_scan(config_path, output, seed):
 @_common_options
 def resources(config_path, output, seed):
     """Per-backend CNOT counts, ancilla counts, and generation times."""
-    with _Config(config_path, ("model", "resources"), output,
-                 seed) as (config, v):
+    with _Config(config_path, ("model", "resources"),
+                 ("random_circuit.seed",), output, seed) as (config, v):
         scan = v["resources"]
         chains = _chains(v, scan["sizes"])
         qspec = QiteSpec(scan["beta"], n_steps=scan["n_steps"],

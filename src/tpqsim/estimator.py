@@ -1,9 +1,16 @@
 """Thermal-average estimation from ensembles of TPQ states.
 
-A run draws R independent random-circuit states, filters each with the chosen
-backend, measures the observable per beta, and aggregates mean and
-stddev/sqrt(R).  The exact canonical ensemble value Tr[e^{-beta H} A] /
-Tr[e^{-beta H}] from the dense eigenbasis is attached as a reference.
+A run draws R independent random-circuit states and stacks them into one
+(2^n, R) batch.  The backend filters the whole batch for each beta, and the
+observable is measured on every (beta, state) pair; mean and stddev/sqrt(R)
+are taken over the states.  The exact and dilated filters move the batch into
+H's eigenbasis once per run and only rescale its rows per beta; the energy is
+then read off in that basis for all betas at once, and any other observable,
+or a finite shot budget, takes one back-transform per beta.  FABLE multiplies
+the batch by its encoded block per beta; QITE fits state-dependent rotations,
+so it evolves one state at a time.  The exact canonical ensemble value
+Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense eigenbasis is attached as a
+reference.
 
 Reproducibility: realization r uses the circuit seed drawn from
 numpy SeedSequence(entropy=base_seed, spawn_key=(r,)); shot noise (when
@@ -19,12 +26,20 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import LatticeSpec, build_heisenberg
-from .nonunitary import DilationSpec, ThermalOperator, apply_dilated, apply_exact
-from .fable import apply_fable, fable_encode
-from .pauli import DenseHermitian, PauliSum, apply_pauli_sum, to_dense
+from .nonunitary import (
+    NORM_FLOOR,
+    P0_FLOOR,
+    DilationSpec,
+    ThermalOperator,
+    eigen_coefficients,
+    filter_energies,
+    filter_states,
+)
+from .fable import fable_block, fable_filter
+from .pauli import DenseHermitian, PauliSum, to_dense
 from .qite import QiteSpec, qite_evolve
 from .random_state import RandomCircuitSpec, random_state
-from .statevector import expectation, sample_expectation
+from .statevector import StateVector, expectations, sample_expectation
 
 BACKEND_KINDS = ("exact", "dilated", "fable", "qite")
 
@@ -110,63 +125,88 @@ def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
     if np.any(beta < 0):
         raise ValueError("beta must be >= 0")
     vals, vecs = h.eig
-    if a is None:
-        diag = vals
-    else:
-        av = apply_pauli_sum(vecs, h.n_qubits, a)
-        diag = np.einsum("ij,ij->j", vecs.conj(), av).real
+    diag = vals if a is None else expectations(vecs, a)
     w = np.exp(-np.multiply.outer(beta, vals - vals[0]))
     ref = w @ diag / w.sum(axis=-1)
     return float(ref) if ref.ndim == 0 else ref
 
 
-def make_backend(spec: BackendSpec, beta: float, dense_h: DenseHermitian,
-                 h_pauli: PauliSum, lattice: LatticeSpec | None = None):
-    """Callable psi -> filtered normalized psi for one (backend, beta)."""
-    if spec.kind == "qite":
-        qspec = QiteSpec(beta, n_steps=spec.n_steps, domain=spec.domain)
-        return lambda psi: qite_evolve(qspec, h_pauli, psi, lattice)[0]
-    op = ThermalOperator(beta, dense_h)
+def _eigen_weights(spec: BackendSpec, betas,
+                   dense_h: DenseHermitian) -> tuple[np.ndarray, float]:
+    """The exact or dilated filter's eigenbasis weights, one row per beta,
+    and the squared norm below which a filtered state is lost."""
     if spec.kind == "exact":
-        return lambda psi: apply_exact(op, psi)
-    if spec.kind == "dilated":
-        dspec = DilationSpec(spec.epsilon, op)
-        return lambda psi: apply_dilated(dspec, psi)[0]
-    encoding = fable_encode(op)
-    return lambda psi: apply_fable(encoding, psi)[0]
+        return (np.array([ThermalOperator(beta, dense_h).shifted_weights()
+                          for beta in betas]), NORM_FLOOR)
+    # each operator caches its dense Q' for the scale; let it go per beta
+    return (np.array([DilationSpec(spec.epsilon, ThermalOperator(
+        beta, dense_h)).branch_weights() for beta in betas]), P0_FLOOR)
+
+
+def filtered_batches(spec: BackendSpec, betas, states: np.ndarray,
+                     dense_h: DenseHermitian, h_pauli: PauliSum,
+                     lattice: LatticeSpec | None = None):
+    """Yield the normalized filtered (2^n, R) batch of `states` per beta."""
+    n = dense_h.n_qubits
+    if spec.kind == "qite":
+        for beta in betas:
+            qspec = QiteSpec(beta, n_steps=spec.n_steps, domain=spec.domain)
+            yield np.stack([qite_evolve(qspec, h_pauli, StateVector(n, psi),
+                                        lattice)[0].amps
+                            for psi in states.T], axis=1)
+    elif spec.kind == "fable":
+        for beta in betas:
+            _, block = fable_block(ThermalOperator(beta, dense_h))
+            yield fable_filter(block, states)[0]
+    else:
+        weights, floor = _eigen_weights(spec, betas, dense_h)
+        coeffs = eigen_coefficients(dense_h, states)
+        for w in weights:
+            yield filter_states(dense_h, w, coeffs, floor)[0]
+
+
+def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
+                     dense_h: DenseHermitian,
+                     h_pauli: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """The observable on every filtered (beta, state) pair of the (2^n, R)
+    batch `states`, as a (n_betas, R) array, and each beta's summed shot
+    variance (zeros without shots)."""
+    shot_var = np.zeros(len(spec.betas))
+    if (spec.observable is None and spec.shots == 0
+            and spec.backend.kind in ("exact", "dilated")):
+        weights, floor = _eigen_weights(spec.backend, spec.betas, dense_h)
+        coeffs = eigen_coefficients(dense_h, states)
+        return filter_energies(dense_h, weights, coeffs, floor), shot_var
+    observable = spec.observable if spec.observable is not None else h_pauli
+    values = np.empty((len(spec.betas), states.shape[1]))
+    batches = filtered_batches(spec.backend, spec.betas, states, dense_h,
+                               h_pauli, spec.lattice)
+    for bi, batch in enumerate(batches):
+        if spec.shots == 0:
+            values[bi] = expectations(batch, observable)
+            continue
+        for r, psi in enumerate(batch.T):
+            shot_seed = int(np.random.SeedSequence(
+                entropy=spec.base_seed,
+                spawn_key=(r, 1 + bi)).generate_state(1)[0])
+            values[bi, r], err = sample_expectation(
+                StateVector(dense_h.n_qubits, psi), observable, spec.shots,
+                shot_seed)
+            shot_var[bi] += err**2
+    return values, shot_var
 
 
 def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
     """The full pipeline: R random states, filtered and measured per beta."""
     lattice = spec.lattice
-    n = lattice.n_sites
     h_pauli = build_heisenberg(lattice)
-    dense_h = to_dense(h_pauli, n)
-    observable = spec.observable if spec.observable is not None else h_pauli
-
-    backends = [make_backend(spec.backend, beta, dense_h, h_pauli, lattice)
-                for beta in spec.betas]
-
-    values = np.empty((len(spec.betas), spec.realizations))
-    shot_var = np.zeros(len(spec.betas))
-    for r in range(spec.realizations):
-        circ_spec = RandomCircuitSpec(lattice, depth=spec.depth,
-                                      entangler=spec.entangler,
-                                      seed=realization_seed(spec.base_seed, r))
-        psi_r = random_state(circ_spec)
-        for bi, backend in enumerate(backends):
-            filtered = backend(psi_r)
-            if spec.shots > 0:
-                shot_seed = int(np.random.SeedSequence(
-                    entropy=spec.base_seed,
-                    spawn_key=(r, 1 + bi)).generate_state(1)[0])
-                mean, err = sample_expectation(filtered, observable,
-                                               spec.shots, shot_seed)
-                values[bi, r] = mean
-                shot_var[bi] += err**2
-            else:
-                values[bi, r] = expectation(filtered, observable)
-
+    dense_h = to_dense(h_pauli, lattice.n_sites)
+    states = np.stack([
+        random_state(RandomCircuitSpec(
+            lattice, depth=spec.depth, entangler=spec.entangler,
+            seed=realization_seed(spec.base_seed, r))).amps
+        for r in range(spec.realizations)], axis=1)
+    values, shot_var = measure_filtered(spec, states, dense_h, h_pauli)
     ref = ensemble_expectation(dense_h, spec.observable, spec.betas)
     shot_stderr = None
     if spec.shots > 0:

@@ -13,22 +13,22 @@ closing Hadamards.
 The circuit is emitted for resource counts and for replay; simulation does not
 run it.  The uniformly-controlled RY with angle theta_c for control value
 c = (i << N) | j puts cos(theta_c / 2) / 2^N at (i, j) of the leading block
-(Camps & Van Beeumen, arXiv:2205.00081), so `fable_encode` also recovers the
-angles the circuit realizes (after pruning) from its compiled angles, and
-`apply_fable` multiplies by that 2^N x 2^N block.
+(Camps & Van Beeumen, arXiv:2205.00081), so `fable_block` recovers the angles
+the circuit realizes (after pruning) from its compiled angles, and
+`fable_filter` multiplies a batch of states by that 2^N x 2^N block without
+emitting any gate.  `fable_encode` adds the gates (`fable_circuit`).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import EntryOutOfRange, ZeroProbability
-from .nonunitary import ThermalOperator
+from .errors import EntryOutOfRange
+from .nonunitary import P0_FLOOR, ThermalOperator, check_norms
 from .statevector import StateVector
 
 
@@ -78,8 +78,12 @@ class BlockEncoding:
     n_system: int
     circuit: Circuit
     block: np.ndarray
-    alpha: float
     generation_seconds: float
+
+    @property
+    def alpha(self) -> float:
+        """The subnormalization 2^N."""
+        return float(len(self.block))
 
     @property
     def ancilla_count(self) -> int:
@@ -94,34 +98,41 @@ class BlockEncoding:
         return self.circuit.cnot_count
 
 
-def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEncoding:
-    """Synthesize the block-encoding circuit of Q/s with subnormalization 2^N.
+def fable_block(op: ThermalOperator,
+                compression_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Compile the rotation angles of Q/s; returns (compiled angles, block).
 
-    `compression_tol` > 0 prunes rotations with compiled angle at or below the
-    tolerance, merging the adjacent CNOTs by control parity (approximate
-    encoding); the default keeps the circuit exact with 4^N CNOTs.
+    The compiled angles are in Gray-code walk order, zero where pruned:
+    `compression_tol` > 0 prunes those at or below the tolerance
+    (approximate encoding).  `block` is the real 2^N x 2^N matrix, 2^N times
+    the leading block, that the circuit of these angles encodes.
     """
-    t0 = time.perf_counter()
     a = np.asarray(op.scaled, dtype=float)
-    n = op.n_qubits
     if np.max(np.abs(a)) > 1.0 + 1e-12:
         raise EntryOutOfRange("matrix entries must lie in [-1, 1]")
     a = np.clip(a, -1.0, 1.0)
-
     # theta_c = 2 arccos(a_ij) with c = (i << n) | j; compiled angles via the
     # scaled Walsh-Hadamard transform in Gray-code order
     theta = 2.0 * np.arccos(a.flatten(order="C"))
     phi = _gray_permute(_sfwht(theta))
+    phi = np.where(np.abs(phi) > compression_tol, phi, 0.0)
+    return phi, _encoded_block(phi, op.n_qubits)
 
+
+def fable_circuit(phi: np.ndarray, n: int) -> Circuit:
+    """The Gray-code gate sequence for compiled angles `phi` on 2n+1 qubits.
+
+    A zero angle is pruned: its rotation is dropped and the adjacent CNOTs
+    merge by control parity, so the exact encoding has 4^n CNOTs.
+    """
     m = 2 * n
     rot_q = 2 * n
     circuit = Circuit(2 * n + 1)
     for q in range(n, 2 * n):
         circuit.append("h", q)
-    kept = np.abs(phi) > compression_tol
     pending = 0  # parity mask of CNOT controls deferred by pruning
     for k, ctrl_bit in enumerate(_gray_walk_controls(m)):
-        if kept[k]:
+        if phi[k] != 0.0:
             bit = 0
             while pending:
                 if pending & 1:
@@ -142,24 +153,43 @@ def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEnco
         circuit.append("swap", q, n + q)
     for q in range(n, 2 * n):
         circuit.append("h", q)
-    block = _encoded_block(np.where(kept, phi, 0.0), n)
-    return BlockEncoding(n, circuit, block, float(2**n),
-                         time.perf_counter() - t0)
+    return circuit
+
+
+def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEncoding:
+    """Synthesize the block-encoding circuit of Q/s with subnormalization 2^N.
+
+    `compression_tol` as in `fable_block`; the default keeps the circuit
+    exact.  `generation_seconds` covers compilation and gate emission.
+    """
+    t0 = time.perf_counter()
+    phi, block = fable_block(op, compression_tol)
+    circuit = fable_circuit(phi, op.n_qubits)
+    return BlockEncoding(op.n_qubits, circuit, block, time.perf_counter() - t0)
+
+
+def fable_filter(block: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Post-selected FABLE outputs of a (2^N, R) batch of column states.
+
+    Each column's surviving branch is (block / 2^N) psi.  Returns the
+    normalized branches (equal to the exact filter's output up to synthesis
+    round-off) and each success probability ||(Q/s) psi||^2 / 4^N.
+    Raises ZeroProbability when a probability underflows.
+    """
+    branch = block @ amps / len(block)
+    p0 = np.einsum("ij,ij->j", branch.conj(), branch).real
+    check_norms(p0, P0_FLOOR)
+    return branch / np.sqrt(p0), p0
 
 
 def apply_fable(be: BlockEncoding, psi: StateVector) -> tuple[StateVector, float]:
     """The encoding circuit with ancillas in |0>, post-selected on all zeros.
 
-    The surviving branch is (block / 2^N) psi, computed directly.  Returns the
-    filtered system state (equal to apply_exact's output up to synthesis
-    round-off) and the success probability ||(Q/s) psi||^2 / 4^N.
-    Raises ZeroProbability when that probability underflows.
+    The one-state case of `fable_filter`: returns the filtered system state
+    and the success probability.
     """
     n = be.n_system
     if psi.n != n:
         raise ValueError(f"state has {psi.n} qubits, encoding expects {n}")
-    branch = be.block @ psi.amps / be.alpha
-    p0 = float(np.vdot(branch, branch).real)
-    if p0 < 1e-14:
-        raise ZeroProbability(f"outcome probability {p0:.3e} underflows")
-    return StateVector(n, branch / math.sqrt(p0)), p0
+    states, p0 = fable_filter(be.block, psi.amps[:, None])
+    return StateVector(n, states[:, 0]), float(p0[0])

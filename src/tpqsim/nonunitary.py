@@ -5,10 +5,13 @@ internally the spectrum is shifted by the ground-state energy before
 exponentiating to keep weights in (0, 1].
 
 Both forms are simulated in the eigenbasis V of H, which is real for the
-real-symmetric Hamiltonians built here: a state enters as c = V^dagger psi,
-is weighted per eigenvalue, and leaves as V times the weighted coefficients.
-The dilated unitary Omega is only built by `dilated_omega`, the unitarity
-oracle and the artifact whose synthesis the `resources` subcommand times.
+real-symmetric Hamiltonians built here, on a (2^n, R) batch of column
+states: the batch enters once as C = V^dagger Psi, each filter (a beta, or an
+epsilon) only rescales the rows of C, and a filtered batch leaves as V times
+the rescaled coefficients, or not at all when only its energy is wanted.
+`apply_exact` and `apply_dilated` are the one-state case.  The dilated
+unitary Omega is only built by `dilated_omega`, the unitarity oracle and the
+artifact whose synthesis the `resources` subcommand times.
 """
 
 from __future__ import annotations
@@ -68,28 +71,73 @@ class ThermalOperator:
         return self.shifted_weights() / self._shifted_scale
 
 
-def exact_thermal_operator(h: DenseHermitian, beta: float) -> ThermalOperator:
-    return ThermalOperator(beta, h)
+# below these squared norms a filtered state is lost: ||Q psi|| under 1e-14
+# cannot be normalized, and a post-selection under 1e-14 never succeeds
+NORM_FLOOR = 1e-28
+P0_FLOOR = 1e-14
 
 
 def _basis_change(vecs: np.ndarray, amps: np.ndarray,
                   adjoint: bool = False) -> np.ndarray:
-    """V amps, or V^dagger amps when `adjoint`.
+    """V amps, or V^dagger amps when `adjoint`, for a (2^n, m) batch of
+    column states.
 
     A real V is never cast to complex: it multiplies the real and imaginary
-    parts of amps, interleaved as two columns, in one real product.
+    parts of amps, interleaved as column pairs, in one real product.
     """
     if np.iscomplexobj(vecs):
-        return (amps.conj() @ vecs).conj() if adjoint else vecs @ amps
-    parts = np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2)
-    return ((vecs.T if adjoint else vecs) @ parts).view(complex).ravel()
+        return vecs.conj().T @ amps if adjoint else vecs @ amps
+    parts = np.ascontiguousarray(amps, dtype=complex).view(float)
+    out = (vecs.T if adjoint else vecs) @ parts.reshape(len(amps), -1)
+    return out.view(complex).reshape(amps.shape)
+
+
+def eigen_coefficients(h: DenseHermitian, amps: np.ndarray) -> np.ndarray:
+    """C = V^dagger amps in H's eigenbasis, for a (2^n, R) batch of states."""
+    return _basis_change(h.eigenvectors, amps, adjoint=True)
+
+
+def check_norms(sq_norms: np.ndarray, floor: float) -> None:
+    """Raise ZeroProbability when a squared norm (or P0) is below `floor`."""
+    low = float(np.min(sq_norms))
+    if low < floor:
+        raise ZeroProbability(f"filtered squared norm {low:.3e} underflows")
+
+
+def filter_states(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
+                  floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized V (weights * c) for each column c of the (2^n, R)
+    coefficients, and each column's squared norm ||weights * c||^2.
+
+    Raises ZeroProbability when a squared norm is below `floor`.
+    """
+    branch = weights[:, None] * coeffs
+    sq_norms = np.einsum("ij,ij->j", branch.conj(), branch).real
+    check_norms(sq_norms, floor)
+    return _basis_change(h.eigenvectors, branch / np.sqrt(sq_norms)), sq_norms
+
+
+def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
+                    floor: float) -> np.ndarray:
+    """<H> of the normalized V (w * c) for each row w of `weights` and each
+    column c of the (2^n, R) coefficients, as a (rows, R) array.
+
+    <H> = sum_k lambda_k w_k^2 |c_k|^2 / sum_k w_k^2 |c_k|^2 never leaves the
+    eigenbasis.  Raises ZeroProbability when a denominator is below `floor`.
+    """
+    probs = np.abs(coeffs) ** 2
+    w2 = weights**2
+    sq_norms = w2 @ probs
+    check_norms(sq_norms, floor)
+    return (w2 * h.eigenvalues) @ probs / sq_norms
 
 
 def apply_exact(op: ThermalOperator, psi: StateVector) -> StateVector:
     """Normalized Q psi via the eigenbasis; never materializes Q."""
-    vecs = op.hamiltonian.eigenvectors
-    coeffs = op.shifted_weights() * _basis_change(vecs, psi.amps, adjoint=True)
-    return StateVector(psi.n, _basis_change(vecs, coeffs)).normalized()
+    h = op.hamiltonian
+    coeffs = eigen_coefficients(h, psi.amps[:, None])
+    states, _ = filter_states(h, op.shifted_weights(), coeffs, NORM_FLOOR)
+    return StateVector(psi.n, states[:, 0])
 
 
 @dataclass(frozen=True)
@@ -102,6 +150,10 @@ class DilationSpec:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
+
+    def branch_weights(self) -> np.ndarray:
+        """sin(eps q) per eigenvalue q of Q': the post-selected branch."""
+        return np.sin(self.epsilon * self.operator.scaled_eigenvalues())
 
 
 def dilated_omega(spec: DilationSpec) -> np.ndarray:
@@ -125,17 +177,16 @@ def apply_dilated(spec: DilationSpec, psi: StateVector) -> tuple[StateVector, fl
     Raises ZeroProbability when P0 underflows.
     """
     op = spec.operator
-    vecs = op.hamiltonian.eigenvectors
-    coeffs = _basis_change(vecs, psi.amps, adjoint=True)
-    branch = np.sin(spec.epsilon * op.scaled_eigenvalues()) * coeffs
-    p0 = float(np.vdot(branch, branch).real)
-    if p0 < 1e-14:
-        raise ZeroProbability(f"outcome probability {p0:.3e} underflows")
-    exact = op.shifted_weights() * coeffs
+    h = op.hamiltonian
+    coeffs = eigen_coefficients(h, psi.amps[:, None])
+    weights = spec.branch_weights()
+    states, p0 = filter_states(h, weights, coeffs, P0_FLOOR)
+    p0 = float(p0[0])
+    branch = weights * coeffs[:, 0]
+    exact = op.shifted_weights() * coeffs[:, 0]
     fid = abs(np.vdot(branch, exact)) / (math.sqrt(p0) * np.linalg.norm(exact))
-    out = StateVector(psi.n, _basis_change(vecs, branch / math.sqrt(p0)))
     # Cauchy-Schwarz bounds F by 1; round-off must not push it past
-    return out, p0, min(1.0, float(fid))
+    return StateVector(psi.n, states[:, 0]), p0, min(1.0, float(fid))
 
 
 def dilated_cnot_count(n_system: int) -> int:

@@ -44,13 +44,6 @@ class PauliTerm:
     def weight(self) -> int:
         return len(self.operators)
 
-    def label(self, n: int) -> str:
-        """String form like 'XIZ' with qubit 0 rightmost."""
-        chars = ["I"] * n
-        for q, o in self.operators:
-            chars[n - 1 - q] = o
-        return "".join(chars)
-
 
 @dataclass(frozen=True)
 class PauliSum:
@@ -123,7 +116,9 @@ def apply_pauli_sum(amps: np.ndarray, n: int, p: PauliSum) -> np.ndarray:
         target, phase = pauli_string_action(term, n)
         if amps.ndim == 2:
             phase = phase[:, None]
-        out[target] += term.coefficient * phase * amps
+        # target flips a fixed bit mask, so it is its own inverse and the
+        # sum can gather, (P amps)[i] = (phase * amps)[target[i]]
+        out += (term.coefficient * phase * amps)[target]
     return out
 
 

@@ -1,20 +1,21 @@
 """Dense statevector simulation: gate kernels, expectations, post-selection.
 
-Qubit 0 is the least significant index bit.  All kernels also accept a
+Qubit 0 is the least significant index bit.  The gate kernels also accept a
 (2^n, m) batch whose columns are independent states, which is how circuits are
-reconstructed as dense unitaries.
+reconstructed as dense unitaries; `expectations` measures such a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import ZeroProbability
-from .pauli import PauliSum, pauli_string_action
+from .pauli import PauliSum, apply_pauli_sum, pauli_string_action
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -68,12 +69,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "StateVector":
-        nrm = self.norm
-        if nrm < 1e-14:
-            raise ZeroProbability("cannot normalize a (numerically) zero vector")
-        return StateVector(self.n, self.amps / nrm)
-
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.amps.copy())
 
@@ -95,31 +90,43 @@ def zero_state(n: int) -> StateVector:
 
 
 def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
-    shape = amps.shape
-    a = amps.reshape([2] * n + ([-1] if amps.ndim == 2 else []))
-    axis = n - 1 - q
-    a = np.moveaxis(a, axis, 0)
-    moved = a.shape
-    a = (mat @ a.reshape(2, -1)).reshape(moved)
-    return np.moveaxis(a, 0, axis).reshape(shape)
+    # index bit q splits the amplitudes into the (high, bit q, low) axes
+    a = amps.reshape((1 << (n - 1 - q), 2, 1 << q) + amps.shape[1:])
+    a0, a1 = a[:, 0], a[:, 1]
+    out = np.empty_like(a)
+    out[:, 0] = mat[0, 0] * a0 + mat[0, 1] * a1
+    out[:, 1] = mat[1, 0] * a0 + mat[1, 1] * a1
+    return out.reshape(amps.shape)
+
+
+@lru_cache(maxsize=128)
+def _cz_signs(n: int, q0: int, q1: int) -> np.ndarray:
+    """The +-1 diagonal of CZ on qubits q0, q1 (int8, read-only)."""
+    idx = np.arange(1 << n)
+    signs = (1 - 2 * ((idx >> q0) & (idx >> q1) & 1)).astype(np.int8)
+    signs.flags.writeable = False
+    return signs
+
+
+@lru_cache(maxsize=128)
+def _permutation(kind: str, n: int, q0: int, q1: int) -> np.ndarray:
+    """Source index of each amplitude after a CNOT or SWAP (read-only)."""
+    idx = np.arange(1 << n)
+    if kind == "cnot":
+        perm = idx ^ (((idx >> q0) & 1) << q1)
+    else:  # swap
+        flip = ((idx >> q0) ^ (idx >> q1)) & 1
+        perm = idx ^ ((flip << q0) | (flip << q1))
+    perm.flags.writeable = False
+    return perm
 
 
 def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
-    if g.kind in ("cz", "cnot", "swap"):
-        dim = 1 << n
-        idx = np.arange(dim)
-        q0, q1 = g.qubits
-        if g.kind == "cz":
-            sel = ((idx >> q0) & 1) & ((idx >> q1) & 1)
-            out = amps.copy()
-            out[sel == 1] = -out[sel == 1]
-            return out
-        if g.kind == "cnot":
-            perm = idx ^ (((idx >> q0) & 1) << q1)
-        else:  # swap
-            b0, b1 = (idx >> q0) & 1, (idx >> q1) & 1
-            perm = idx ^ (((b0 ^ b1) << q0) | ((b0 ^ b1) << q1))
-        return amps[perm]
+    if g.kind == "cz":
+        signs = _cz_signs(n, *g.qubits)
+        return amps * (signs if amps.ndim == 1 else signs[:, None])
+    if g.kind in ("cnot", "swap"):
+        return amps[_permutation(g.kind, n, *g.qubits)]
     return _apply_1q(amps, n, gate_matrix(g), g.qubits[0])
 
 
@@ -144,13 +151,15 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 
 def expectation(psi: StateVector, a: PauliSum) -> float:
     """Exact <psi|A|psi>; the tiny imaginary residue is discarded."""
-    val = 0.0 + 0.0j
-    for term in a:
-        target, phase = pauli_string_action(term, psi.n)
-        shifted = np.empty_like(psi.amps)
-        shifted[target] = phase * psi.amps
-        val += term.coefficient * np.vdot(psi.amps, shifted)
-    return float(val.real)
+    return float(expectations(psi.amps, a))
+
+
+def expectations(amps: np.ndarray, a: PauliSum) -> np.ndarray:
+    """Exact <A> of each column of a (2^n, m) batch of states (or of one
+    state), real parts."""
+    n = len(amps).bit_length() - 1
+    av = apply_pauli_sum(amps, n, a)
+    return np.einsum("i...,i...->...", amps.conj(), av).real
 
 
 def postselect(psi: StateVector, ancilla_qubits, outcome_bits) -> tuple[StateVector, float]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tpqsim import LatticeSpec
+from tpqsim.nonunitary import ThermalOperator
 
 # kron helpers for independent dense oracles (qubit 0 = least significant,
 # so the operator on qubit q sits at kron position n-1-q)
@@ -19,6 +20,10 @@ def kron_chain(n, placed):
     for q in reversed(range(n)):
         out = np.kron(out, placed.get(q, I2))
     return out
+
+
+def exact_thermal_operator(h, beta):
+    return ThermalOperator(beta, h)
 
 
 def thermal_scale(op):

@@ -27,7 +27,6 @@ from tpqsim import (
     build_heisenberg,
     build_random_circuit,
     circuit_unitary,
-    exact_thermal_operator,
     fable_encode,
     haar_entropy_reference,
     qite_evolve,
@@ -41,6 +40,8 @@ from tpqsim.estimator import ensemble_expectation, realization_seed
 from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import StateVector, expectation, postselect
+
+from conftest import exact_thermal_operator
 
 BETAS = tuple(float(b) for b in np.round(np.arange(0.1, 2.01, 0.1), 10))
 

@@ -194,6 +194,28 @@ _SCAN = {"sizes": [2, 3], "depths": [2], "R": 1, "compare_R": [1],
     ("sweep-beta", {"backend": {"kind": "qite", "domain": 3},
                     "estimate": _ONE_BETA}),
     ("resources", {"resources": {"sizes": [2], "domain": 3}}),
+    # sections and keys the subcommand does not read
+    ("sweep-beta", {"entropy": {"depths": [1], "seeds": 1},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"dilation": {}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"error_scan": _SCAN, "estimate": _ONE_BETA}),
+    ("entropy-scan", {"entropy": {"depths": [1], "seeds": 1},
+                      "backend": {"kind": "exact"}}),
+    ("entropy-scan", {"entropy": {"depths": [1], "seeds": 1},
+                      "estimate": _ONE_BETA}),
+    ("dilation-scan", {"dilation": {"epsilons": [0.1], "R": 1},
+                       "backend": {"kind": "dilated", "epsilon": 0.1}}),
+    ("dilation-scan", {"dilation": {"epsilons": [0.1], "R": 1},
+                       "resources": {"sizes": [2]}}),
+    ("error-scan", {"error_scan": _SCAN,
+                    "random_circuit": {"depth": 3, "entangler": "cnot"}}),
+    ("error-scan", {"error_scan": _SCAN,
+                    "random_circuit": {"seed": 1, "depth": 3}}),
+    ("error-scan", {"error_scan": _SCAN, "estimate": _ONE_BETA}),
+    ("resources", {"resources": {"sizes": [2]},
+                   "random_circuit": {"entangler": "cnot"}}),
+    ("resources", {"resources": {"sizes": [2]},
+                   "backend": {"kind": "qite"}}),
 ])
 def test_bad_values_are_config_errors(runner, tmp_path, subcommand, body):
     cfg = write_config(tmp_path, {

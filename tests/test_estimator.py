@@ -1,19 +1,35 @@
 import numpy as np
 import pytest
 
+import tpqsim.nonunitary
 from tpqsim import (
+    DilationSpec,
     LatticeSpec,
+    QiteSpec,
+    RandomCircuitSpec,
     TpqRunSpec,
+    ZeroProbability,
+    apply_dilated,
+    apply_exact,
+    apply_fable,
     build_heisenberg,
     ensemble_expectation,
+    fable_encode,
+    qite_evolve,
     run_ensemble,
     squared_error_scan,
     to_dense,
 )
-from tpqsim.estimator import BackendSpec, make_backend, realization_seed
+from tpqsim.estimator import (
+    BackendSpec,
+    filtered_batches,
+    measure_filtered,
+    realization_seed,
+)
 from tpqsim.lattice import magnetization_x
-from tpqsim.random_state import sample_haar_state
-from tpqsim.statevector import expectation
+from tpqsim.nonunitary import ThermalOperator
+from tpqsim.random_state import random_state, sample_haar_state
+from tpqsim.statevector import StateVector, expectation, sample_expectation
 
 
 @pytest.fixture
@@ -68,12 +84,18 @@ def test_ensemble_array_beta_matches_scalar_calls(chain3):
                                           abs=1e-12)
 
 
+def filter_one(kind, beta, psi, dense, h, lattice=None, **kwargs):
+    """A backend's filtered state of one input state at one beta."""
+    (batch,) = filtered_batches(BackendSpec(kind, **kwargs), [beta],
+                                psi.amps[:, None], dense, h, lattice)
+    return StateVector(psi.n, batch[:, 0])
+
+
 def test_tpq_expectation_beta_zero_reduction(dense2, chain2):
     h = build_heisenberg(chain2)
     psi = sample_haar_state(2, 5)
-    backend = make_backend(BackendSpec("exact"), 0.0, dense2, h)
-    assert expectation(backend(psi), h) == pytest.approx(
-        expectation(psi, h), abs=1e-12)
+    assert expectation(filter_one("exact", 0.0, psi, dense2, h), h) == \
+        pytest.approx(expectation(psi, h), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -86,10 +108,8 @@ def test_backends_agree_with_exact(kind, kwargs, chain3):
     dense = to_dense(h, 3)
     psi = sample_haar_state(3, 11)
     beta = 1.0
-    exact = make_backend(BackendSpec("exact"), beta, dense, h, chain3)
-    other = make_backend(BackendSpec(kind, **kwargs), beta, dense, h, chain3)
-    e0 = expectation(exact(psi), h)
-    e1 = expectation(other(psi), h)
+    e0 = expectation(filter_one("exact", beta, psi, dense, h, chain3), h)
+    e1 = expectation(filter_one(kind, beta, psi, dense, h, chain3, **kwargs), h)
     assert abs(e1 - e0) / abs(e0) < 0.02
 
 
@@ -157,3 +177,99 @@ def test_averaging_reduces_error(chain3):
             per_seed.append(np.mean(np.abs(est.mean - est.ensemble_ref)))
         errs[r] = np.mean(per_seed)
     assert errs[40] < errs[1]
+
+
+def per_state_run(spec):
+    """run_ensemble's values and shot stderr, one (state, beta) pair at a
+    time through the single-state filters and measurements."""
+    lattice, backend = spec.lattice, spec.backend
+    h = build_heisenberg(lattice)
+    dense = to_dense(h, lattice.n_sites)
+    observable = h if spec.observable is None else spec.observable
+    values = np.empty((len(spec.betas), spec.realizations))
+    shot_var = np.zeros(len(spec.betas))
+    for r in range(spec.realizations):
+        psi = random_state(RandomCircuitSpec(
+            lattice, spec.depth, spec.entangler,
+            realization_seed(spec.base_seed, r)))
+        for bi, beta in enumerate(spec.betas):
+            op = ThermalOperator(beta, dense)
+            if backend.kind == "exact":
+                out = apply_exact(op, psi)
+            elif backend.kind == "dilated":
+                out = apply_dilated(DilationSpec(backend.epsilon, op), psi)[0]
+            elif backend.kind == "fable":
+                out = apply_fable(fable_encode(op), psi)[0]
+            else:
+                qspec = QiteSpec(beta, backend.n_steps, backend.domain)
+                out = qite_evolve(qspec, h, psi, lattice)[0]
+            if spec.shots == 0:
+                values[bi, r] = expectation(out, observable)
+                continue
+            seed = int(np.random.SeedSequence(
+                entropy=spec.base_seed,
+                spawn_key=(r, 1 + bi)).generate_state(1)[0])
+            values[bi, r], err = sample_expectation(out, observable,
+                                                    spec.shots, seed)
+            shot_var[bi] += err**2
+    return values, np.sqrt(shot_var) / spec.realizations
+
+
+@pytest.mark.parametrize("realizations", [1, 3])
+@pytest.mark.parametrize("shots", [0, 500])
+@pytest.mark.parametrize("magnetization", [False, True])
+@pytest.mark.parametrize("backend", [
+    BackendSpec("exact"),
+    BackendSpec("dilated", epsilon=0.1),
+    BackendSpec("fable"),
+    BackendSpec("qite", n_steps=2),
+])
+def test_run_ensemble_matches_per_state_path(chain3, backend, magnetization,
+                                             shots, realizations):
+    spec = TpqRunSpec(chain3, (0.3, 1.1),
+                      observable=magnetization_x(chain3) if magnetization
+                      else None,
+                      realizations=realizations, depth=6, backend=backend,
+                      base_seed=5, shots=shots)
+    est = run_ensemble(spec)
+    values, shot_stderr = per_state_run(spec)
+    np.testing.assert_allclose(est.values, values, rtol=0, atol=1e-12)
+    if shots:
+        np.testing.assert_allclose(est.shot_stderr, shot_stderr, rtol=0,
+                                   atol=1e-12)
+    else:
+        assert est.shot_stderr is None
+
+
+def test_exact_energy_run_changes_basis_once(chain3, monkeypatch):
+    shapes = []
+    original = tpqsim.nonunitary._basis_change
+
+    def counted(vecs, amps, adjoint=False):
+        shapes.append(amps.shape)
+        return original(vecs, amps, adjoint)
+
+    monkeypatch.setattr(tpqsim.nonunitary, "_basis_change", counted)
+    run_ensemble(TpqRunSpec(chain3, (0.2, 0.5, 1.0, 2.0), realizations=4,
+                            depth=5))
+    assert shapes == [(8, 4)]  # one V^T Psi for the whole (2^n, R) batch
+
+
+@pytest.mark.parametrize("backend,beta", [
+    (BackendSpec("exact"), 40.0),
+    (BackendSpec("dilated", epsilon=1e-9), 1.0),
+    (BackendSpec("fable"), 40.0),
+])
+@pytest.mark.parametrize("magnetization", [False, True])
+def test_batched_filters_raise_zero_probability(chain2, backend, beta,
+                                                magnetization):
+    # a good state next to the top eigenvector, which the filter annihilates
+    h = build_heisenberg(chain2)
+    dense = to_dense(h, 2)
+    states = np.stack([sample_haar_state(2, 1).amps,
+                       dense.eigenvectors[:, -1].astype(complex)], axis=1)
+    spec = TpqRunSpec(chain2, (0.5, beta), backend=backend,
+                      observable=magnetization_x(chain2) if magnetization
+                      else None)
+    with pytest.raises(ZeroProbability):
+        measure_filtered(spec, states, dense, h)

@@ -10,13 +10,14 @@ from tpqsim import (
     apply_fable,
     build_heisenberg,
     circuit_unitary,
-    exact_thermal_operator,
     fable_encode,
     postselect,
     to_dense,
 )
 from tpqsim.fable import _sfwht
 from tpqsim.random_state import sample_haar_state
+
+from conftest import exact_thermal_operator
 
 
 def thermal_op(n, beta):

@@ -12,7 +12,6 @@ from tpqsim import (
     build_heisenberg,
     dilated_cnot_count,
     dilated_omega,
-    exact_thermal_operator,
     to_dense,
 )
 from tpqsim.errors import ZeroProbability
@@ -20,7 +19,7 @@ from tpqsim.nonunitary import ThermalOperator
 from tpqsim.statevector import StateVector, postselect
 from tpqsim.random_state import sample_haar_state
 
-from conftest import thermal_matrix, thermal_scale
+from conftest import exact_thermal_operator, thermal_matrix, thermal_scale
 
 
 @pytest.fixture

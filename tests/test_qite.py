@@ -13,7 +13,6 @@ from tpqsim import (
     apply_circuit,
     apply_exact,
     build_heisenberg,
-    exact_thermal_operator,
     qite_evolve,
     qite_resources,
     to_dense,
@@ -21,6 +20,8 @@ from tpqsim import (
 from tpqsim.pauli import PauliTerm, to_dense as pauli_to_dense, PauliSum
 from tpqsim.qite import _pauli_rotation_gadget, _term_window
 from tpqsim.random_state import sample_haar_state
+
+from conftest import exact_thermal_operator
 
 
 @pytest.mark.parametrize("placed,theta", [

@@ -23,7 +23,7 @@ from tpqsim import (
     to_dense,
     zero_state,
 )
-from tpqsim.statevector import gate_matrix
+from tpqsim.statevector import _apply_gate, gate_matrix
 from tpqsim.circuit import Gate
 from tpqsim.random_state import sample_haar_state
 
@@ -79,6 +79,54 @@ def test_single_qubit_gate_against_kron_oracle(kind, angle):
     mat = gate_matrix(Gate(kind, (1,), angle))
     ref = kron_chain(3, {1: mat}) @ psi.amps
     assert np.max(np.abs(out.amps - ref)) < 1e-12
+
+
+def reference_gate(amps, n, g):
+    """A gate through moveaxis and per-call index maps, the kernel the
+    reshape and cached-diagonal kernels replaced."""
+    if g.kind in ("cz", "cnot", "swap"):
+        idx = np.arange(1 << n)
+        q0, q1 = g.qubits
+        if g.kind == "cz":
+            sel = ((idx >> q0) & 1) & ((idx >> q1) & 1)
+            out = amps.copy()
+            out[sel == 1] = -out[sel == 1]
+            return out
+        if g.kind == "cnot":
+            perm = idx ^ (((idx >> q0) & 1) << q1)
+        else:
+            b0, b1 = (idx >> q0) & 1, (idx >> q1) & 1
+            perm = idx ^ (((b0 ^ b1) << q0) | ((b0 ^ b1) << q1))
+        return amps[perm]
+    a = amps.reshape([2] * n + ([-1] if amps.ndim == 2 else []))
+    axis = n - 1 - g.qubits[0]
+    a = np.moveaxis(a, axis, 0)
+    moved = a.shape
+    a = (gate_matrix(g) @ a.reshape(2, -1)).reshape(moved)
+    return np.moveaxis(a, 0, axis).reshape(amps.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_gate_kernels_match_reference(n, batch):
+    rng = np.random.default_rng(n)
+    shape = (1 << n,) if batch is None else (1 << n, batch)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gates = [Gate(kind, (q,), angle) for q in range(n)
+             for kind, angle in [("h", None), ("x", None), ("t", None),
+                                 ("rx", math.pi / 2), ("ry", 0.7),
+                                 ("rz", -1.3)]]
+    gates += [Gate(kind, (q0, q1)) for q0 in range(n) for q1 in range(n)
+              if q0 != q1 for kind in ("cz", "cnot", "swap")]
+    for g in gates:
+        out = _apply_gate(amps, n, g)
+        ref = reference_gate(amps, n, g)
+        assert out.shape == amps.shape
+        if g.kind in ("cz", "cnot", "swap"):
+            assert np.array_equal(out, ref), g
+        else:
+            # two products and a sum per amplitude, in another order
+            assert np.max(np.abs(out - ref)) < 1e-15 * np.max(np.abs(amps)), g
 
 
 def test_random_circuit_unitarity():
