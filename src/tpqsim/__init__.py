@@ -28,9 +28,7 @@ from .circuit import Circuit, Gate
 from .statevector import (
     StateVector,
     apply_circuit,
-    circuit_unitary,
     expectation,
-    postselect,
     sample_expectation,
     zero_state,
 )
@@ -76,9 +74,7 @@ __all__ = [
     "Gate",
     "StateVector",
     "apply_circuit",
-    "circuit_unitary",
     "expectation",
-    "postselect",
     "sample_expectation",
     "zero_state",
     "DilationSpec",

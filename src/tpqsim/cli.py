@@ -5,7 +5,8 @@ Each config key is declared once in `_TABLE`, with its kind and default, and
 each run checks its whole config and builds its specs before computing.  Every
 CSV starts with a comment line embedding the SHA-256 of the config as loaded.
 Exit codes: 0 success, 1 configuration error (including an output file that
-cannot be written), 2 backend failure.
+cannot be written), 2 backend failure (including an allocation the machine
+refuses).
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ def write_csv(path: str, config: dict, header: list[str],
 
 
 class _Main(click.Group):
-    """Exit 1 with `config error:` on a ConfigError, 2 on other package errors."""
+    """Exit 1 with `config error:` on a ConfigError, 2 on other package errors
+    and on an allocation the machine refuses."""
 
     def invoke(self, ctx):
         try:
@@ -278,6 +280,9 @@ class _Main(click.Group):
             sys.exit(1)
         except TpqsimError as exc:
             click.echo(f"backend failure: {exc}", err=True)
+            sys.exit(2)
+        except MemoryError as exc:
+            click.echo(f"backend failure: out of memory: {exc}", err=True)
             sys.exit(2)
 
 

@@ -3,14 +3,16 @@
 A run draws R independent random-circuit states and stacks them into one
 (2^n, R) batch.  The backend filters the whole batch for each beta, and the
 observable is measured on every (beta, state) pair; mean and stddev/sqrt(R)
-are taken over the states.  The exact and dilated filters move the batch into
-H's eigenbasis once per run and only rescale its rows per beta; the energy is
-then read off in that basis for all betas at once, and any other observable,
-or a finite shot budget, takes one back-transform per beta.  FABLE multiplies
-the batch by its encoded block per beta; QITE fits state-dependent rotations,
-so it evolves one state at a time.  The exact canonical ensemble value
-Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense eigenbasis is attached as a
-reference.
+are taken over the states.  The exact, dilated and FABLE filters are all
+diagonal in H's eigenbasis (a run's FABLE encoding is exact, so its branch is
+(Q/s) psi / 2^N): they move the batch into that basis once per run and only
+rescale its rows per beta.  The energy is then read off in that basis for all
+betas at once; any other observable, or a finite shot budget, takes one
+back-transform per beta.  No FABLE circuit or block is synthesized here;
+`fable.apply_fable` is the circuit-faithful single-state path.  QITE fits
+state-dependent rotations, so it evolves one state at a time.  The exact
+canonical ensemble value Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense
+eigenbasis is attached as a reference.
 
 Reproducibility: realization r uses the circuit seed drawn from
 numpy SeedSequence(entropy=base_seed, spawn_key=(r,)); shot noise (when
@@ -35,7 +37,6 @@ from .nonunitary import (
     filter_energies,
     filter_states,
 )
-from .fable import fable_block, fable_filter
 from .pauli import DenseHermitian, PauliSum, to_dense
 from .qite import QiteSpec, qite_evolve
 from .random_state import RandomCircuitSpec, random_state
@@ -131,16 +132,21 @@ def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
     return float(ref) if ref.ndim == 0 else ref
 
 
-def _eigen_weights(spec: BackendSpec, betas,
-                   dense_h: DenseHermitian) -> tuple[np.ndarray, float]:
-    """The exact or dilated filter's eigenbasis weights, one row per beta,
-    and the squared norm below which a filtered state is lost."""
+def _in_eigenbasis(spec: BackendSpec, betas, states: np.ndarray,
+                   dense_h: DenseHermitian):
+    """The filter's eigenbasis weights, one row per beta, the (2^n, R)
+    coefficients C = V^dagger states, and the squared norm below which a
+    filtered state is lost, for every backend but QITE."""
+    ops = [ThermalOperator(beta, dense_h) for beta in betas]
     if spec.kind == "exact":
-        return (np.array([ThermalOperator(beta, dense_h).shifted_weights()
-                          for beta in betas]), NORM_FLOOR)
-    # each operator caches its dense Q' for the scale; let it go per beta
-    return (np.array([DilationSpec(spec.epsilon, ThermalOperator(
-        beta, dense_h)).branch_weights() for beta in betas]), P0_FLOOR)
+        weights = [op.shifted_weights() for op in ops]
+    elif spec.kind == "dilated":
+        weights = [DilationSpec(spec.epsilon, op).branch_weights()
+                   for op in ops]
+    else:  # fable: the post-selected branch is (Q/s) psi / 2^N
+        weights = [op.scaled_eigenvalues() / dense_h.dim for op in ops]
+    floor = NORM_FLOOR if spec.kind == "exact" else P0_FLOOR
+    return np.array(weights), eigen_coefficients(dense_h, states), floor
 
 
 def filtered_batches(spec: BackendSpec, betas, states: np.ndarray,
@@ -154,15 +160,10 @@ def filtered_batches(spec: BackendSpec, betas, states: np.ndarray,
             yield np.stack([qite_evolve(qspec, h_pauli, StateVector(n, psi),
                                         lattice)[0].amps
                             for psi in states.T], axis=1)
-    elif spec.kind == "fable":
-        for beta in betas:
-            _, block = fable_block(ThermalOperator(beta, dense_h))
-            yield fable_filter(block, states)[0]
-    else:
-        weights, floor = _eigen_weights(spec, betas, dense_h)
-        coeffs = eigen_coefficients(dense_h, states)
-        for w in weights:
-            yield filter_states(dense_h, w, coeffs, floor)[0]
+        return
+    weights, coeffs, floor = _in_eigenbasis(spec, betas, states, dense_h)
+    for w in weights:
+        yield filter_states(dense_h, w, coeffs, floor)[0]
 
 
 def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
@@ -173,10 +174,9 @@ def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
     variance (zeros without shots)."""
     shot_var = np.zeros(len(spec.betas))
     if (spec.observable is None and spec.shots == 0
-            and spec.backend.kind in ("exact", "dilated")):
-        weights, floor = _eigen_weights(spec.backend, spec.betas, dense_h)
-        coeffs = eigen_coefficients(dense_h, states)
-        return filter_energies(dense_h, weights, coeffs, floor), shot_var
+            and spec.backend.kind != "qite"):
+        return filter_energies(dense_h, *_in_eigenbasis(
+            spec.backend, spec.betas, states, dense_h)), shot_var
     observable = spec.observable if spec.observable is not None else h_pauli
     values = np.empty((len(spec.betas), states.shape[1]))
     batches = filtered_batches(spec.backend, spec.betas, states, dense_h,

@@ -13,14 +13,17 @@ closing Hadamards.
 The circuit is emitted for resource counts and for replay; simulation does not
 run it.  The uniformly-controlled RY with angle theta_c for control value
 c = (i << N) | j puts cos(theta_c / 2) / 2^N at (i, j) of the leading block
-(Camps & Van Beeumen, arXiv:2205.00081), so `fable_block` recovers the angles
+(Camps & Van Beeumen, arXiv:2205.00081), so `fable_block` recovers the block
 the circuit realizes (after pruning) from its compiled angles, and
-`fable_filter` multiplies a batch of states by that 2^N x 2^N block without
-emitting any gate.  `fable_encode` adds the gates (`fable_circuit`).
+`apply_fable` multiplies one state by it without emitting any gate.
+`fable_encode` adds the gates (`fable_circuit`).  An exact encoding's block is
+Q/s itself, diagonal in H's eigenbasis, so `estimator` filters a run's
+batch there and synthesizes nothing.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -168,28 +171,18 @@ def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEnco
     return BlockEncoding(op.n_qubits, circuit, block, time.perf_counter() - t0)
 
 
-def fable_filter(block: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Post-selected FABLE outputs of a (2^N, R) batch of column states.
-
-    Each column's surviving branch is (block / 2^N) psi.  Returns the
-    normalized branches (equal to the exact filter's output up to synthesis
-    round-off) and each success probability ||(Q/s) psi||^2 / 4^N.
-    Raises ZeroProbability when a probability underflows.
-    """
-    branch = block @ amps / len(block)
-    p0 = np.einsum("ij,ij->j", branch.conj(), branch).real
-    check_norms(p0, P0_FLOOR)
-    return branch / np.sqrt(p0), p0
-
-
 def apply_fable(be: BlockEncoding, psi: StateVector) -> tuple[StateVector, float]:
     """The encoding circuit with ancillas in |0>, post-selected on all zeros.
 
-    The one-state case of `fable_filter`: returns the filtered system state
-    and the success probability.
+    The surviving branch is (block / 2^N) psi.  Returns the normalized branch
+    (the exact filter's output up to synthesis round-off, and pruning) and
+    the success probability ||(Q/s) psi||^2 / 4^N.
+    Raises ZeroProbability when the probability underflows.
     """
     n = be.n_system
     if psi.n != n:
         raise ValueError(f"state has {psi.n} qubits, encoding expects {n}")
-    states, p0 = fable_filter(be.block, psi.amps[:, None])
-    return StateVector(n, states[:, 0]), float(p0[0])
+    branch = be.block @ psi.amps / be.alpha
+    p0 = float(np.vdot(branch, branch).real)
+    check_norms(p0, P0_FLOOR)
+    return StateVector(n, branch / math.sqrt(p0)), p0

@@ -2,16 +2,20 @@
 
 All downstream quantities are normalized ratios, so Q may be rescaled freely;
 internally the spectrum is shifted by the ground-state energy before
-exponentiating to keep weights in (0, 1].
+exponentiating to keep weights in (0, 1], and the circuit backends see Q/s,
+scaled by its largest entry s, which is read off the eigenbasis diagonal.
 
-Both forms are simulated in the eigenbasis V of H, which is real for the
-real-symmetric Hamiltonians built here, on a (2^n, R) batch of column
+Every filter whose post-selected branch is a function of Q is diagonal in the
+eigenbasis V of H, which is real for the real-symmetric Hamiltonians built
+here: the exact filter, the dilation's sin(eps Q/s), and an exact FABLE
+encoding's (Q/s) / 2^N.  They are simulated on a (2^n, R) batch of column
 states: the batch enters once as C = V^dagger Psi, each filter (a beta, or an
 epsilon) only rescales the rows of C, and a filtered batch leaves as V times
 the rescaled coefficients, or not at all when only its energy is wanted.
-`apply_exact` and `apply_dilated` are the one-state case.  The dilated
-unitary Omega is only built by `dilated_omega`, the unitarity oracle and the
-artifact whose synthesis the `resources` subcommand times.
+`apply_exact` and `apply_dilated` are the one-state case.  No dense matrix
+but H's eigenvectors is built on this path: the dilated unitary Omega only by
+`dilated_omega`, the unitarity oracle and the artifact whose synthesis the
+`resources` subcommand times, and Q/s only by `ThermalOperator.scaled`.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from .statevector import StateVector
 class ThermalOperator:
     """e^{-beta H / 2} over a dense Hamiltonian's cached eigenbasis.
 
-    `scaled` holds Q/s with max-abs entry 1, the form consumed by the
-    block-encoding and dilation backends; every filter normalizes its
-    output, so the literal Q is never needed.
+    Every filter normalizes its output, so the literal Q is never needed: the
+    filters use the eigenvalues of Q/s, the scale s being the largest entry
+    of the shifted Q.  `scaled`, the dense Q/s with max-abs entry 1, is built
+    only when asked for, by the block-encoding synthesis and the tests.
     """
 
     beta: float
@@ -53,18 +58,21 @@ class ThermalOperator:
         return np.exp(-self.beta * (vals - vals[0]) / 2.0)
 
     @cached_property
-    def _shifted_matrix(self) -> np.ndarray:
-        vals, vecs = self.hamiltonian.eig
-        return (vecs * self.shifted_weights()) @ vecs.conj().T
-
-    @cached_property
     def _shifted_scale(self) -> float:
-        return float(np.max(np.abs(self._shifted_matrix)))
+        # the shifted Q is positive definite, so |Q_ij| <= sqrt(Q_ii Q_jj) and
+        # its largest entry is its largest diagonal one, sum_k |V_ik|^2 w_k,
+        # summed in O(4^n) without a 2^n x 2^n temporary
+        vecs = self.hamiltonian.eigenvectors
+        diagonal = np.einsum("ik,ik,k->i", vecs, vecs.conj(),
+                             self.shifted_weights())
+        return float(np.max(diagonal.real))
 
     @cached_property
     def scaled(self) -> np.ndarray:
         """Q/s, real symmetric for the real-symmetric Hamiltonians used here."""
-        return self._shifted_matrix / self._shifted_scale
+        vecs = self.hamiltonian.eigenvectors
+        q = (vecs * self.shifted_weights()) @ vecs.conj().T
+        return q / self._shifted_scale
 
     def scaled_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of `scaled`, sharing the Hamiltonian's eigenvectors."""

@@ -1,8 +1,8 @@
-"""Dense statevector simulation: gate kernels, expectations, post-selection.
+"""Dense statevector simulation: gate kernels, expectations, shot sampling.
 
 Qubit 0 is the least significant index bit.  The gate kernels also accept a
-(2^n, m) batch whose columns are independent states, which is how circuits are
-reconstructed as dense unitaries; `expectations` measures such a batch.
+(2^n, m) batch whose columns are independent states; `expectations` measures
+such a batch.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import ZeroProbability
 from .pauli import PauliSum, apply_pauli_sum, pauli_string_action
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -140,15 +139,6 @@ def apply_circuit(psi: StateVector, c: Circuit) -> StateVector:
     return StateVector(psi.n, amps)
 
 
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit, built by propagating the identity matrix."""
-    dim = 1 << c.width
-    u = np.eye(dim, dtype=complex)
-    for g in c.gates:
-        u = _apply_gate(u, c.width, g)
-    return u
-
-
 def expectation(psi: StateVector, a: PauliSum) -> float:
     """Exact <psi|A|psi>; the tiny imaginary residue is discarded."""
     return float(expectations(psi.amps, a))
@@ -160,33 +150,6 @@ def expectations(amps: np.ndarray, a: PauliSum) -> np.ndarray:
     n = len(amps).bit_length() - 1
     av = apply_pauli_sum(amps, n, a)
     return np.einsum("i...,i...->...", amps.conj(), av).real
-
-
-def postselect(psi: StateVector, ancilla_qubits, outcome_bits) -> tuple[StateVector, float]:
-    """Project onto the given ancilla outcome and trace the ancillas out.
-
-    Returns the renormalized remaining-register state and the outcome
-    probability.  Raises ZeroProbability when the projected norm underflows.
-    """
-    ancilla_qubits = tuple(int(q) for q in ancilla_qubits)
-    outcome_bits = tuple(int(b) for b in outcome_bits)
-    if len(set(ancilla_qubits)) != len(ancilla_qubits):
-        raise ValueError("ancilla indices must be distinct")
-    if len(ancilla_qubits) != len(outcome_bits):
-        raise ValueError("one outcome bit per ancilla")
-    keep = [q for q in range(psi.n) if q not in ancilla_qubits]
-    fixed = 0
-    for q, b in zip(ancilla_qubits, outcome_bits):
-        fixed |= b << q
-    sub = np.arange(1 << len(keep))
-    flat = np.full(1 << len(keep), fixed)
-    for j, q in enumerate(keep):
-        flat |= ((sub >> j) & 1) << q
-    picked = psi.amps[flat]
-    p = float(np.sum(np.abs(picked) ** 2))
-    if p < 1e-14:
-        raise ZeroProbability(f"outcome probability {p:.3e} underflows")
-    return StateVector(len(keep), picked / math.sqrt(p)), p
 
 
 def sample_expectation(psi: StateVector, a: PauliSum, shots: int,

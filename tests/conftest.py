@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tpqsim import LatticeSpec
+from tpqsim import LatticeSpec, ZeroProbability
 from tpqsim.nonunitary import ThermalOperator
+from tpqsim.statevector import StateVector, _apply_gate
 
 # kron helpers for independent dense oracles (qubit 0 = least significant,
 # so the operator on qubit q sits at kron position n-1-q)
@@ -35,6 +36,43 @@ def thermal_scale(op):
 def thermal_matrix(op):
     """Literal e^{-beta H / 2}; may overflow for extreme beta * ||H||."""
     return thermal_scale(op) * np.asarray(op.scaled, dtype=complex)
+
+
+def circuit_unitary(c):
+    """Dense unitary of a circuit, built by propagating the identity matrix
+    through the gate kernels (the gate-path oracle of the closed forms)."""
+    dim = 1 << c.width
+    u = np.eye(dim, dtype=complex)
+    for g in c.gates:
+        u = _apply_gate(u, c.width, g)
+    return u
+
+
+def postselect(psi, ancilla_qubits, outcome_bits):
+    """Project onto the given ancilla outcome and trace the ancillas out.
+
+    Returns the renormalized remaining-register state and the outcome
+    probability.  Raises ZeroProbability when the projected norm underflows.
+    """
+    ancilla_qubits = tuple(int(q) for q in ancilla_qubits)
+    outcome_bits = tuple(int(b) for b in outcome_bits)
+    if len(set(ancilla_qubits)) != len(ancilla_qubits):
+        raise ValueError("ancilla indices must be distinct")
+    if len(ancilla_qubits) != len(outcome_bits):
+        raise ValueError("one outcome bit per ancilla")
+    keep = [q for q in range(psi.n) if q not in ancilla_qubits]
+    fixed = 0
+    for q, b in zip(ancilla_qubits, outcome_bits):
+        fixed |= b << q
+    sub = np.arange(1 << len(keep))
+    flat = np.full(1 << len(keep), fixed)
+    for j, q in enumerate(keep):
+        flat |= ((sub >> j) & 1) << q
+    picked = psi.amps[flat]
+    p = float(np.sum(np.abs(picked) ** 2))
+    if p < 1e-14:
+        raise ZeroProbability(f"outcome probability {p:.3e} underflows")
+    return StateVector(len(keep), picked / math.sqrt(p)), p
 
 
 @pytest.fixture

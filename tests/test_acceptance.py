@@ -26,7 +26,6 @@ from tpqsim import (
     apply_fable,
     build_heisenberg,
     build_random_circuit,
-    circuit_unitary,
     fable_encode,
     haar_entropy_reference,
     qite_evolve,
@@ -39,9 +38,9 @@ from tpqsim.cli import main as cli_main
 from tpqsim.estimator import ensemble_expectation, realization_seed
 from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
-from tpqsim.statevector import StateVector, expectation, postselect
+from tpqsim.statevector import StateVector, expectation
 
-from conftest import exact_thermal_operator
+from conftest import circuit_unitary, exact_thermal_operator, postselect
 
 BETAS = tuple(float(b) for b in np.round(np.arange(0.1, 2.01, 0.1), 10))
 

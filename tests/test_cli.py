@@ -429,3 +429,35 @@ def test_hostile_config_value_runs_or_exits_cleanly(case):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert bool(written) == (result.exit_code == 0), (written, result.output)
+
+
+
+@pytest.mark.parametrize("subcommand,extents,body,patched,sites", [
+    ("entropy-scan", [40], {"entropy": {"depths": [1], "seeds": 1}},
+     "random_state", lambda spec: spec.lattice.n_sites),
+    ("resources", [2], {"resources": {"sizes": [2, 40],
+                                      "backends": ["qite"]}},
+     "qite_resources", lambda qspec, h, n, lattice, seed: n),
+])
+def test_refused_allocation_is_backend_failure(runner, tmp_path, monkeypatch,
+                                               subcommand, extents, body,
+                                               patched, sites):
+    original = getattr(tpqsim.cli, patched)
+    calls = []
+
+    def refuse_40_sites(*args, **kwargs):
+        calls.append(sites(*args, **kwargs))
+        if calls[-1] == 40:  # what numpy raises for a 2^40 state, unallocated
+            raise MemoryError("Unable to allocate 16.0 TiB for an array")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(f"tpqsim.cli.{patched}", refuse_40_sites)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": extents},
+        "output": {"path": str(tmp_path / "x.csv")}, **body,
+    })
+    result = runner.invoke(main, [subcommand, cfg])
+    assert result.exit_code == 2, result.output
+    assert "backend failure: out of memory: Unable to allocate" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert calls[-1] == 40 and not (tmp_path / "x.csv").exists()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tpqsim.fable
 import tpqsim.nonunitary
 from tpqsim import (
     DilationSpec,
@@ -253,6 +256,49 @@ def test_exact_energy_run_changes_basis_once(chain3, monkeypatch):
     run_ensemble(TpqRunSpec(chain3, (0.2, 0.5, 1.0, 2.0), realizations=4,
                             depth=5))
     assert shapes == [(8, 4)]  # one V^T Psi for the whole (2^n, R) batch
+
+
+@pytest.mark.parametrize("backend", [BackendSpec("dilated", epsilon=0.1),
+                                     BackendSpec("fable")])
+def test_circuit_energy_run_filters_in_the_eigenbasis(chain3, monkeypatch,
+                                                      backend):
+    # the dilation's and the exact FABLE encoding's branches are functions of
+    # Q, so neither the dense Q/s nor the encoded block is needed
+    def forbidden(*args):
+        raise AssertionError("built a dense 2^n x 2^n filter")
+
+    shapes = []
+    original = tpqsim.nonunitary._basis_change
+
+    def counted(vecs, amps, adjoint=False):
+        shapes.append(amps.shape)
+        return original(vecs, amps, adjoint)
+
+    monkeypatch.setattr(tpqsim.nonunitary, "_basis_change", counted)
+    monkeypatch.setattr(ThermalOperator, "scaled", property(forbidden))
+    monkeypatch.setattr(tpqsim.fable, "fable_block", forbidden)
+    run_ensemble(TpqRunSpec(chain3, (0.2, 0.5, 1.0, 2.0), realizations=4,
+                            depth=5, backend=backend))
+    assert shapes == [(8, 4)]  # one V^T Psi for the whole (2^n, R) batch
+
+
+@pytest.mark.parametrize("kind", ["dilated", "fable"])
+def test_circuit_energy_filter_allocates_no_dense_matrix(kind):
+    # tracemalloc sees numpy's buffers; one real 2^8 x 2^8 matrix is 512 KiB
+    lattice = LatticeSpec(1, (8,))
+    h = build_heisenberg(lattice)
+    dense = to_dense(h, 8)
+    dense.eigenvectors  # diagonalize before tracing
+    states = np.stack([sample_haar_state(8, s).amps for s in range(3)], axis=1)
+    spec = TpqRunSpec(lattice, (0.2, 0.5, 1.0, 2.0),
+                      backend=BackendSpec(kind, epsilon=0.1))
+    tracemalloc.start()
+    try:
+        measure_filtered(spec, states, dense, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**8 // 4
 
 
 @pytest.mark.parametrize("backend,beta", [

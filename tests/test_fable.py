@@ -9,15 +9,13 @@ from tpqsim import (
     apply_exact,
     apply_fable,
     build_heisenberg,
-    circuit_unitary,
     fable_encode,
-    postselect,
     to_dense,
 )
 from tpqsim.fable import _sfwht
 from tpqsim.random_state import sample_haar_state
 
-from conftest import exact_thermal_operator
+from conftest import circuit_unitary, exact_thermal_operator, postselect
 
 
 def thermal_op(n, beta):

@@ -16,10 +16,15 @@ from tpqsim import (
 )
 from tpqsim.errors import ZeroProbability
 from tpqsim.nonunitary import ThermalOperator
-from tpqsim.statevector import StateVector, postselect
+from tpqsim.statevector import StateVector
 from tpqsim.random_state import sample_haar_state
 
-from conftest import exact_thermal_operator, thermal_matrix, thermal_scale
+from conftest import (
+    exact_thermal_operator,
+    postselect,
+    thermal_matrix,
+    thermal_scale,
+)
 
 
 @pytest.fixture
@@ -51,6 +56,26 @@ def test_q_positive_definite_and_scaled(op2):
     vals = np.linalg.eigvalsh(thermal_matrix(op2))
     assert np.all(vals > 0)
     assert np.max(np.abs(op2.scaled)) == pytest.approx(1.0)
+
+
+# a single Y keeps H's eigenbasis complex
+SINGLE_Y = PauliSum((PauliTerm(1.0, ((0, "Y"),)),
+                     PauliTerm(0.7, ((0, "X"), (1, "Z")))))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 40.0])
+@pytest.mark.parametrize("h_pauli,n", [
+    (build_heisenberg(LatticeSpec(1, (5,))), 5),
+    (build_heisenberg(LatticeSpec(2, (2, 3))), 6),
+    (SINGLE_Y, 2),
+], ids=["chain5", "grid2x3", "single-y"])
+def test_scale_is_the_largest_entry_of_q(h_pauli, n, beta):
+    # Q is positive definite, so its largest |entry| sits on its diagonal,
+    # which the operator reads off the eigenbasis without forming Q
+    h = to_dense(h_pauli, n)
+    ref = np.max(np.abs(scipy.linalg.expm(-beta * h.matrix / 2.0)))
+    scale = thermal_scale(exact_thermal_operator(h, beta))
+    assert scale == pytest.approx(ref, rel=1e-10)
 
 
 def test_large_beta_projects_onto_ground_state(chain3):
@@ -189,9 +214,7 @@ def test_dilated_cnot_count_recurrence():
 
 
 def test_complex_basis_filters_match_oracles():
-    # a single Y keeps H's eigenbasis complex
-    h = to_dense(PauliSum((PauliTerm(1.0, ((0, "Y"),)),
-                           PauliTerm(0.7, ((0, "X"), (1, "Z"))))), 2)
+    h = to_dense(SINGLE_Y, 2)
     assert np.iscomplexobj(h.eigenvectors)
     op = exact_thermal_operator(h, 1.0)
     psi = sample_haar_state(2, 5)

@@ -16,9 +16,7 @@ from tpqsim import (
     apply_circuit,
     build_heisenberg,
     build_random_circuit,
-    circuit_unitary,
     expectation,
-    postselect,
     sample_expectation,
     to_dense,
     zero_state,
@@ -27,7 +25,7 @@ from tpqsim.statevector import _apply_gate, gate_matrix
 from tpqsim.circuit import Gate
 from tpqsim.random_state import sample_haar_state
 
-from conftest import kron_chain
+from conftest import circuit_unitary, kron_chain, postselect
 
 
 def test_h_on_zero():
