@@ -41,7 +41,7 @@ from .nonunitary import (
     dilated_omega,
 )
 from .fable import BlockEncoding, apply_fable, fable_encode
-from .qite import QiteSpec, qite_evolve, qite_resources
+from .qite import QiteSpec, qite_circuit, qite_evolve, qite_resources
 from .estimator import (
     TpqEstimate,
     TpqRunSpec,
@@ -87,6 +87,7 @@ __all__ = [
     "apply_fable",
     "fable_encode",
     "QiteSpec",
+    "qite_circuit",
     "qite_evolve",
     "qite_resources",
     "TpqEstimate",

@@ -18,7 +18,7 @@ class SingularSystem(TpqsimError):
 
 
 class DimensionOverflow(TpqsimError):
-    """Requested dense matrix exceeds the configured qubit limit."""
+    """Dense matrix whose diagonalization exceeds physical memory."""
 
 
 class ConfigError(TpqsimError):

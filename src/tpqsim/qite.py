@@ -7,9 +7,11 @@ action of -i dtau A psi with A expanded in the non-identity Pauli strings on a
 bounded qubit window around h's support.  The fitted exponential is a
 product of Pauli rotations (first-order split within the window).  Each
 rotation advances the state in closed form, exp(-i x P) psi =
-cos(x) psi - i sin(x) P psi (Motta et al., Nat. Phys. 16, 205, 2020), and is
-emitted as a CNOT-ladder gadget for resource counts and replay; replaying the
-circuit reproduces the evolution.
+cos(x) psi - i sin(x) P psi (Motta et al., Nat. Phys. 16, 205, 2020), and
+`qite_evolve` returns the kept rotations with the state.  No gate is built
+during the evolution: `qite_circuit` emits the rotations as CNOT-ladder
+gadgets, for resource counts and replay, and replaying that circuit
+reproduces the evolution.
 
 Sign convention: coefficients x solve (Re S + Re S^T + reg I) x = 2 b with
 S_IJ = <psi| s_I s_J |psi> and b_J = Im <delta | s_J psi>, which minimizes
@@ -22,7 +24,6 @@ Validated against the exact dense filter, not against any external QITE code.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 from .errors import DomainTooSmallWarning, SingularSystem
 from .lattice import LatticeSpec
 from .pauli import PauliSum, PauliTerm, pauli_string_action
@@ -95,42 +96,38 @@ def _window_basis(window: tuple[int, ...], n: int):
     return actions, labels
 
 
-@functools.lru_cache(maxsize=4096)
-def _gadget_template(placed) -> tuple[tuple[Gate, ...], int, tuple[Gate, ...]]:
-    """Gates before and after the RZ of exp(-i theta/2 * PauliString), and
-    the RZ qubit (the highest qubit of the string)."""
-    qubits = [q for q, _ in placed]
-    ladder = [Gate("cnot", (a, b)) for a, b in zip(qubits, qubits[1:])]
-    into, out_of = [], []
-    for q, o in placed:
-        if o == "X":
-            into.append(Gate("h", (q,)))
-            out_of.append(Gate("h", (q,)))
-        elif o == "Y":
-            into.append(Gate("rx", (q,), math.pi / 2))
-            out_of.append(Gate("rx", (q,), -math.pi / 2))
-    return tuple(into + ladder), qubits[-1], tuple(ladder[::-1] + out_of)
+def qite_circuit(rotations, n: int) -> Circuit:
+    """The gadget circuit of `rotations` on n qubits, for counts and replay.
 
-
-def _pauli_rotation_gadget(circuit: Circuit, placed, theta: float) -> None:
-    """Append gates for exp(-i theta/2 * PauliString).
-
-    `placed` lists (qubit, letter) pairs in ascending qubit order, as
-    `PauliTerm.operators` does, so range-checking the RZ checks them all.
+    Each (placed, theta) pair, `placed` listing (qubit, letter) pairs in
+    ascending qubit order as `PauliTerm.operators` does, becomes
+    exp(-i theta/2 * PauliString): X and Y turned into Z (H, RX(pi/2)), a
+    CNOT ladder up to the highest qubit, RZ(theta) there, and the inverse of
+    the first half.
     """
-    prefix, rz_qubit, suffix = _gadget_template(tuple(placed))
-    circuit.gates.extend(prefix)
-    circuit.append("rz", rz_qubit, angle=theta)
-    circuit.gates.extend(suffix)
+    circuit = Circuit(n)
+    for placed, theta in rotations:
+        qubits = [q for q, _ in placed]
+        into = [("h", (q,), None) if o == "X" else ("rx", (q,), math.pi / 2)
+                for q, o in placed if o != "Z"]
+        into += [("cnot", pair, None) for pair in zip(qubits, qubits[1:])]
+        undo = [(k, qs, a and -a) for k, qs, a in reversed(into)]  # RX: -a
+        for kind, qs, angle in into + [("rz", (qubits[-1],), theta)] + undo:
+            circuit.append(kind, *qs, angle=angle)
+    return circuit
 
 
 def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
-                lattice: LatticeSpec | None = None) -> tuple[StateVector, Circuit]:
-    """Approximate e^{-beta H / 2} psi; returns the state and emitted circuit."""
+                lattice: LatticeSpec | None = None) -> tuple[StateVector, list]:
+    """Approximate e^{-beta H / 2} psi; returns the state and its rotations.
+
+    The rotations are the kept (placed, theta) pairs, exp(-i theta/2 P) in
+    the order applied; `qite_circuit` emits their gates.
+    """
     n = psi.n
-    circuit = Circuit(n)
+    rotations = []
     if spec.beta == 0.0 or len(h) == 0:
-        return psi.copy(), circuit
+        return psi.copy(), rotations
     d = spec.resolved_domain(n)
     max_weight = max(t.weight for t in h)
     if d < max_weight:
@@ -171,8 +168,8 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
                     # exp(-i x P) = cos(x) I - i sin(x) P
                     shifted[tgt] = ph * state
                     state = math.cos(x_j) * state - 1j * math.sin(x_j) * shifted
-                    _pauli_rotation_gadget(circuit, placed, 2.0 * x_j)
-    return StateVector(n, state), circuit
+                    rotations.append((placed, 2.0 * x_j))
+    return StateVector(n, state), rotations
 
 
 def _regularized_solve(s_sym: np.ndarray, b: np.ndarray, reg: float) -> np.ndarray:
@@ -203,5 +200,5 @@ def qite_resources(spec: QiteSpec, h: PauliSum, n: int,
     """
     psi = sample_haar_state(n, seed)
     t0 = time.perf_counter()
-    _, circuit = qite_evolve(spec, h, psi, lattice)
-    return circuit.cnot_count, time.perf_counter() - t0
+    _, rotations = qite_evolve(spec, h, psi, lattice)
+    return qite_circuit(rotations, n).cnot_count, time.perf_counter() - t0

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random
 
 from .circuit import Circuit
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, nearest_neighbor_pairs
 from .statevector import StateVector
 
 EULER_GAMMA = 0.5772156649015329
@@ -43,23 +43,21 @@ class RandomCircuitSpec:
 
 
 def entangling_patterns(lattice: LatticeSpec) -> list[list[tuple[int, int]]]:
-    """The 2k bond patterns cycled through by the entangling layers."""
-    if lattice.dimension == 1:
-        n = lattice.extents[0]
-        even = [(i, i + 1) for i in range(0, n - 1, 2)]
-        odd = [(i, i + 1) for i in range(1, n - 1, 2)]
-        return [even, odd]
-    rows, cols = lattice.extents
-    horiz_even, horiz_odd, vert_even, vert_odd = [], [], [], []
-    for r in range(rows):
-        for c in range(cols - 1):
-            bond = (lattice.site_index(r, c), lattice.site_index(r, c + 1))
-            (horiz_even if c % 2 == 0 else horiz_odd).append(bond)
-    for r in range(rows - 1):
-        for c in range(cols):
-            bond = (lattice.site_index(r, c), lattice.site_index(r + 1, c))
-            (vert_even if r % 2 == 0 else vert_odd).append(bond)
-    return [horiz_even, horiz_odd, vert_even, vert_odd]
+    """The 2k bond patterns cycled through by the entangling layers.
+
+    `nearest_neighbor_pairs` split by bond direction (a chain's bonds, or a
+    grid's horizontal then vertical ones) and by the parity of the first
+    site's coordinate along it, keeping its order.
+    """
+    patterns = [[] for _ in range(2 * lattice.dimension)]
+    for i, j in nearest_neighbor_pairs(lattice):
+        ci, cj = lattice.site_coords(i), lattice.site_coords(j)
+        # bonds along the last coordinate (a grid's horizontal ones) take
+        # the first two patterns
+        axis = next(a for a in range(lattice.dimension) if ci[a] != cj[a])
+        direction = lattice.dimension - 1 - axis
+        patterns[2 * direction + ci[axis] % 2].append((i, j))
+    return patterns
 
 
 def build_random_circuit(spec: RandomCircuitSpec) -> Circuit:

@@ -28,6 +28,7 @@ from tpqsim import (
     build_random_circuit,
     fable_encode,
     haar_entropy_reference,
+    qite_circuit,
     qite_evolve,
     run_ensemble,
     squared_error_scan,
@@ -265,7 +266,8 @@ def test_invariants(tmp_path):
     assert np.max(np.abs(out0.amps - psi.amps)) < 1e-10
     outf, _ = apply_fable(fable_encode(op0), psi)
     assert np.max(np.abs(outf.amps - psi.amps)) < 1e-10
-    outq, circ = qite_evolve(QiteSpec(0.0), h, psi, lattice)
+    outq, rotations = qite_evolve(QiteSpec(0.0), h, psi, lattice)
+    circ = qite_circuit(rotations, psi.n)
     assert len(circ.gates) == 0
     assert np.max(np.abs(outq.amps - psi.amps)) < 1e-10
 

@@ -461,3 +461,18 @@ def test_refused_allocation_is_backend_failure(runner, tmp_path, monkeypatch,
     assert "backend failure: out of memory: Unable to allocate" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert calls[-1] == 40 and not (tmp_path / "x.csv").exists()
+
+
+def test_dense_model_beyond_memory_is_backend_failure(runner, tmp_path):
+    # a 20-site H is 8 TiB dense: refused by the byte budget, unallocated
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [20]},
+        "estimate": {"betas": [0.5], "R": 1},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 2, result.output
+    assert "backend failure:" in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "x.csv").exists()

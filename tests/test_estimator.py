@@ -7,6 +7,7 @@ import tpqsim.fable
 import tpqsim.nonunitary
 from tpqsim import (
     DilationSpec,
+    Gate,
     LatticeSpec,
     QiteSpec,
     RandomCircuitSpec,
@@ -299,6 +300,21 @@ def test_circuit_energy_filter_allocates_no_dense_matrix(kind):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 4**8 // 4
+
+
+def test_qite_measurement_builds_no_gate(chain3, monkeypatch):
+    # the gadget circuit is emitted only for resource counts and replay
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gate was built")
+
+    h = build_heisenberg(chain3)
+    dense = to_dense(h, 3)
+    states = np.stack([sample_haar_state(3, s).amps for s in range(2)], axis=1)
+    spec = TpqRunSpec(chain3, (0.5, 1.0),
+                      backend=BackendSpec("qite", n_steps=2))
+    monkeypatch.setattr(Gate, "__post_init__", forbidden)
+    values, _ = measure_filtered(spec, states, dense, h)
+    assert np.all(np.isfinite(values))
 
 
 @pytest.mark.parametrize("backend,beta", [

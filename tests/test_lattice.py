@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,11 +129,26 @@ def test_eig_matches_scipy_evd_oracle(case):
 
 
 def test_dense_overflow_guard():
+    # 2^24 x 2^24 float64 is 2 PiB: refused before anything is allocated
     h = PauliSum((PauliTerm(1.0, ((0, "Z"),)),))
     from tpqsim import DimensionOverflow
 
     with pytest.raises(DimensionOverflow):
-        to_dense(h, 15)
+        to_dense(h, 24)
+
+
+def test_to_dense_allocates_the_real_matrix_once():
+    # tracemalloc sees numpy's buffers; the real 2^8 x 2^8 H is 512 KiB
+    h = build_heisenberg(LatticeSpec(1, (8,)))
+    to_dense(h, 8)  # fill the per-string action cache before tracing
+    tracemalloc.start()
+    try:
+        dense = to_dense(h, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dense.matrix.dtype == np.float64
+    assert peak < 1.5 * 8 * 4**8
 
 
 def test_invalid_lattice():

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from tpqsim import (
-    Circuit,
     DomainTooSmallWarning,
     LatticeSpec,
     QiteSpec,
@@ -13,12 +12,13 @@ from tpqsim import (
     apply_circuit,
     apply_exact,
     build_heisenberg,
+    qite_circuit,
     qite_evolve,
     qite_resources,
     to_dense,
 )
 from tpqsim.pauli import PauliTerm, to_dense as pauli_to_dense, PauliSum
-from tpqsim.qite import _pauli_rotation_gadget, _term_window
+from tpqsim.qite import _term_window
 from tpqsim.random_state import sample_haar_state
 
 from conftest import exact_thermal_operator
@@ -31,8 +31,7 @@ from conftest import exact_thermal_operator
 ])
 def test_pauli_rotation_gadget_against_expm(placed, theta):
     n = 3
-    circuit = Circuit(n)
-    _pauli_rotation_gadget(circuit, placed, theta)
+    circuit = qite_circuit([(placed, theta)], n)
     psi = sample_haar_state(n, 7)
     out = apply_circuit(psi, circuit)
     p = pauli_to_dense(PauliSum((PauliTerm(1.0, placed),)), n).matrix
@@ -64,7 +63,8 @@ def test_window_2d_manhattan():
 def test_beta_zero_identity(chain2):
     h = build_heisenberg(chain2)
     psi = sample_haar_state(2, 1)
-    out, circuit = qite_evolve(QiteSpec(0.0), h, psi)
+    out, rotations = qite_evolve(QiteSpec(0.0), h, psi)
+    circuit = qite_circuit(rotations, 2)
     assert len(circuit.gates) == 0
     assert np.array_equal(out.amps, psi.amps)
 
@@ -82,7 +82,8 @@ def test_full_domain_fidelity(n, beta):
 def test_replay_reproduces_state(chain3):
     h = build_heisenberg(chain3)
     psi = sample_haar_state(3, 5)
-    out, circuit = qite_evolve(QiteSpec(0.8, n_steps=5, domain=3), h, psi)
+    out, rotations = qite_evolve(QiteSpec(0.8, n_steps=5, domain=3), h, psi)
+    circuit = qite_circuit(rotations, 3)
     replay = apply_circuit(psi, circuit)
     assert np.max(np.abs(replay.amps - out.amps)) < 1e-9
     assert abs(out.norm - 1.0) < 1e-9
@@ -92,8 +93,9 @@ def test_replay_reproduces_state_2d_window():
     lattice = LatticeSpec(2, (2, 2))
     h = build_heisenberg(lattice)
     psi = sample_haar_state(4, 9)
-    out, circuit = qite_evolve(QiteSpec(0.8, n_steps=3, domain=3), h, psi,
-                               lattice)
+    out, rotations = qite_evolve(QiteSpec(0.8, n_steps=3, domain=3), h, psi,
+                                 lattice)
+    circuit = qite_circuit(rotations, 4)
     replay = apply_circuit(psi, circuit)
     assert np.max(np.abs(replay.amps - out.amps)) < 1e-9
 
@@ -138,7 +140,8 @@ def test_cnot_count_additive_in_steps(chain2):
     per_step = []
     for steps in (1, 2, 4):
         psi = sample_haar_state(2, 0)
-        _, circuit = qite_evolve(QiteSpec(1.0, n_steps=steps, domain=2), h, psi)
+        _, rotations = qite_evolve(QiteSpec(1.0, n_steps=steps, domain=2), h, psi)
+        circuit = qite_circuit(rotations, 2)
         per_step.append(circuit.cnot_count)
     # linear growth: equal per-step increments within pruning jitter
     inc1 = per_step[1] - per_step[0]
@@ -155,8 +158,9 @@ def test_cnot_count_invariant_under_global_phase(n, d):
     counts = set()
     for angle in (0.0, 0.3, 1.7, 2.9):
         rotated = StateVector(n, np.exp(1j * angle) * psi.amps)
-        _, circuit = qite_evolve(QiteSpec(1.0, n_steps=2, domain=d), h, rotated,
-                                 lattice)
+        _, rotations = qite_evolve(QiteSpec(1.0, n_steps=2, domain=d), h,
+                                   rotated, lattice)
+        circuit = qite_circuit(rotations, n)
         counts.add(circuit.cnot_count)
     assert len(counts) == 1
 

@@ -8,6 +8,7 @@ from tpqsim import (
     RandomCircuitSpec,
     build_random_circuit,
     haar_entropy_reference,
+    nearest_neighbor_pairs,
     sample_haar_state,
     state_entropy,
     zero_state,
@@ -50,6 +51,23 @@ def test_1d_layer_alternation_and_no_repeat():
     assert {g.qubits for g in blocks[1][1]} == {(1, 2), (3, 4)}
     for q in range(5):
         assert gate_id(blocks[0][0][q]) != gate_id(blocks[1][0][q])
+
+
+@pytest.mark.parametrize("dimension,extents", [
+    (2, (3, 1)), (2, (1, 3)), (2, (4, 3)), (1, (5,))])
+def test_patterns_partition_the_pairs_in_order(dimension, extents):
+    lattice = LatticeSpec(dimension, extents)
+    patterns = entangling_patterns(lattice)
+    pairs = nearest_neighbor_pairs(lattice)
+    assert len(patterns) == 2 * dimension
+    assert sorted(b for p in patterns for b in p) == sorted(pairs)
+    for pattern in patterns:
+        # each pattern keeps the pairs' order, and its bonds share no site
+        assert pattern == [b for b in pairs if b in pattern]
+        sites = [q for b in pattern for q in b]
+        assert len(sites) == len(set(sites))
+    if extents == (3, 1):  # one column: vertical bonds one index apart
+        assert patterns == [[], [], [(0, 1)], [(1, 2)]]
 
 
 def test_2d_pattern_cycle():
