@@ -45,9 +45,10 @@ from .random_state import (
     RandomCircuitSpec,
     haar_entropy_reference,
     random_state,
+    random_states,
     state_entropy,
 )
-from .statevector import expectation
+from .statevector import StateVector, expectation
 
 _BIG = sys.float_info.max
 
@@ -335,12 +336,15 @@ def entropy_scan(config_path, output, seed):
     with _Config(config_path, ("model", "entropy"), ("random_circuit",),
                  output, seed) as (config, v):
         lattice = LatticeSpec(**v["model"])
-        scan = [(d, _circuits(v, lattice, d, v["entropy"]["seeds"]))
-                for d in v["entropy"]["depths"]]
+        rc = v["random_circuit"]
+        seeds = [realization_seed(rc["seed"], r)
+                 for r in range(v["entropy"]["seeds"])]
     ref = haar_entropy_reference(lattice.n_sites)
     rows = []
-    for d, circuits in scan:
-        ent = [state_entropy(random_state(c)) for c in circuits]
+    for d in v["entropy"]["depths"]:
+        states = random_states(lattice, d, rc["entangler"], seeds)
+        ent = [state_entropy(StateVector(lattice.n_sites, psi))
+               for psi in states.T]
         rows.append([d, float(np.mean(ent)),
                      float(np.std(ent) / np.sqrt(len(ent))), ref])
     write_csv(v["output"]["path"], config,

@@ -1,15 +1,17 @@
 """Thermal-average estimation from ensembles of TPQ states.
 
-A run draws R independent random-circuit states and stacks them into one
-(2^n, R) batch.  The backend filters the whole batch for each beta, and the
-observable is measured on every (beta, state) pair; mean and stddev/sqrt(R)
-are taken over the states.  The exact, dilated and FABLE filters are all
-diagonal in H's eigenbasis (a run's FABLE encoding is exact, so its branch is
-(Q/s) psi / 2^N): they move the batch into that basis once per run and only
-rescale its rows per beta.  The energy is then read off in that basis for all
-betas at once; any other observable, or a finite shot budget, takes one
-back-transform per beta.  No FABLE circuit or block is synthesized here;
-`fable.apply_fable` is the circuit-faithful single-state path.  QITE fits
+A run prepares its R independent random-circuit states as one (2^n, R)
+batch (`random_states`).  The backend filters the whole batch for each beta,
+and the observable is measured on every (beta, state) pair; mean and
+stddev/sqrt(R) are taken over the states.  The exact, dilated and FABLE
+filters are all diagonal in H's eigenbasis (a run's FABLE encoding is exact,
+so its branch is (Q/s) psi / 2^N): they move the batch into that basis once
+per run, through H's parity blocks, and only rescale its rows per beta.  The
+energy is then read off in that basis for all betas at once, and its
+reference from the eigenvalues alone, so an exact energy run never assembles
+the 2^n x 2^n eigenvectors; any other observable, or a finite shot budget,
+takes one back-transform per beta.  No FABLE circuit or block is synthesized
+here; `fable.apply_fable` is the circuit-faithful single-state path.  QITE fits
 state-dependent rotations, so it evolves one state at a time.  The exact
 canonical ensemble value Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense
 eigenbasis is attached as a reference.
@@ -33,13 +35,12 @@ from .nonunitary import (
     P0_FLOOR,
     DilationSpec,
     ThermalOperator,
-    eigen_coefficients,
     filter_energies,
     filter_states,
 )
 from .pauli import DenseHermitian, PauliSum, to_dense
 from .qite import QiteSpec, qite_evolve
-from .random_state import RandomCircuitSpec, random_state
+from .random_state import random_states
 from .statevector import StateVector, expectations, sample_expectation
 
 BACKEND_KINDS = ("exact", "dilated", "fable", "qite")
@@ -118,15 +119,16 @@ def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
                          beta: float | np.ndarray) -> float | np.ndarray:
     """Tr[e^{-beta H} A] / Tr[e^{-beta H}] with spectrum-shifted weights.
 
-    `a=None` means A = H.  `beta` is a scalar (float result) or a 1-D
-    sequence (one value per beta); A's eigenbasis diagonal <v_k|A|v_k> is
-    computed once per call.
+    `a=None` means A = H, which needs only the eigenvalues.  `beta` is a
+    scalar (float result) or a 1-D sequence (one value per beta); any other
+    A's eigenbasis diagonal <v_k|A|v_k> is computed once per call, from the
+    full eigenvectors.
     """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta < 0):
         raise ValueError("beta must be >= 0")
-    vals, vecs = h.eig
-    diag = vals if a is None else expectations(vecs, a)
+    vals = h.eigenvalues
+    diag = vals if a is None else expectations(h.eigenvectors, a)
     w = np.exp(-np.multiply.outer(beta, vals - vals[0]))
     ref = w @ diag / w.sum(axis=-1)
     return float(ref) if ref.ndim == 0 else ref
@@ -146,7 +148,7 @@ def _in_eigenbasis(spec: BackendSpec, betas, states: np.ndarray,
     else:  # fable: the post-selected branch is (Q/s) psi / 2^N
         weights = [op.scaled_eigenvalues() / dense_h.dim for op in ops]
     floor = NORM_FLOOR if spec.kind == "exact" else P0_FLOOR
-    return np.array(weights), eigen_coefficients(dense_h, states), floor
+    return np.array(weights), dense_h.to_eigenbasis(states), floor
 
 
 def filtered_batches(spec: BackendSpec, betas, states: np.ndarray,
@@ -201,11 +203,9 @@ def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
     lattice = spec.lattice
     h_pauli = build_heisenberg(lattice)
     dense_h = to_dense(h_pauli, lattice.n_sites)
-    states = np.stack([
-        random_state(RandomCircuitSpec(
-            lattice, depth=spec.depth, entangler=spec.entangler,
-            seed=realization_seed(spec.base_seed, r))).amps
-        for r in range(spec.realizations)], axis=1)
+    states = random_states(lattice, spec.depth, spec.entangler,
+                           [realization_seed(spec.base_seed, r)
+                            for r in range(spec.realizations)])
     values, shot_var = measure_filtered(spec, states, dense_h, h_pauli)
     ref = ensemble_expectation(dense_h, spec.observable, spec.betas)
     shot_stderr = None

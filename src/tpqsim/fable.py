@@ -122,11 +122,13 @@ def fable_block(op: ThermalOperator,
     return phi, _encoded_block(phi, op.n_qubits)
 
 
-def fable_circuit(phi: np.ndarray, n: int) -> Circuit:
+def fable_circuit(phi: np.ndarray, n: int, prune: bool = False) -> Circuit:
     """The Gray-code gate sequence for compiled angles `phi` on 2n+1 qubits.
 
-    A zero angle is pruned: its rotation is dropped and the adjacent CNOTs
-    merge by control parity, so the exact encoding has 4^n CNOTs.
+    With `prune`, a zero angle's rotation is dropped and the adjacent CNOTs
+    merge by control parity.  Without it every rotation is kept, RY(0)
+    included, so the exact encoding has 4^n CNOTs whatever angles round to
+    zero.
     """
     m = 2 * n
     rot_q = 2 * n
@@ -135,7 +137,7 @@ def fable_circuit(phi: np.ndarray, n: int) -> Circuit:
         circuit.append("h", q)
     pending = 0  # parity mask of CNOT controls deferred by pruning
     for k, ctrl_bit in enumerate(_gray_walk_controls(m)):
-        if phi[k] != 0.0:
+        if phi[k] != 0.0 or not prune:
             bit = 0
             while pending:
                 if pending & 1:
@@ -167,7 +169,7 @@ def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEnco
     """
     t0 = time.perf_counter()
     phi, block = fable_block(op, compression_tol)
-    circuit = fable_circuit(phi, op.n_qubits)
+    circuit = fable_circuit(phi, op.n_qubits, prune=compression_tol > 0)
     return BlockEncoding(op.n_qubits, circuit, block, time.perf_counter() - t0)
 
 

@@ -12,10 +12,13 @@ encoding's (Q/s) / 2^N.  They are simulated on a (2^n, R) batch of column
 states: the batch enters once as C = V^dagger Psi, each filter (a beta, or an
 epsilon) only rescales the rows of C, and a filtered batch leaves as V times
 the rescaled coefficients, or not at all when only its energy is wanted.
-`apply_exact` and `apply_dilated` are the one-state case.  No dense matrix
-but H's eigenvectors is built on this path: the dilated unitary Omega only by
-`dilated_omega`, the unitarity oracle and the artifact whose synthesis the
-`resources` subcommand times, and Q/s only by `ThermalOperator.scaled`.
+Both transforms go through H's parity blocks (`DenseHermitian.to_eigenbasis`
+and `from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
+`apply_exact` and `apply_dilated` are the one-state case.  The full V is
+assembled only for the scale s of Q/s, which the dilated and FABLE filters
+need; the dilated unitary Omega is built only by `dilated_omega`, the
+unitarity oracle and the artifact whose synthesis the `resources` subcommand
+times, and Q/s only by `ThermalOperator.scaled`.
 """
 
 from __future__ import annotations
@@ -85,26 +88,6 @@ NORM_FLOOR = 1e-28
 P0_FLOOR = 1e-14
 
 
-def _basis_change(vecs: np.ndarray, amps: np.ndarray,
-                  adjoint: bool = False) -> np.ndarray:
-    """V amps, or V^dagger amps when `adjoint`, for a (2^n, m) batch of
-    column states.
-
-    A real V is never cast to complex: it multiplies the real and imaginary
-    parts of amps, interleaved as column pairs, in one real product.
-    """
-    if np.iscomplexobj(vecs):
-        return vecs.conj().T @ amps if adjoint else vecs @ amps
-    parts = np.ascontiguousarray(amps, dtype=complex).view(float)
-    out = (vecs.T if adjoint else vecs) @ parts.reshape(len(amps), -1)
-    return out.view(complex).reshape(amps.shape)
-
-
-def eigen_coefficients(h: DenseHermitian, amps: np.ndarray) -> np.ndarray:
-    """C = V^dagger amps in H's eigenbasis, for a (2^n, R) batch of states."""
-    return _basis_change(h.eigenvectors, amps, adjoint=True)
-
-
 def check_norms(sq_norms: np.ndarray, floor: float) -> None:
     """Raise ZeroProbability when a squared norm (or P0) is below `floor`."""
     low = float(np.min(sq_norms))
@@ -122,7 +105,7 @@ def filter_states(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
     branch = weights[:, None] * coeffs
     sq_norms = np.einsum("ij,ij->j", branch.conj(), branch).real
     check_norms(sq_norms, floor)
-    return _basis_change(h.eigenvectors, branch / np.sqrt(sq_norms)), sq_norms
+    return h.from_eigenbasis(branch / np.sqrt(sq_norms)), sq_norms
 
 
 def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
@@ -143,7 +126,7 @@ def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
 def apply_exact(op: ThermalOperator, psi: StateVector) -> StateVector:
     """Normalized Q psi via the eigenbasis; never materializes Q."""
     h = op.hamiltonian
-    coeffs = eigen_coefficients(h, psi.amps[:, None])
+    coeffs = h.to_eigenbasis(psi.amps[:, None])
     states, _ = filter_states(h, op.shifted_weights(), coeffs, NORM_FLOOR)
     return StateVector(psi.n, states[:, 0])
 
@@ -186,7 +169,7 @@ def apply_dilated(spec: DilationSpec, psi: StateVector) -> tuple[StateVector, fl
     """
     op = spec.operator
     h = op.hamiltonian
-    coeffs = eigen_coefficients(h, psi.amps[:, None])
+    coeffs = h.to_eigenbasis(psi.amps[:, None])
     weights = spec.branch_weights()
     states, p0 = filter_states(h, weights, coeffs, P0_FLOOR)
     p0 = float(p0[0])

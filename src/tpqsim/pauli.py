@@ -3,6 +3,13 @@
 Convention used throughout the package: qubit 0 is the least significant bit
 of the computational-basis index, so basis state |b_{n-1} ... b_1 b_0> sits at
 array index sum_q b_q 2^q.
+
+A dense Hamiltonian is held as its symmetry blocks: a sum whose terms all
+commute with prod_i X_i (every XYZ + hx model) is built in the basis rotated
+by H^{(x)n}, as two blocks of size 2^(n-1) that are diagonalized separately.
+States enter and leave the eigenbasis through one Walsh-Hadamard transform
+and one product per block; the full 2^n x 2^n matrices are assembled only
+where they are read.
 """
 
 from __future__ import annotations
@@ -15,9 +22,14 @@ import numpy as np
 
 from .errors import DimensionOverflow
 
-# H-sized arrays the dense path holds at its peak (4.9x measured at 12 sites):
-# H, eigh's working copy, the eigenvectors and the ?syevd/?heevd workspace
-_DENSE_PEAK_MATRICES = 5
+# block-sized arrays that diagonalizing one block adds to the blocks and the
+# eigenvectors already held: eigh's working copy and the ?syevd/?heevd
+# workspace (2N^2 reals for an N x N block); the whole blocked path peaked
+# at 7.4 blocks of a 12-site chain, against the 2 + 2 + 3 counted
+_EIGH_WORK_BLOCKS = 3
+
+# W P W for W = H^{(x)n}; a Y also flips the sign (W Y W = -Y)
+_HADAMARD_IMAGE = {"X": "Z", "Y": "Y", "Z": "X"}
 
 _VALID_OPS = frozenset("XYZ")
 
@@ -125,66 +137,215 @@ def apply_pauli_sum(amps: np.ndarray, n: int, p: PauliSum) -> np.ndarray:
     return out
 
 
+def walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """H^{(x)n} a, in place along axis 0 of a (2^n, ...) array or view;
+    returns `a`.
+
+    Each stage maps the pairs (x, y) to (x + y, x - y) with no temporary, as
+    x += y and then y = x - 2y; one scaling by 2^{-n/2} at the end makes the
+    transform orthogonal (and its own inverse).
+    """
+    dim = len(a)
+    h = 1
+    while h < dim:
+        pairs = a.reshape((dim // (2 * h), 2, h) + a.shape[1:], copy=False)
+        x, y = pairs[:, 0], pairs[:, 1]
+        x += y
+        y *= -2.0
+        y += x
+        h *= 2
+    a *= dim**-0.5
+    return a
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """Raise DimensionOverflow when `nbytes` exceed physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise DimensionOverflow(f"{what} needs {nbytes} bytes; the machine "
+                                f"has {memory}")
+
+
+def _sector_indices(n: int, count: int) -> list[np.ndarray]:
+    """The basis indices of each of `count` sectors, ascending.
+
+    One sector holds every index.  Two are the even- and odd-popcount
+    indices: the j-th of each is 2j plus the low bit that fixes its parity,
+    so an index's position in its sector is index >> 1.
+    """
+    if count == 1:
+        return [np.arange(1 << n)]
+    j = np.arange(1 << (n - 1))
+    even = 2 * j + (np.bitwise_count(j) & 1)
+    return [even, even ^ 1]
+
+
+def _product(u: np.ndarray, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """u amps, or u^dagger amps when `adjoint`, for a (k, m) complex batch.
+
+    A real u is never cast to complex: it multiplies the real and imaginary
+    parts of amps, interleaved as column pairs, in one real product.
+    """
+    if np.iscomplexobj(u):
+        return u.conj().T @ amps if adjoint else u @ amps
+    parts = np.ascontiguousarray(amps, dtype=complex).view(float)
+    out = (u.T if adjoint else u) @ parts.reshape(len(amps), -1)
+    return out.view(complex).reshape(amps.shape)
+
+
 @dataclass
 class DenseHermitian:
-    """Dense Hermitian matrix with a lazily cached spectral decomposition.
+    """A dense Hamiltonian as its symmetry blocks, with a lazily cached
+    spectral decomposition.
 
-    `to_dense` builds it Hermitian by construction, as float64 when every
-    term is real (an even number of Y letters), so its eigenvectors are real
-    too, and as complex128 otherwise.
+    When every term commutes with prod_i X_i, `to_dense` builds H rotated by
+    W = H^{(x)n}, where prod_i X_i is the diagonal (-1)^popcount, as its
+    even- and odd-popcount blocks (`rotated`); otherwise `blocks` is H
+    itself.  A block is float64 when every term is real (an even number of Y
+    letters), so its eigenvectors are real too, and complex128 otherwise.
+
+    Each block is diagonalized on its own (numpy's eigh, LAPACK's
+    divide-and-conquer ?syevd/?heevd on the lower triangle).  The filters
+    move batches of states in and out of the eigenbasis through the blocks
+    (`to_eigenbasis`, `from_eigenbasis`); the full H (`matrix`) and its
+    eigenvector matrix V (`eig`) are assembled only where they are read.
     """
 
-    matrix: np.ndarray
+    n_qubits: int
+    blocks: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 1 << self.n_qubits
 
     @property
-    def n_qubits(self) -> int:
-        return int(self.dim).bit_length() - 1
+    def rotated(self) -> bool:
+        return len(self.blocks) == 2
+
+    @cached_property
+    def sectors(self) -> list[np.ndarray]:
+        """The (rotated) basis indices of each block's rows and columns."""
+        return _sector_indices(self.n_qubits, len(self.blocks))
+
+    @cached_property
+    def _block_eig(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [np.linalg.eigh(block) for block in self.blocks]
+
+    @cached_property
+    def _ranks(self) -> list[np.ndarray]:
+        """Each block eigenvalue's position in the ascending spectrum, ties
+        in block order."""
+        vals = np.concatenate([v for v, _ in self._block_eig])
+        ranks = np.empty(len(vals), dtype=np.intp)
+        ranks[np.argsort(vals, kind="stable")] = np.arange(len(vals))
+        return np.split(ranks, len(self.blocks))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The blocks' spectra merged in ascending order."""
+        vals = np.empty(self.dim)
+        for rank, (block_vals, _) in zip(self._ranks, self._block_eig):
+            vals[rank] = block_vals
+        return vals
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, orthonormal eigenvector columns).
+        """(eigenvalues ascending, orthonormal eigenvector columns V).
 
-        numpy's eigh is LAPACK's divide-and-conquer ?syevd/?heevd on the
-        lower triangle, real for a float64 matrix.
+        V = W blockdiag(U) is assembled in place: the blocks' eigenvectors U
+        are scattered into one 2^n x 2^n matrix, which one Walsh-Hadamard
+        transform rotates back, in O(n 4^n) and with no other temporary of
+        its size.  Raises DimensionOverflow, before allocating, when V
+        alone would exceed the machine's physical memory.
         """
-        return np.linalg.eigh(self.matrix)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eig[0]
+        dtype = self.blocks[0].dtype
+        _check_budget(dtype.itemsize * self.dim**2,
+                      f"the eigenvectors of H on n={self.n_qubits} qubits")
+        vecs = np.zeros((self.dim, self.dim), dtype)
+        for idx, rank, (_, u) in zip(self.sectors, self._ranks, self._block_eig):
+            vecs[np.ix_(idx, rank)] = u
+        if self.rotated:
+            walsh_hadamard(vecs)
+        return self.eigenvalues, vecs
 
     @property
     def eigenvectors(self) -> np.ndarray:
         return self.eig[1]
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense 2^n x 2^n H, assembled from the blocks on each read."""
+        m = np.zeros((self.dim, self.dim), self.blocks[0].dtype)
+        for idx, block in zip(self.sectors, self.blocks):
+            m[np.ix_(idx, idx)] = block
+        if self.rotated:  # H = W M W = (W (W M)^T)^T, as W is symmetric
+            walsh_hadamard(walsh_hadamard(m).T)
+        return m
+
+    def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
+        """C = V^dagger amps for a (2^n, m) batch of column states, rows in
+        ascending-eigenvalue order: one Walsh-Hadamard transform of the
+        batch, then one product per block."""
+        batch = np.array(amps, dtype=complex)
+        if self.rotated:
+            walsh_hadamard(batch)
+        coeffs = np.empty(batch.shape, dtype=complex)
+        for idx, rank, (_, u) in zip(self.sectors, self._ranks, self._block_eig):
+            coeffs[rank] = _product(u, batch[idx], adjoint=True)
+        return coeffs
+
+    def from_eigenbasis(self, coeffs: np.ndarray) -> np.ndarray:
+        """V C for (2^n, m) eigenbasis coefficients: the inverse of
+        `to_eigenbasis`."""
+        amps = np.empty(coeffs.shape, dtype=complex)
+        for idx, rank, (_, u) in zip(self.sectors, self._ranks, self._block_eig):
+            amps[idx] = _product(u, coeffs[rank])
+        if self.rotated:
+            walsh_hadamard(amps)
+        return amps
+
+
+def _hadamard_rotated(term: PauliTerm) -> PauliTerm:
+    """W P W for W = H^{(x)n}: X and Z swap, and each Y gives a sign."""
+    n_y = sum(o == "Y" for _, o in term.operators)
+    return PauliTerm((-1) ** n_y * term.coefficient,
+                     tuple((q, _HADAMARD_IMAGE[o]) for q, o in term.operators))
+
 
 def to_dense(p: PauliSum, n: int) -> DenseHermitian:
-    """Expand a PauliSum to its 2^n x 2^n matrix, allocated once.
+    """Expand a PauliSum to its dense blocks, each allocated once.
 
-    A string with an even number of Y letters has phases +-1, so a sum of
-    such strings (every XYZ + hx term) is built real, as float64, and any
-    other sum complex.  Each term is a permutation-with-phase matrix,
-    accumulated column-wise: O(|terms| 2^n) plus the allocation.  Raises
-    DimensionOverflow, before allocating, when diagonalizing the matrix
-    would take more than the machine's physical memory.
+    A term commutes with prod_i X_i when it has an even number of Y and Z
+    letters, as every XYZ + hx term does.  If all do, each term is rotated
+    by W = H^{(x)n} (X <-> Z, Y -> -Y), which keeps its Y count and maps
+    prod_i X_i to prod_i Z_i, so the rotated sum is built directly as its
+    even- and odd-popcount blocks of size 2^(n-1); the full matrix is never
+    allocated.  Any other sum is one 2^n block, unrotated.  A string with an
+    even number of Y letters has phases +-1, so a sum of such strings is
+    built real, as float64, and any other sum complex.  Each term is a
+    permutation-with-phase matrix, accumulated column-wise: O(|terms| 2^n)
+    plus the allocation.  Raises DimensionOverflow, before allocating, when
+    diagonalizing the blocks would take more than the machine's physical
+    memory.
     """
     if p.max_qubit >= n:
         raise IndexError(f"term touches qubit {p.max_qubit} but n={n}")
     real = all(sum(o == "Y" for _, o in t.operators) % 2 == 0 for t in p)
+    rotated = n >= 1 and all(sum(o != "X" for _, o in t.operators) % 2 == 0
+                             for t in p)
     dtype = np.dtype(float if real else complex)
-    peak = _DENSE_PEAK_MATRICES * dtype.itemsize * 4**n
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if peak > memory:
-        raise DimensionOverflow(f"dense H on n={n} qubits needs {peak} bytes "
-                                f"to diagonalize; the machine has {memory}")
-    dim = 1 << n
-    m = np.zeros((dim, dim), dtype=dtype)
-    cols = np.arange(dim)
+    sectors = _sector_indices(n, 2 if rotated else 1)
+    size = len(sectors[0])
+    _check_budget((2 * len(sectors) + _EIGH_WORK_BLOCKS) * dtype.itemsize
+                  * size**2, f"diagonalizing H on n={n} qubits")
+    blocks = tuple(np.zeros((size, size), dtype=dtype) for _ in sectors)
+    shift = len(sectors) - 1  # an index's position in its sector
+    cols = np.arange(size)
     for term in p:
+        if rotated:
+            term = _hadamard_rotated(term)
         target, phase = pauli_string_action(term, n)
-        m[target, cols] += term.coefficient * (phase.real if real else phase)
-    return DenseHermitian(m)
+        values = term.coefficient * (phase.real if real else phase)
+        for block, idx in zip(blocks, sectors):
+            block[target[idx] >> shift, cols] += values[idx]
+    return DenseHermitian(n, blocks)

@@ -6,6 +6,11 @@ block's gate, followed by one entangling layer.  Entangling layers cycle
 through 2k fixed bond patterns for a k-dimensional lattice: A/B even/odd chain
 bonds in 1D, and horizontal-even / horizontal-odd / vertical-even /
 vertical-odd grid bonds in 2D (parity of the bond's column, resp. row).
+
+`random_state` replays one seed's circuit gate by gate; `random_states`
+prepares the states of many seeds as one (2^n, R) batch, with the same gate
+draws and equal amplitudes, applying each entangling layer as one +-1 diagonal
+or one permutation of the whole batch.
 """
 
 from __future__ import annotations
@@ -18,9 +23,17 @@ import numpy as np
 # random states, so load it with the package, not inside the first run
 import numpy.random
 
-from .circuit import Circuit
+from .circuit import Circuit, Gate
 from .lattice import LatticeSpec, nearest_neighbor_pairs
-from .statevector import StateVector
+from .statevector import (
+    StateVector,
+    _apply_1q,
+    _cz_signs,
+    _permutation,
+    apply_circuit,
+    gate_matrix,
+    zero_state,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -60,34 +73,80 @@ def entangling_patterns(lattice: LatticeSpec) -> list[list[tuple[int, int]]]:
     return patterns
 
 
-def build_random_circuit(spec: RandomCircuitSpec) -> Circuit:
-    """Deterministic circuit for (lattice, depth, entangler, seed)."""
-    n = spec.lattice.n_sites
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    patterns = entangling_patterns(spec.lattice)
-    circuit = Circuit(n)
+def _gate_choices(seed: int, n: int, depth: int) -> list[list[int]]:
+    """Each block's GATE_SET index per qubit, drawn from the seed's stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     previous = [-1] * n
-    for block in range(spec.depth):
+    blocks = []
+    for _ in range(depth):
         for q in range(n):
             if previous[q] < 0:
-                choice = int(rng.integers(3))
+                previous[q] = int(rng.integers(3))
             else:
                 # uniform over the two gates that differ from last block's
                 options = [g for g in range(3) if g != previous[q]]
-                choice = options[int(rng.integers(2))]
+                previous[q] = options[int(rng.integers(2))]
+        blocks.append(list(previous))
+    return blocks
+
+
+def build_random_circuit(spec: RandomCircuitSpec) -> Circuit:
+    """Deterministic circuit for (lattice, depth, entangler, seed)."""
+    n = spec.lattice.n_sites
+    patterns = entangling_patterns(spec.lattice)
+    circuit = Circuit(n)
+    for block, choices in enumerate(_gate_choices(spec.seed, n, spec.depth)):
+        for q, choice in enumerate(choices):
             kind, angle = GATE_SET[choice]
             circuit.append(kind, q, angle=angle)
-            previous[q] = choice
         for i, j in patterns[block % len(patterns)]:
             circuit.append(spec.entangler, i, j)
     return circuit
 
 
 def random_state(spec: RandomCircuitSpec) -> StateVector:
-    """|0...0> pushed through the random circuit."""
-    from .statevector import apply_circuit, zero_state
-
+    """|0...0> pushed through the random circuit, gate by gate."""
     return apply_circuit(zero_state(spec.lattice.n_sites), build_random_circuit(spec))
+
+
+def _entangling_layer(n: int, entangler: str, pattern: list[tuple[int, int]]):
+    """A pattern's gates as one map of a (2^n, R) batch: the product of their
+    +-1 diagonals (cz), or the composition of their permutations (cnot)."""
+    if entangler == "cz":
+        signs = np.ones(1 << n, dtype=np.int8)
+        for i, j in pattern:
+            signs *= _cz_signs(n, i, j)
+        return lambda amps: amps * signs[:, None]
+    source = np.arange(1 << n)
+    for i, j in pattern:
+        source = source[_permutation("cnot", n, i, j)]
+    return lambda amps: amps[source]
+
+
+def random_states(lattice: LatticeSpec, depth: int, entangler: str,
+                  seeds) -> np.ndarray:
+    """`random_state` of each seed, as the columns of one (2^n, R) batch.
+
+    The gates are drawn as `build_random_circuit` draws them, but no circuit
+    is built: each single-qubit layer applies one 2x2 matrix per column and
+    qubit, and each entangling layer is one precomputed map of the batch.
+    The columns equal the gate-by-gate states.
+    """
+    RandomCircuitSpec(lattice, depth, entangler)  # checks depth and entangler
+    n = lattice.n_sites
+    choices = np.array([_gate_choices(seed, n, depth) for seed in seeds],
+                       dtype=np.intp).reshape(-1, depth, n)
+    mats = np.array([gate_matrix(Gate(kind, (0,), angle))
+                     for kind, angle in GATE_SET])
+    layers = [_entangling_layer(n, entangler, pattern)
+              for pattern in entangling_patterns(lattice)]
+    amps = np.zeros((1 << n, len(choices)), dtype=complex)
+    amps[0] = 1.0
+    for block in range(depth):
+        for q in range(n):
+            amps = _apply_1q(amps, n, mats[choices[:, block, q]], q)
+        amps = layers[block % len(layers)](amps)
+    return amps
 
 
 def sample_haar_state(n: int, seed: int) -> StateVector:

@@ -89,12 +89,14 @@ def zero_state(n: int) -> StateVector:
 
 
 def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
+    """A 2x2 matrix on qubit q of a state or a (2^n, m) batch, or one matrix
+    per column when `mat` is (m, 2, 2)."""
     # index bit q splits the amplitudes into the (high, bit q, low) axes
     a = amps.reshape((1 << (n - 1 - q), 2, 1 << q) + amps.shape[1:])
     a0, a1 = a[:, 0], a[:, 1]
     out = np.empty_like(a)
-    out[:, 0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    out[:, 1] = mat[1, 0] * a0 + mat[1, 1] * a1
+    out[:, 0] = mat[..., 0, 0] * a0 + mat[..., 0, 1] * a1
+    out[:, 1] = mat[..., 1, 0] * a0 + mat[..., 1, 1] * a1
     return out.reshape(amps.shape)
 
 

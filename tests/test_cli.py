@@ -367,8 +367,8 @@ def test_config_errors_come_before_compute(runner, tmp_path, monkeypatch,
     def compute(*args, **kwargs):
         raise AssertionError("computed before the config was checked")
 
-    for name in ("build_heisenberg", "random_state", "run_ensemble",
-                 "squared_error_scan", "to_dense"):
+    for name in ("build_heisenberg", "random_state", "random_states",
+                 "run_ensemble", "squared_error_scan", "to_dense"):
         monkeypatch.setattr(f"tpqsim.cli.{name}", compute)
     cfg = write_config(tmp_path, {
         "model": {"dimension": 1, "extents": [2]},
@@ -434,7 +434,8 @@ def test_hostile_config_value_runs_or_exits_cleanly(case):
 
 @pytest.mark.parametrize("subcommand,extents,body,patched,sites", [
     ("entropy-scan", [40], {"entropy": {"depths": [1], "seeds": 1}},
-     "random_state", lambda spec: spec.lattice.n_sites),
+     "random_states", lambda lattice, depth, entangler, seeds:
+     lattice.n_sites),
     ("resources", [2], {"resources": {"sizes": [2, 40],
                                       "backends": ["qite"]}},
      "qite_resources", lambda qspec, h, n, lattice, seed: n),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import tpqsim.fable
-import tpqsim.nonunitary
 from tpqsim import (
+    DenseHermitian,
     DilationSpec,
     Gate,
     LatticeSpec,
@@ -245,18 +245,39 @@ def test_run_ensemble_matches_per_state_path(chain3, backend, magnetization,
         assert est.shot_stderr is None
 
 
+def count_basis_changes(monkeypatch):
+    """(direction, batch shape) of each blocked transform into or out of
+    H's eigenbasis."""
+    calls = []
+    for name in ("to_eigenbasis", "from_eigenbasis"):
+        def counted(h, amps, name=name, original=getattr(DenseHermitian, name)):
+            calls.append((name, amps.shape))
+            return original(h, amps)
+        monkeypatch.setattr(DenseHermitian, name, counted)
+    return calls
+
+
 def test_exact_energy_run_changes_basis_once(chain3, monkeypatch):
-    shapes = []
-    original = tpqsim.nonunitary._basis_change
-
-    def counted(vecs, amps, adjoint=False):
-        shapes.append(amps.shape)
-        return original(vecs, amps, adjoint)
-
-    monkeypatch.setattr(tpqsim.nonunitary, "_basis_change", counted)
+    calls = count_basis_changes(monkeypatch)
     run_ensemble(TpqRunSpec(chain3, (0.2, 0.5, 1.0, 2.0), realizations=4,
                             depth=5))
-    assert shapes == [(8, 4)]  # one V^T Psi for the whole (2^n, R) batch
+    # one V^T Psi for the whole (2^n, R) batch
+    assert calls == [("to_eigenbasis", (8, 4))]
+
+
+@pytest.mark.parametrize("backend", [BackendSpec("exact"),
+                                     BackendSpec("qite", n_steps=2)])
+def test_energy_run_assembles_no_full_matrix(chain3, monkeypatch, backend):
+    # the exact filter, the QITE measurement and the energy reference read
+    # the parity blocks only: neither V nor H is assembled at 2^n x 2^n
+    def forbidden(*args):
+        raise AssertionError("assembled a full 2^n x 2^n matrix")
+
+    monkeypatch.setattr(DenseHermitian, "eig", property(forbidden))
+    monkeypatch.setattr(DenseHermitian, "matrix", property(forbidden))
+    est = run_ensemble(TpqRunSpec(chain3, (0.2, 1.0), realizations=3,
+                                  depth=5, backend=backend))
+    assert np.all(np.isfinite(est.values))
 
 
 @pytest.mark.parametrize("backend", [BackendSpec("dilated", epsilon=0.1),
@@ -268,19 +289,13 @@ def test_circuit_energy_run_filters_in_the_eigenbasis(chain3, monkeypatch,
     def forbidden(*args):
         raise AssertionError("built a dense 2^n x 2^n filter")
 
-    shapes = []
-    original = tpqsim.nonunitary._basis_change
-
-    def counted(vecs, amps, adjoint=False):
-        shapes.append(amps.shape)
-        return original(vecs, amps, adjoint)
-
-    monkeypatch.setattr(tpqsim.nonunitary, "_basis_change", counted)
+    calls = count_basis_changes(monkeypatch)
     monkeypatch.setattr(ThermalOperator, "scaled", property(forbidden))
     monkeypatch.setattr(tpqsim.fable, "fable_block", forbidden)
     run_ensemble(TpqRunSpec(chain3, (0.2, 0.5, 1.0, 2.0), realizations=4,
                             depth=5, backend=backend))
-    assert shapes == [(8, 4)]  # one V^T Psi for the whole (2^n, R) batch
+    # one V^T Psi for the whole (2^n, R) batch
+    assert calls == [("to_eigenbasis", (8, 4))]
 
 
 @pytest.mark.parametrize("kind", ["dilated", "fable"])

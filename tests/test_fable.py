@@ -3,6 +3,8 @@ import pytest
 
 from tpqsim import (
     LatticeSpec,
+    PauliSum,
+    PauliTerm,
     StateVector,
     ZeroProbability,
     apply_circuit,
@@ -13,6 +15,7 @@ from tpqsim import (
     to_dense,
 )
 from tpqsim.fable import _sfwht
+from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import sample_haar_state
 
 from conftest import circuit_unitary, exact_thermal_operator, postselect
@@ -85,6 +88,16 @@ def test_compression_prunes_but_stays_close():
     assert pruned_be.cnot_count <= exact_be.cnot_count
     u = circuit_unitary(pruned_be.circuit)
     assert np.max(np.abs(u[:4, :4] - op.scaled / 4)) < 1e-2
+
+
+def test_exact_encoding_keeps_zero_angles():
+    # at beta=0, Q/s = I and four compiled angles of Z0 Z1 are exactly 0; the
+    # exact encoding keeps their RY(0), so its CNOT count is 4^N, and only a
+    # positive tolerance prunes them
+    zz = PauliSum((PauliTerm(1.0, ((0, "Z"), (1, "Z"))),))
+    op = ThermalOperator(0.0, to_dense(zz, 2))
+    assert fable_encode(op).cnot_count == 16
+    assert fable_encode(op, compression_tol=1e-12).cnot_count == 12
 
 
 def test_entry_range_guard():

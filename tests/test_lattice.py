@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tpqsim import LatticeSpec, PauliSum, PauliTerm, build_heisenberg, nearest_neighbor_pairs, to_dense
+import tpqsim.pauli
+from tpqsim import (
+    DimensionOverflow,
+    LatticeSpec,
+    PauliSum,
+    PauliTerm,
+    build_heisenberg,
+    nearest_neighbor_pairs,
+    to_dense,
+)
+from tpqsim.pauli import _hadamard_rotated
+from tpqsim.random_state import sample_haar_state
 
 from conftest import SX, SY, SZ, kron_chain
 
@@ -149,6 +160,101 @@ def test_to_dense_allocates_the_real_matrix_once():
         tracemalloc.stop()
     assert dense.matrix.dtype == np.float64
     assert peak < 1.5 * 8 * 4**8
+
+
+def kron_matrix(terms, n):
+    """The dense sum of Pauli terms, term by term from Kronecker products."""
+    mats = {"X": SX, "Y": SY, "Z": SZ}
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for term in terms:
+        ref += term.coefficient * kron_chain(
+            n, {q: mats[o] for q, o in term.operators})
+    return ref
+
+
+BLOCK_CASES = {
+    "chain8": (build_heisenberg(LatticeSpec(1, (8,))), 8, 2),
+    "chain5": (build_heisenberg(LatticeSpec(1, (5,))), 5, 2),
+    "grid3x2": (build_heisenberg(LatticeSpec(2, (3, 2))), 6, 2),
+    # a Z field anticommutes with prod_i X_i: one real sector, unrotated
+    "z_field": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
+                         + (PauliTerm(0.7, ((2, "Z"),)),)), 4, 1),
+    # a single Y: one complex sector
+    "single_y": (PauliSum((PauliTerm(1.0, ((0, "Y"),)),
+                           PauliTerm(0.5, ((1, "Z"),)))), 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocked_eigenbasis_matches_kron_oracle(case):
+    h, n, sectors = BLOCK_CASES[case]
+    dense = to_dense(h, n)
+    ref = kron_matrix(h, n)
+    assert len(dense.blocks) == sectors
+    assert np.max(np.abs(dense.matrix - ref)) < 1e-12
+    ref_vals = scipy.linalg.eigh(ref, eigvals_only=True)
+    assert np.max(np.abs(dense.eigenvalues - ref_vals)) < 1e-12
+    vals, vecs = dense.eig
+    assert vals is dense.eigenvalues
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2**n))) < 1e-12
+    assert np.max(np.abs((vecs * vals) @ vecs.conj().T - ref)) < 1e-12
+    # the blocked transforms against the assembled V
+    psi = np.stack([sample_haar_state(n, s).amps for s in range(3)], axis=1)
+    coeffs = dense.to_eigenbasis(psi)
+    assert np.max(np.abs(coeffs - vecs.conj().T @ psi)) < 1e-12
+    assert np.max(np.abs(dense.from_eigenbasis(coeffs) - psi)) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["chain8", "grid3x2"])
+def test_rotated_h_is_block_diagonal(case):
+    h, n, _ = BLOCK_CASES[case]
+    rotated = kron_matrix([_hadamard_rotated(t) for t in h], n)
+    # independent of the symbolic rotation: conjugation by H^{(x)n}
+    hadamard = kron_chain(n, {q: np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+                              for q in range(n)})
+    ref = kron_matrix(h, n)
+    assert np.max(np.abs(hadamard @ ref @ hadamard - rotated)) < 1e-12
+    parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
+    assert np.all(rotated[parity[:, None] != parity[None, :]] == 0.0)
+    dense = to_dense(h, n)
+    for idx, block in zip(dense.sectors, dense.blocks):
+        assert np.all(parity[idx] == parity[idx[0]])
+        assert np.array_equal(block, rotated[np.ix_(idx, idx)].real)
+
+
+def test_to_dense_never_allocates_the_full_matrix():
+    # the two parity blocks of an 8-site chain are half of its 512 KiB H
+    h = build_heisenberg(LatticeSpec(1, (8,)))
+    to_dense(h, 8)  # fill the per-string action cache before tracing
+    tracemalloc.start()
+    try:
+        to_dense(h, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 8 * 4**8
+
+
+def fake_memory(monkeypatch, nbytes):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(tpqsim.pauli.os, "sysconf", pages.__getitem__)
+
+
+def test_byte_budget_counts_the_blocks(monkeypatch):
+    # a 9-site chain: the blocked peak, 7 x 8 x 4^8 bytes (3.5 MiB), fits in
+    # 8 MiB, where the unblocked 5 x 8 x 4^9 (10 MiB) would not
+    h = build_heisenberg(LatticeSpec(1, (9,)))
+    fake_memory(monkeypatch, 8 << 20)
+    dense = to_dense(h, 9)
+    assert len(dense.eigenvalues) == 2**9
+    fake_memory(monkeypatch, 3 << 20)
+    with pytest.raises(DimensionOverflow):
+        to_dense(h, 9)
+    # the full V, 8 x 4^9 bytes (2 MiB), checks its own size when assembled
+    fake_memory(monkeypatch, 1 << 20)
+    dense.to_eigenbasis(sample_haar_state(9, 0).amps[:, None])
+    with pytest.raises(DimensionOverflow):
+        dense.eigenvectors
 
 
 def test_invalid_lattice():

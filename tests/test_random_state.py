@@ -13,7 +13,12 @@ from tpqsim import (
     state_entropy,
     zero_state,
 )
-from tpqsim.random_state import EULER_GAMMA, entangling_patterns, random_state
+from tpqsim.random_state import (
+    EULER_GAMMA,
+    entangling_patterns,
+    random_state,
+    random_states,
+)
 from tpqsim.statevector import apply_circuit
 
 
@@ -165,3 +170,30 @@ def test_rejects_bad_spec():
         RandomCircuitSpec(LatticeSpec(1, (3,)), depth=0)
     with pytest.raises(ValueError):
         RandomCircuitSpec(LatticeSpec(1, (3,)), entangler="iswap")
+
+
+@pytest.mark.parametrize("entangler", ["cz", "cnot"])
+@pytest.mark.parametrize("dimension,extents,depth,seeds", [
+    (1, (6,), 9, [3, 17, 4, 99]),
+    (2, (3, 3), 7, [5, 6]),
+    (2, (3, 1), 4, [8, 2, 1]),  # a grid with empty bond patterns
+    (1, (4,), 1, [42]),
+    (2, (2, 3), 12, [0]),
+])
+def test_random_states_equal_the_gate_by_gate_states(dimension, extents,
+                                                      depth, seeds,
+                                                      entangler):
+    lattice = LatticeSpec(dimension, extents)
+    states = random_states(lattice, depth, entangler, seeds)
+    assert states.shape == (2**lattice.n_sites, len(seeds))
+    for column, seed in zip(states.T, seeds):
+        spec = RandomCircuitSpec(lattice, depth, entangler, seed)
+        # equal value by value; only the sign of an exact zero may differ
+        assert np.array_equal(column, random_state(spec).amps)
+
+
+def test_random_states_rejects_bad_spec():
+    with pytest.raises(ValueError):
+        random_states(LatticeSpec(1, (3,)), 0, "cz", [1])
+    with pytest.raises(ValueError):
+        random_states(LatticeSpec(1, (3,)), 2, "iswap", [1])
