@@ -41,7 +41,7 @@ from .nonunitary import (
     dilated_omega,
 )
 from .fable import BlockEncoding, apply_fable, fable_encode
-from .qite import QiteSpec, qite_circuit, qite_evolve, qite_resources
+from .qite import QiteSpec, qite_circuit, qite_evolve
 from .estimator import (
     TpqEstimate,
     TpqRunSpec,
@@ -89,7 +89,6 @@ __all__ = [
     "QiteSpec",
     "qite_circuit",
     "qite_evolve",
-    "qite_resources",
     "TpqEstimate",
     "TpqRunSpec",
     "ensemble_expectation",

@@ -40,12 +40,13 @@ from .nonunitary import (
     dilated_omega,
 )
 from .pauli import to_dense
-from .qite import QiteSpec, qite_resources
+from .qite import QiteSpec, qite_circuit, qite_evolve
 from .random_state import (
     RandomCircuitSpec,
     haar_entropy_reference,
     random_state,
     random_states,
+    sample_haar_state,
     state_entropy,
 )
 from .statevector import StateVector, expectation
@@ -151,6 +152,8 @@ _TABLE = {
     "resources.n_steps": (_COUNT, 10),
     "resources.domain": (_COUNT, None),  # None: min(N, 3)
 }
+# the backend keys that only one kind reads
+_KIND_KEYS = {"epsilon": "dilated", "n_steps": "qite", "domain": "qite"}
 
 
 def load_config(path: str) -> dict:
@@ -232,6 +235,16 @@ class _Config:
             raise ConfigError(str(exc)) from exc
 
 
+def _check_kinds(config: dict, section: str, kinds) -> None:
+    """Reject a key of `section` that only a backend kind outside `kinds`
+    reads, since it would be silently ignored."""
+    unread = sorted(k for k in config.get(section, {})
+                    if k in _KIND_KEYS and _KIND_KEYS[k] not in kinds)
+    if unread:
+        raise ConfigError(f"backend kinds {list(kinds)} do not read keys "
+                          f"{unread} of {section!r}")
+
+
 def _chains(v: dict, sizes) -> list[LatticeSpec]:
     """The 1D chains a size scan runs; it reads only the model's couplings."""
     m = v["model"]
@@ -311,6 +324,7 @@ def sweep_beta(config_path, output, seed, realizations):
                  ("random_circuit", "backend"), output, seed,
                  realizations) as (config, v):
         est_cfg, rc = v["estimate"], v["random_circuit"]
+        _check_kinds(config, "backend", [v["backend"]["kind"]])
         lattice = LatticeSpec(**v["model"])
         spec = TpqRunSpec(
             lattice, est_cfg["betas"],
@@ -392,7 +406,7 @@ def error_scan(config_path, output, seed):
                  ("random_circuit.seed",), output, seed) as (config, v):
         scan, base_seed = v["error_scan"], v["random_circuit"]["seed"]
         sizes, cmp_n = scan["sizes"], scan["compare_N"]
-        c = _chains(v, (*sizes, cmp_n))[-1]  # checks every size's chain
+        *chains, c = _chains(v, (*sizes, cmp_n))
         comparisons = [(r, [TpqRunSpec(c, _BETA_GRID, realizations=r,
                                        base_seed=base_seed + s)
                             for s in range(scan["compare_seeds"])])
@@ -400,8 +414,7 @@ def error_scan(config_path, output, seed):
     rows = []
     comments = []
     for d in scan["depths"]:
-        dsq = squared_error_scan(sizes, d, scan["beta"], scan["R"], base_seed,
-                                 c.Jx, c.Jy, c.Jz, c.hx)
+        dsq = squared_error_scan(chains, d, scan["beta"], scan["R"], base_seed)
         for n in sizes:
             rows.append(["dsq", d, n, "", dsq[n]])
         slope = np.polyfit(sizes, np.log(np.array([dsq[n] for n in sizes])), 1)[0]
@@ -415,6 +428,29 @@ def error_scan(config_path, output, seed):
               rows, comments=comments)
 
 
+def timed_builds(build, inputs):
+    """build(x) for the first of `inputs` (the other artifacts are dropped
+    once timed), and the median wall time of building each of them."""
+    seconds = []
+    for x in inputs:
+        t0 = time.perf_counter()
+        artifact = build(x)
+        seconds.append(time.perf_counter() - t0)
+        if len(seconds) == 1:
+            first = artifact
+        del artifact
+    return first, statistics.median(seconds)
+
+
+# kind -> (CNOTs, ancillas) of its artifact for n system qubits
+_ARTIFACT_COUNTS = {
+    "qite": lambda circuit, n: (circuit.cnot_count, circuit.width - n),
+    "dilated": lambda omega, n: (dilated_cnot_count(n),
+                                 len(omega).bit_length() - 1 - n),
+    "fable": lambda be, n: (be.cnot_count, be.ancilla_count),
+}
+
+
 @main.command("resources")
 @_common_options
 def resources(config_path, output, seed):
@@ -422,6 +458,7 @@ def resources(config_path, output, seed):
     with _Config(config_path, ("model", "resources"),
                  ("random_circuit.seed",), output, seed) as (config, v):
         scan = v["resources"]
+        _check_kinds(config, "resources", scan["backends"])
         chains = _chains(v, scan["sizes"])
         qspec = QiteSpec(scan["beta"], n_steps=scan["n_steps"],
                          domain=scan["domain"])
@@ -432,31 +469,25 @@ def resources(config_path, output, seed):
             n = lattice.n_sites
             h_pauli = build_heisenberg(lattice)
             if kind == "qite":
-                samples = [qite_resources(qspec, h_pauli, n, lattice,
-                                          seed=v["random_circuit"]["seed"] + i)
-                           for i in range(3)]
-                cnots = samples[0][0]
-                seconds = statistics.median(s[1] for s in samples)
-                ancillas = 0
+                # each build evolves its own Haar state, sampled untimed
+                inputs = [sample_haar_state(n, v["random_circuit"]["seed"] + i)
+                          for i in range(3)]
+
+                def build(psi):
+                    return qite_circuit(
+                        qite_evolve(qspec, h_pauli, psi, lattice)[1], n)
             else:
-                dense = to_dense(h_pauli, n)
-                op = ThermalOperator(scan["beta"], dense)
-                if kind == "dilated":
-                    times = []
-                    for _ in range(3):
-                        t0 = time.perf_counter()
-                        dilated_omega(DilationSpec(1e-1, op))
-                        times.append(time.perf_counter() - t0)
-                    cnots = dilated_cnot_count(n)
-                    seconds = statistics.median(times)
-                    ancillas = 1
-                else:
-                    encodings = [fable_encode(op) for _ in range(3)]
-                    cnots = encodings[0].cnot_count
-                    seconds = statistics.median(
-                        e.generation_seconds for e in encodings)
-                    ancillas = n + 1
-            rows.append([kind, n, cnots, ancillas, seconds])
+                # each build starts from the Pauli sum: no shared eigenbasis
+                inputs = [h_pauli] * 3
+
+                def build(h):
+                    op = ThermalOperator(scan["beta"], to_dense(h, n))
+                    if kind == "dilated":
+                        return dilated_omega(DilationSpec(1e-1, op))
+                    return fable_encode(op)
+            artifact, seconds = timed_builds(build, inputs)
+            rows.append([kind, n, *_ARTIFACT_COUNTS[kind](artifact, n),
+                         seconds])
     write_csv(v["output"]["path"], config,
               ["backend", "N", "cnot_count", "ancillas", "generation_seconds"],
               rows, comments=["generation_seconds are machine-relative "

@@ -110,9 +110,11 @@ class TpqEstimate:
         return (self.mean - self.ensemble_ref) ** 2
 
 
-def realization_seed(base_seed: int, r: int) -> int:
+def realization_seed(base_seed: int, *key: int) -> int:
+    """The seed spawned from `base_seed` at `key`: (r,) for realization r's
+    circuit, (r, 1 + beta_index) for its shot noise."""
     return int(np.random.SeedSequence(entropy=base_seed,
-                                      spawn_key=(r,)).generate_state(1)[0])
+                                      spawn_key=key).generate_state(1)[0])
 
 
 def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
@@ -188,12 +190,9 @@ def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
             values[bi] = expectations(batch, observable)
             continue
         for r, psi in enumerate(batch.T):
-            shot_seed = int(np.random.SeedSequence(
-                entropy=spec.base_seed,
-                spawn_key=(r, 1 + bi)).generate_state(1)[0])
             values[bi, r], err = sample_expectation(
                 StateVector(dense_h.n_qubits, psi), observable, spec.shots,
-                shot_seed)
+                realization_seed(spec.base_seed, r, 1 + bi))
             shot_var[bi] += err**2
     return values, shot_var
 
@@ -215,20 +214,18 @@ def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
                        shot_stderr=shot_stderr)
 
 
-def squared_error_scan(sizes, depth: int, beta: float, realizations: int,
-                       base_seed: int = 0, Jx: float = 0.5, Jy: float = 1.25,
-                       Jz: float = 2.0, hx: float = 1.0) -> dict[int, float]:
-    """Mean squared single-TPQ energy deviation per 1D system size.
+def squared_error_scan(chains, depth: int, beta: float, realizations: int,
+                       base_seed: int = 0) -> dict[int, float]:
+    """Mean squared single-TPQ energy deviation per lattice, keyed by size.
 
     D(H)^2 = mean over realizations of (<H>_TPQ - <H>_ens)^2 with the exact
-    backend, one value per N.
+    backend, one value per lattice of `chains`.
     """
     out = {}
-    for n in sizes:
-        lattice = LatticeSpec(1, (n,), Jx=Jx, Jy=Jy, Jz=Jz, hx=hx)
+    for lattice in chains:
         est = run_ensemble(TpqRunSpec(lattice, (beta,),
                                       realizations=realizations, depth=depth,
                                       base_seed=base_seed))
         deviations = est.values[0] - est.ensemble_ref[0]
-        out[n] = float(np.mean(deviations**2))
+        out[lattice.n_sites] = float(np.mean(deviations**2))
     return out

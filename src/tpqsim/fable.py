@@ -24,7 +24,6 @@ batch there and synthesizes nothing.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +31,11 @@ import numpy as np
 from .circuit import Circuit
 from .errors import EntryOutOfRange
 from .nonunitary import P0_FLOOR, ThermalOperator, check_norms
+from .pauli import _check_budget, walsh_hadamard
 from .statevector import StateVector
 
-
-def _sfwht(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform scaled by 1/2 per stage."""
-    h = 1
-    while h < len(a):
-        pairs = a.reshape(-1, 2, h)
-        x, y = pairs[:, 0], pairs[:, 1]
-        a = np.stack(((x + y) / 2.0, (x - y) / 2.0), axis=1).reshape(-1)
-        h *= 2
-    return a
+# bytes per emitted Gate object and its list slot (tracemalloc, 4-6 qubits)
+_GATE_BYTES = 168
 
 
 def _gray_permute(a: np.ndarray) -> np.ndarray:
@@ -54,24 +46,20 @@ def _gray_permute(a: np.ndarray) -> np.ndarray:
 def _encoded_block(phi: np.ndarray, n: int) -> np.ndarray:
     """cos(theta/2) for the angles theta whose compiled angles are `phi`.
 
-    Inverts `_gray_permute` and then `_sfwht` (whose inverse is the unscaled
-    transform), so a pruned (zeroed) compiled angle yields the block the
-    compressed circuit actually encodes.
+    Inverts `_gray_permute` and then the transform scaled by 1/2 per stage
+    (whose inverse is the unscaled transform), so a pruned (zeroed) compiled
+    angle yields the block the compressed circuit actually encodes.
     """
     idx = np.arange(len(phi))
     walsh = np.empty_like(phi)
     walsh[idx ^ (idx >> 1)] = phi
-    theta = len(phi) * _sfwht(walsh)
+    theta = math.sqrt(len(phi)) * walsh_hadamard(walsh)
     return np.cos(theta / 2.0).reshape(1 << n, 1 << n)
 
 
 def _gray_walk_controls(m: int) -> list[int]:
     """Control-bit index for each of the 2^m CNOTs of the Gray-code walk."""
-    controls = []
-    for k in range(1, 1 << m):
-        controls.append((k & -k).bit_length() - 1)
-    controls.append(m - 1)
-    return controls
+    return [(k & -k).bit_length() - 1 for k in range(1, 1 << m)] + [m - 1]
 
 
 @dataclass
@@ -81,7 +69,6 @@ class BlockEncoding:
     n_system: int
     circuit: Circuit
     block: np.ndarray
-    generation_seconds: float
 
     @property
     def alpha(self) -> float:
@@ -115,9 +102,9 @@ def fable_block(op: ThermalOperator,
         raise EntryOutOfRange("matrix entries must lie in [-1, 1]")
     a = np.clip(a, -1.0, 1.0)
     # theta_c = 2 arccos(a_ij) with c = (i << n) | j; compiled angles via the
-    # scaled Walsh-Hadamard transform in Gray-code order
+    # Walsh-Hadamard transform scaled by 1/2 per stage, in Gray-code order
     theta = 2.0 * np.arccos(a.flatten(order="C"))
-    phi = _gray_permute(_sfwht(theta))
+    phi = _gray_permute(walsh_hadamard(theta) / math.sqrt(len(theta)))
     phi = np.where(np.abs(phi) > compression_tol, phi, 0.0)
     return phi, _encoded_block(phi, op.n_qubits)
 
@@ -130,30 +117,26 @@ def fable_circuit(phi: np.ndarray, n: int, prune: bool = False) -> Circuit:
     included, so the exact encoding has 4^n CNOTs whatever angles round to
     zero.
     """
-    m = 2 * n
     rot_q = 2 * n
     circuit = Circuit(2 * n + 1)
+
+    def deferred_cnots(mask):
+        for bit in range(mask.bit_length()):
+            if mask >> bit & 1:
+                circuit.append("cnot", bit, rot_q)
+
     for q in range(n, 2 * n):
         circuit.append("h", q)
     pending = 0  # parity mask of CNOT controls deferred by pruning
-    for k, ctrl_bit in enumerate(_gray_walk_controls(m)):
+    for k, ctrl_bit in enumerate(_gray_walk_controls(2 * n)):
         if phi[k] != 0.0 or not prune:
-            bit = 0
-            while pending:
-                if pending & 1:
-                    circuit.append("cnot", bit, rot_q)
-                pending >>= 1
-                bit += 1
+            deferred_cnots(pending)
+            pending = 0
             circuit.append("ry", rot_q, angle=float(phi[k]))
             circuit.append("cnot", ctrl_bit, rot_q)
         else:
             pending ^= 1 << ctrl_bit
-    bit = 0
-    while pending:
-        if pending & 1:
-            circuit.append("cnot", bit, rot_q)
-        pending >>= 1
-        bit += 1
+    deferred_cnots(pending)
     for q in range(n):
         circuit.append("swap", q, n + q)
     for q in range(n, 2 * n):
@@ -165,12 +148,15 @@ def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> BlockEnco
     """Synthesize the block-encoding circuit of Q/s with subnormalization 2^N.
 
     `compression_tol` as in `fable_block`; the default keeps the circuit
-    exact.  `generation_seconds` covers compilation and gate emission.
+    exact.  Raises DimensionOverflow, before synthesizing, when the unpruned
+    circuit's 2 * 4^N + 3N gates would exceed the machine's physical memory.
     """
-    t0 = time.perf_counter()
+    n = op.n_qubits
+    _check_budget(_GATE_BYTES * (2 * 4**n + 3 * n),
+                  f"the FABLE circuit on n={n} qubits")
     phi, block = fable_block(op, compression_tol)
-    circuit = fable_circuit(phi, op.n_qubits, prune=compression_tol > 0)
-    return BlockEncoding(op.n_qubits, circuit, block, time.perf_counter() - t0)
+    circuit = fable_circuit(phi, n, prune=compression_tol > 0)
+    return BlockEncoding(n, circuit, block)
 
 
 def apply_fable(be: BlockEncoding, psi: StateVector) -> tuple[StateVector, float]:

@@ -111,12 +111,7 @@ def _string_action(operators: tuple[tuple[int, str], ...],
         else:
             sign_mask |= bit
     # parity of bits selected by sign_mask gives the (-1) factors
-    par = idx & sign_mask
-    parity = np.zeros(dim, dtype=np.int64)
-    while sign_mask:
-        parity ^= par & 1
-        par >>= 1
-        sign_mask >>= 1
+    parity = np.bitwise_count(idx & sign_mask) & 1
     target = idx ^ flip_mask
     phase = ((1j**n_y) * np.where(parity, -1.0, 1.0)).astype(complex)
     target.flags.writeable = False

@@ -13,7 +13,7 @@ during the evolution: `qite_circuit` emits the rotations as CNOT-ladder
 gadgets, for resource counts and replay, and replaying that circuit
 reproduces the evolution.
 
-Sign convention: coefficients x solve (Re S + Re S^T + reg I) x = 2 b with
+Sign convention: coefficients x solve (Re S + Re S^T + _REG I) x = 2 b with
 S_IJ = <psi| s_I s_J |psi> and b_J = Im <delta | s_J psi>, which minimizes
 ||delta + i sum_J x_J s_J psi||; each string then contributes exp(-i x_J s_J).
 The solve runs in the eigenbasis of the symmetric matrix and drops
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -36,8 +35,12 @@ from .circuit import Circuit
 from .errors import DomainTooSmallWarning, SingularSystem
 from .lattice import LatticeSpec
 from .pauli import PauliSum, PauliTerm, pauli_string_action
-from .random_state import sample_haar_state
 from .statevector import StateVector
+
+# Tikhonov term of the least-squares solve, and the rotation angle at or
+# below which a rotation is dropped
+_REG = 1e-8
+_PRUNE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,6 @@ class QiteSpec:
     beta: float
     n_steps: int = 10
     domain: int | None = None  # defaults to min(N, 3)
-    reg: float = 1e-8
-    prune_tol: float = 1e-10
 
     def __post_init__(self):
         if self.beta < 0:
@@ -161,10 +162,10 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
             gram = sigma_psi.conj() @ sigma_psi.T
             s_sym = gram.real + gram.real.T
             b = 2.0 * (sigma_psi @ delta.conj()).imag
-            x = _regularized_solve(s_sym, b, spec.reg)
+            x = _regularized_solve(s_sym, b)
 
             for x_j, (tgt, ph), placed in zip(x, actions, labels):
-                if abs(x_j) > spec.prune_tol:
+                if abs(x_j) > _PRUNE_TOL:
                     # exp(-i x P) = cos(x) I - i sin(x) P
                     shifted[tgt] = ph * state
                     state = math.cos(x_j) * state - 1j * math.sin(x_j) * shifted
@@ -172,8 +173,8 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
     return StateVector(n, state), rotations
 
 
-def _regularized_solve(s_sym: np.ndarray, b: np.ndarray, reg: float) -> np.ndarray:
-    """(s_sym + reg I)^{-1} b on the eigen-directions of s_sym above round-off.
+def _regularized_solve(s_sym: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(s_sym + _REG I)^{-1} b on the eigen-directions of s_sym above round-off.
 
     Directions with eigenvalue at or below #strings * eps * lambda_max are
     null analytically (b is orthogonal to them), so they get coefficient 0.
@@ -184,21 +185,7 @@ def _regularized_solve(s_sym: np.ndarray, b: np.ndarray, reg: float) -> np.ndarr
         raise SingularSystem("QITE least-squares solve failed") from exc
     keep = lam > len(lam) * np.finfo(float).eps * lam[-1]
     vecs = vecs[:, keep]
-    x = vecs @ ((vecs.T @ b) / (lam[keep] + reg))
+    x = vecs @ ((vecs.T @ b) / (lam[keep] + _REG))
     if not np.all(np.isfinite(x)):
         raise SingularSystem("QITE least-squares solve failed")
     return x
-
-
-def qite_resources(spec: QiteSpec, h: PauliSum, n: int,
-                   lattice: LatticeSpec | None = None,
-                   seed: int = 0) -> tuple[int, float]:
-    """CNOT count and wall-clock generation time for one QITE circuit.
-
-    Uses a seeded Haar-random input; counts are additive across steps and
-    terms by construction.
-    """
-    psi = sample_haar_state(n, seed)
-    t0 = time.perf_counter()
-    _, rotations = qite_evolve(spec, h, psi, lattice)
-    return qite_circuit(rotations, n).cnot_count, time.perf_counter() - t0

@@ -102,9 +102,10 @@ def test_single_state_error_shrinks_with_system_size():
     # isotropic chain: the anisotropic couplings give a flat single-state
     # error over this size range, so the size trend is probed where it exists
     sizes = list(range(2, 11))
-    couplings = dict(Jx=1.0, Jy=1.0, Jz=1.0, hx=1.0)
-    dsq = {d: squared_error_scan(sizes, d, beta=0.5, realizations=100,
-                                 base_seed=0, **couplings) for d in (2, 50)}
+    chains = [LatticeSpec(1, (n,), Jx=1.0, Jy=1.0, Jz=1.0, hx=1.0)
+              for n in sizes]
+    dsq = {d: squared_error_scan(chains, d, beta=0.5, realizations=100,
+                                 base_seed=0) for d in (2, 50)}
     slopes = {d: float(np.polyfit(sizes,
                                   np.log([dsq[d][n] for n in sizes]), 1)[0])
               for d in (2, 50)}

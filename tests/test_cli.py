@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tpqsim
 from tpqsim.cli import config_hash, load_config, main
 from tpqsim.errors import ConfigError
+from tpqsim.pauli import to_dense
 
 
 @pytest.fixture
@@ -216,6 +217,20 @@ _SCAN = {"sizes": [2, 3], "depths": [2], "R": 1, "compare_R": [1],
                    "random_circuit": {"entangler": "cnot"}}),
     ("resources", {"resources": {"sizes": [2]},
                    "backend": {"kind": "qite"}}),
+    # backend keys that the run's kinds do not read
+    ("sweep-beta", {"backend": {"kind": "exact", "epsilon": 0.5, "n_steps": 3,
+                                "domain": 2}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"epsilon": 0.5}, "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "dilated", "n_steps": 3},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "fable", "domain": 2},
+                    "estimate": _ONE_BETA}),
+    ("sweep-beta", {"backend": {"kind": "qite", "epsilon": 0.5},
+                    "estimate": _ONE_BETA}),
+    ("resources", {"resources": {"sizes": [2], "backends": ["dilated", "fable"],
+                                 "n_steps": 3, "domain": 2}}),
+    ("resources", {"resources": {"sizes": [2], "backends": ["fable"],
+                                 "n_steps": 3}}),
 ])
 def test_bad_values_are_config_errors(runner, tmp_path, subcommand, body):
     cfg = write_config(tmp_path, {
@@ -295,6 +310,26 @@ def test_resources(runner, tmp_path):
     by_kind = {r[0]: r for r in data}
     assert by_kind["fable"][2] == "16" and by_kind["fable"][3] == "3"
     assert by_kind["dilated"][2] == "36" and by_kind["dilated"][3] == "1"
+
+
+def test_resources_times_independent_builds(runner, tmp_path, monkeypatch):
+    # each of the 3 timed dilated and FABLE builds starts from the Pauli sum,
+    # so it makes its own dense H and caches nothing another build reads
+    calls = []
+
+    def counted(h, n):
+        calls.append(n)
+        return to_dense(h, n)
+
+    monkeypatch.setattr("tpqsim.cli.to_dense", counted)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [2]},
+        "resources": {"sizes": [2], "backends": ["dilated", "fable"]},
+        "output": {"path": str(tmp_path / "res.csv")},
+    })
+    result = runner.invoke(main, ["resources", cfg])
+    assert result.exit_code == 0, result.output
+    assert calls == [2] * 6
 
 
 def test_resources_unknown_backend(runner, tmp_path):
@@ -383,31 +418,33 @@ def test_config_errors_come_before_compute(runner, tmp_path, monkeypatch,
 _MODEL = {"dimension": 1, "extents": [2], "Jx": 0.5, "Jy": 1.25, "Jz": 2.0,
           "hx": 1.0}
 _CIRCUIT = {"depth": 2, "entangler": "cz", "seed": 0}
-# a tiny valid config per subcommand that sets every key it reads
-_TINY = {
-    "sweep-beta": {
-        "model": _MODEL, "random_circuit": _CIRCUIT,
-        "backend": {"kind": "qite", "epsilon": 0.1, "n_steps": 1,
-                    "domain": 2},
-        "estimate": {"betas": [0.5], "R": 2, "shots": 0,
-                     "observable": "energy"}},
-    "entropy-scan": {"model": _MODEL, "random_circuit": _CIRCUIT,
-                     "entropy": {"depths": [1, 2], "seeds": 2}},
-    "dilation-scan": {"model": _MODEL, "random_circuit": _CIRCUIT,
-                      "dilation": {"beta": 0.5, "epsilons": [0.1], "R": 2}},
-    "error-scan": {"model": _MODEL, "random_circuit": {"seed": 0},
-                   "error_scan": {"sizes": [2, 3], "depths": [2],
-                                  "beta": 0.5, "R": 2, "compare_R": [1],
-                                  "compare_N": 2, "compare_seeds": 1}},
-    "resources": {"model": _MODEL, "random_circuit": {"seed": 0},
-                  "resources": {"sizes": [2],
-                                "backends": ["qite", "dilated", "fable"],
-                                "beta": 0.5, "n_steps": 1, "domain": 2}},
-}
-_FUZZ_KEYS = [(command, section, key)
-              for command, config in _TINY.items()
+_ESTIMATE = {"betas": [0.5], "R": 2, "shots": 0, "observable": "energy"}
+# tiny valid configs that, together, set every key each subcommand reads; a
+# backend key is read by one kind only, so sweep-beta has two
+_TINY = [
+    ("sweep-beta", {"model": _MODEL, "random_circuit": _CIRCUIT,
+                    "backend": {"kind": "qite", "n_steps": 1, "domain": 2},
+                    "estimate": _ESTIMATE}),
+    ("sweep-beta", {"model": _MODEL, "random_circuit": _CIRCUIT,
+                    "backend": {"kind": "dilated", "epsilon": 0.1},
+                    "estimate": _ESTIMATE}),
+    ("entropy-scan", {"model": _MODEL, "random_circuit": _CIRCUIT,
+                      "entropy": {"depths": [1, 2], "seeds": 2}}),
+    ("dilation-scan", {"model": _MODEL, "random_circuit": _CIRCUIT,
+                       "dilation": {"beta": 0.5, "epsilons": [0.1], "R": 2}}),
+    ("error-scan", {"model": _MODEL, "random_circuit": {"seed": 0},
+                    "error_scan": {"sizes": [2, 3], "depths": [2],
+                                   "beta": 0.5, "R": 2, "compare_R": [1],
+                                   "compare_N": 2, "compare_seeds": 1}}),
+    ("resources", {"model": _MODEL, "random_circuit": {"seed": 0},
+                   "resources": {"sizes": [2],
+                                 "backends": ["qite", "dilated", "fable"],
+                                 "beta": 0.5, "n_steps": 1, "domain": 2}}),
+]
+_FUZZ_KEYS = [(i, section, key)
+              for i, (_, config) in enumerate(_TINY)
               for section, body in config.items() for key in body]
-_FUZZ_KEYS += [(command, "output", "path") for command in _TINY]
+_FUZZ_KEYS += [(i, "output", "path") for i in range(len(_TINY))]
 _HOSTILE = [None, True, "x", -1, 0, 1.5, [[1]], [], {}]
 
 
@@ -416,8 +453,9 @@ _HOSTILE = [None, True, "x", -1, 0, 1.5, [[1]], [], {}]
 @given(st.sampled_from([(*target, value) for target in _FUZZ_KEYS
                         for value in _HOSTILE]))
 def test_hostile_config_value_runs_or_exits_cleanly(case):
-    command, section, key, value = case
-    config = json.loads(json.dumps(_TINY[command]))
+    index, section, key, value = case
+    command, tiny = _TINY[index]
+    config = json.loads(json.dumps(tiny))
     config["output"] = {"path": "out.csv"}
     config[section][key] = value
     runner = CliRunner()
@@ -438,7 +476,7 @@ def test_hostile_config_value_runs_or_exits_cleanly(case):
      lattice.n_sites),
     ("resources", [2], {"resources": {"sizes": [2, 40],
                                       "backends": ["qite"]}},
-     "qite_resources", lambda qspec, h, n, lattice, seed: n),
+     "sample_haar_state", lambda n, seed: n),
 ])
 def test_refused_allocation_is_backend_failure(runner, tmp_path, monkeypatch,
                                                subcommand, extents, body,

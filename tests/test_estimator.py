@@ -164,8 +164,8 @@ def test_magnetization_observable(chain3):
 
 
 def test_squared_error_scan_positive():
-    out = squared_error_scan([2, 3], depth=10, beta=0.5, realizations=10,
-                             base_seed=6)
+    out = squared_error_scan([LatticeSpec(1, (n,)) for n in (2, 3)],
+                             depth=10, beta=0.5, realizations=10, base_seed=6)
     assert set(out) == {2, 3}
     assert all(v > 0 for v in out.values())
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import tpqsim.pauli
 from tpqsim import (
+    DimensionOverflow,
     LatticeSpec,
     PauliSum,
     PauliTerm,
@@ -14,7 +16,6 @@ from tpqsim import (
     fable_encode,
     to_dense,
 )
-from tpqsim.fable import _sfwht
 from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import sample_haar_state
 
@@ -111,20 +112,20 @@ def test_entry_range_guard():
         fable_encode(bad)
 
 
-def test_sfwht_matches_butterfly_loop():
-    def loop_sfwht(a):
-        a = a.copy()
-        h = 1
-        while h < len(a):
-            for i in range(0, len(a), 2 * h):
-                x, y = a[i:i + h].copy(), a[i + h:i + 2 * h].copy()
-                a[i:i + h], a[i + h:i + 2 * h] = (x + y) / 2.0, (x - y) / 2.0
-            h *= 2
-        return a
-
-    for m in (0, 1, 2, 5, 8):
-        a = np.random.default_rng(m).normal(size=1 << m)
-        assert np.array_equal(_sfwht(a), loop_sfwht(a))
+def test_gate_bytes_are_budgeted(monkeypatch):
+    # 4 sites: 2 * 4^4 + 12 gates of 168 B (86 KiB) fit in 128 KiB and not in
+    # 64 KiB, where the dense H and its eigenvectors (5.5 KiB) still fit
+    h = build_heisenberg(LatticeSpec(1, (4,)))
+    for kib, fits in ((128, True), (64, False)):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": kib // 4}
+        monkeypatch.setattr(tpqsim.pauli.os, "sysconf", pages.__getitem__)
+        op = ThermalOperator(0.5, to_dense(h, 4))
+        op.scaled  # assembles the eigenvectors under the same budget
+        if fits:
+            assert fable_encode(op).cnot_count == 256
+        else:
+            with pytest.raises(DimensionOverflow, match="FABLE circuit"):
+                fable_encode(op)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -15,7 +15,7 @@ from tpqsim import (
     nearest_neighbor_pairs,
     to_dense,
 )
-from tpqsim.pauli import _hadamard_rotated
+from tpqsim.pauli import _hadamard_rotated, walsh_hadamard
 from tpqsim.random_state import sample_haar_state
 
 from conftest import SX, SY, SZ, kron_chain
@@ -255,6 +255,31 @@ def test_byte_budget_counts_the_blocks(monkeypatch):
     dense.to_eigenbasis(sample_haar_state(9, 0).amps[:, None])
     with pytest.raises(DimensionOverflow):
         dense.eigenvectors
+
+
+def test_walsh_hadamard_matches_butterfly_loop():
+    def loop_sfwht(a):
+        """The transform scaled by 1/2 per stage, one pair slice at a time."""
+        a = a.copy()
+        h = 1
+        while h < len(a):
+            for i in range(0, len(a), 2 * h):
+                x, y = a[i:i + h].copy(), a[i + h:i + 2 * h].copy()
+                a[i:i + h], a[i + h:i + 2 * h] = (x + y) / 2.0, (x - y) / 2.0
+            h *= 2
+        return a
+
+    for m in (0, 1, 2, 5, 8):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=1 << m)
+        scale = np.sqrt(len(a))  # 2^{m/2}: orthogonal vs halved per stage
+        assert np.max(np.abs(walsh_hadamard(a.copy()) / scale
+                             - loop_sfwht(a))) < 1e-15
+        # a (2^m, 3) batch transforms each column along axis 0
+        batch = rng.normal(size=(1 << m, 3)) + 1j * rng.normal(size=(1 << m, 3))
+        ref = np.stack([loop_sfwht(col) for col in batch.T], axis=1)
+        assert np.max(np.abs(walsh_hadamard(batch.copy()) / scale
+                             - ref)) < 1e-15
 
 
 def test_invalid_lattice():

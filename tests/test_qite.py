@@ -14,9 +14,9 @@ from tpqsim import (
     build_heisenberg,
     qite_circuit,
     qite_evolve,
-    qite_resources,
     to_dense,
 )
+from tpqsim.cli import timed_builds
 from tpqsim.pauli import PauliTerm, to_dense as pauli_to_dense, PauliSum
 from tpqsim.qite import _term_window
 from tpqsim.random_state import sample_haar_state
@@ -165,10 +165,16 @@ def test_cnot_count_invariant_under_global_phase(n, d):
     assert len(counts) == 1
 
 
+def qite_build(spec, h, n, lattice=None):
+    """The QITE circuit of one input state, as `resources` builds it."""
+    return lambda psi: qite_circuit(qite_evolve(spec, h, psi, lattice)[1], n)
+
+
 def test_resources_zero_beta(chain2):
     h = build_heisenberg(chain2)
-    cnots, seconds = qite_resources(QiteSpec(0.0), h, 2)
-    assert cnots == 0
+    circuit, seconds = timed_builds(qite_build(QiteSpec(0.0), h, 2),
+                                    [sample_haar_state(2, 0)])
+    assert circuit.cnot_count == 0
     assert seconds >= 0.0
 
 
@@ -177,6 +183,8 @@ def test_generation_time_grows_with_system():
     for n in (2, 3):
         lattice = LatticeSpec(1, (n,))
         h = build_heisenberg(lattice)
-        _, secs = qite_resources(QiteSpec(1.0, n_steps=5, domain=n), h, n, lattice)
+        _, secs = timed_builds(
+            qite_build(QiteSpec(1.0, n_steps=5, domain=n), h, n, lattice),
+            [sample_haar_state(n, 0)])
         times.append(secs)
     assert times[1] > times[0]
