@@ -49,7 +49,7 @@ from .random_state import (
     sample_haar_state,
     state_entropy,
 )
-from .statevector import StateVector, expectation
+from .statevector import StateVector, expectations
 
 _BIG = sys.float_info.max
 
@@ -383,12 +383,9 @@ def dilation_scan(config_path, output, seed):
     rows = []
     for eps in scan["epsilons"]:
         dspec = DilationSpec(eps, op)
-        energies, p0s, fids = [], [], []
-        for psi in states:
-            out, p0, fid = apply_dilated(dspec, psi)
-            energies.append(expectation(out, h_pauli))
-            p0s.append(p0)
-            fids.append(fid)
+        outs, p0s, fids = zip(*(apply_dilated(dspec, psi) for psi in states))
+        energies = expectations(np.stack([out.amps for out in outs], axis=1),
+                                h_pauli)
         # successful post-selections occur in proportion to P0, so the
         # measured-energy average weights each realization by it
         mean_energy = float(np.average(energies, weights=p0s))
@@ -429,17 +426,16 @@ def error_scan(config_path, output, seed):
 
 
 def timed_builds(build, inputs):
-    """build(x) for the first of `inputs` (the other artifacts are dropped
-    once timed), and the median wall time of building each of them."""
+    """build(x) for the first of `inputs`, and the median wall time of
+    building each of them.  The first is built last and each other artifact
+    is dropped before the next build, so no two artifacts are alive at once."""
     seconds = []
-    for x in inputs:
+    for x in [*inputs[1:], inputs[0]]:
+        artifact = None
         t0 = time.perf_counter()
         artifact = build(x)
         seconds.append(time.perf_counter() - t0)
-        if len(seconds) == 1:
-            first = artifact
-        del artifact
-    return first, statistics.median(seconds)
+    return artifact, statistics.median(seconds)
 
 
 # kind -> (CNOTs, ancillas) of its artifact for n system qubits

@@ -124,7 +124,7 @@ def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
     `a=None` means A = H, which needs only the eigenvalues.  `beta` is a
     scalar (float result) or a 1-D sequence (one value per beta); any other
     A's eigenbasis diagonal <v_k|A|v_k> is computed once per call, from the
-    full eigenvectors.
+    full eigenvectors; `apply_pauli_sum` checks its bytes first.
     """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta < 0):

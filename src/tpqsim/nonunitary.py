@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProbability
-from .pauli import DenseHermitian
+from .pauli import DenseHermitian, _check_budget
 from .statevector import StateVector
 
 
@@ -149,8 +149,15 @@ class DilationSpec:
 
 def dilated_omega(spec: DilationSpec) -> np.ndarray:
     """exp(i eps [[0, -iQ'], [iQ', 0]]) = [[cos(eps Q'), sin(eps Q')],
-    [-sin(eps Q'), cos(eps Q')]], with the ancilla as the most significant qubit."""
-    vecs = spec.operator.hamiltonian.eigenvectors
+    [-sin(eps Q'), cos(eps Q')]], with the ancilla as the most significant qubit.
+
+    Raises DimensionOverflow, before allocating, when V and what builds Omega
+    (11 matrices of H's size at 7 and 8 sites) exceed physical memory.
+    """
+    h = spec.operator.hamiltonian
+    _check_budget(12 * h.blocks[0].itemsize * h.dim**2,
+                  f"the dilated unitary on n={h.n_qubits} + 1 qubits")
+    vecs = h.eigenvectors
     angles = spec.epsilon * spec.operator.scaled_eigenvalues()
     cos_b = (vecs * np.cos(angles)) @ vecs.conj().T
     sin_b = (vecs * np.sin(angles)) @ vecs.conj().T

@@ -4,6 +4,12 @@ Convention used throughout the package: qubit 0 is the least significant bit
 of the computational-basis index, so basis state |b_{n-1} ... b_1 b_0> sits at
 array index sum_q b_q 2^q.
 
+A Pauli string is three integers, its flip mask, sign mask and Y count:
+(c P a)[j] = c (-i)^{#Y} (-1)^{popcount(j & sign)} a[j ^ flip].  A sum's
+terms are grouped by flip mask, and each group acts as one diagonal times one
+gather, the diagonal built only while its group is applied; no table per
+string outlives a call.
+
 A dense Hamiltonian is held as its symmetry blocks: a sum whose terms all
 commute with prod_i X_i (every XYZ + hx model) is built in the basis rotated
 by H^{(x)n}, as two blocks of size 2^(n-1) that are diagonalized separately.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -75,61 +81,68 @@ class PauliSum:
     def __iter__(self):
         return iter(self.terms)
 
-    @property
-    def max_qubit(self) -> int:
-        return max((q for t in self.terms for q in t.support), default=-1)
 
-
-def pauli_string_action(term: PauliTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation/phase form of a Pauli string on n qubits.
-
-    A Pauli string maps |b> to phase(b) |b ^ mask>.  Returns (target_index,
-    phase) arrays of length 2^n such that (P psi)[target_index] = phase * psi.
-    The arrays are cached per (string, n) and read-only.
-    """
-    return _string_action(term.operators, n)
-
-
-@lru_cache(maxsize=1024)
-def _string_action(operators: tuple[tuple[int, str], ...],
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    dim = 1 << n
-    idx = np.arange(dim)
-    flip_mask = 0
-    sign_mask = 0
-    n_y = 0
+def _masks(operators: tuple[tuple[int, str], ...],
+           n: int) -> tuple[int, int, int]:
+    """(flip, sign, #Y) of a Pauli string on n qubits: the string maps
+    amplitudes as (P a)[j] = (-i)^{#Y} (-1)^{popcount(j & sign)} a[j ^ flip],
+    where X and Y flip their qubit's bit and Y and Z give its sign."""
+    flip = sign = n_y = 0
     for q, o in operators:
         if q >= n:
             raise IndexError(f"qubit {q} out of range for n={n}")
-        bit = 1 << q
-        if o == "X":
-            flip_mask |= bit
-        elif o == "Y":
-            flip_mask |= bit
-            sign_mask |= bit
-            n_y += 1
-        else:
-            sign_mask |= bit
-    # parity of bits selected by sign_mask gives the (-1) factors
-    parity = np.bitwise_count(idx & sign_mask) & 1
-    target = idx ^ flip_mask
-    phase = ((1j**n_y) * np.where(parity, -1.0, 1.0)).astype(complex)
-    target.flags.writeable = False
-    phase.flags.writeable = False
-    return target, phase
+        flip |= (o != "Z") << q
+        sign |= (o != "X") << q
+        n_y += o == "Y"
+    return flip, sign, n_y
+
+
+def _flip_groups(p: PauliSum, n: int) -> dict[int, list[tuple[float, int, int]]]:
+    """p's terms keyed by flip mask, each as (coefficient, sign, #Y), in
+    order of appearance: a group acts as one diagonal times one gather."""
+    groups: dict[int, list[tuple[float, int, int]]] = {}
+    for term in p:
+        flip, sign, n_y = _masks(term.operators, n)
+        groups.setdefault(flip, []).append((term.coefficient, sign, n_y))
+    return groups
+
+
+def _diagonal(group: list[tuple[float, int, int]], rows: np.ndarray) -> np.ndarray:
+    """d[k] = sum over the group of c (-i)^{#Y} (-1)^{popcount(rows[k] & sign)},
+    summed in group order; real when every #Y is even."""
+    d = np.zeros(len(rows), complex if any(y % 2 for *_, y in group) else float)
+    for coefficient, sign, n_y in group:
+        phase = coefficient * (1, -1j, -1, 1j)[n_y % 4]
+        d += np.where(np.bitwise_count(rows & sign) & 1, -phase, phase)
+    return d
 
 
 def apply_pauli_sum(amps: np.ndarray, n: int, p: PauliSum) -> np.ndarray:
-    """A amps for one state or a (2^n, m) batch of column states."""
+    """A amps for one state or a (2^n, m) batch of column states.
+
+    One gather per flip mask, A a = sum_groups d * a[idx ^ flip], with only
+    the group at hand's diagonal d alive.  Raises IndexError when a term
+    touches a qubit >= n, and DimensionOverflow, before allocating, when the
+    complex output, one gather and one product exceed physical memory.
+    """
+    _check_budget((32 + amps.itemsize) * amps.size,
+                  f"applying a Pauli sum to {amps.shape} amplitudes")
+    idx = np.arange(1 << n)
     out = np.zeros(amps.shape, dtype=complex)
-    for term in p:
-        target, phase = pauli_string_action(term, n)
-        if amps.ndim == 2:
-            phase = phase[:, None]
-        # target flips a fixed bit mask, so it is its own inverse and the
-        # sum can gather, (P amps)[i] = (phase * amps)[target[i]]
-        out += (term.coefficient * phase * amps)[target]
+    for flip, group in _flip_groups(p, n).items():
+        d = _diagonal(group, idx)
+        out += (d[:, None] if amps.ndim == 2 else d) * amps[idx ^ flip]
     return out
+
+
+def string_gathers(strings, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather form of unit Pauli strings, stacked: the (k, 2^n) source
+    indices and phases with (P_k a)[j] = phases[k, j] a[sources[k, j]]."""
+    idx = np.arange(1 << n)
+    masks = [_masks(s, n) for s in strings]
+    phases = [_diagonal([(1.0, sign, n_y)], idx) for _, sign, n_y in masks]
+    return (idx ^ np.array([[flip] for flip, _, _ in masks]),
+            np.array(phases, dtype=complex))
 
 
 def walsh_hadamard(a: np.ndarray) -> np.ndarray:
@@ -317,17 +330,19 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     even- and odd-popcount blocks of size 2^(n-1); the full matrix is never
     allocated.  Any other sum is one 2^n block, unrotated.  A string with an
     even number of Y letters has phases +-1, so a sum of such strings is
-    built real, as float64, and any other sum complex.  Each term is a
-    permutation-with-phase matrix, accumulated column-wise: O(|terms| 2^n)
-    plus the allocation.  Raises DimensionOverflow, before allocating, when
+    built real, as float64, and any other sum complex.  The terms sharing a
+    flip mask fill one diagonal, scattered once into each block:
+    O(|terms| 2^n) plus the allocation.  Raises IndexError when a term
+    touches a qubit >= n, and DimensionOverflow, before allocating, when
     diagonalizing the blocks would take more than the machine's physical
     memory.
     """
-    if p.max_qubit >= n:
-        raise IndexError(f"term touches qubit {p.max_qubit} but n={n}")
     real = all(sum(o == "Y" for _, o in t.operators) % 2 == 0 for t in p)
     rotated = n >= 1 and all(sum(o != "X" for _, o in t.operators) % 2 == 0
                              for t in p)
+    if rotated:
+        p = PauliSum(tuple(map(_hadamard_rotated, p)))
+    groups = _flip_groups(p, n)
     dtype = np.dtype(float if real else complex)
     sectors = _sector_indices(n, 2 if rotated else 1)
     size = len(sectors[0])
@@ -335,12 +350,10 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
                   * size**2, f"diagonalizing H on n={n} qubits")
     blocks = tuple(np.zeros((size, size), dtype=dtype) for _ in sectors)
     shift = len(sectors) - 1  # an index's position in its sector
-    cols = np.arange(size)
-    for term in p:
-        if rotated:
-            term = _hadamard_rotated(term)
-        target, phase = pauli_string_action(term, n)
-        values = term.coefficient * (phase.real if real else phase)
+    rows = np.arange(size)
+    for flip, group in groups.items():
+        # each group fills the entries (j, j ^ flip), which no other group
+        # touches; a rotated flip has even popcount, so it keeps the sector
         for block, idx in zip(blocks, sectors):
-            block[target[idx] >> shift, cols] += values[idx]
+            block[rows, (idx ^ flip) >> shift] = _diagonal(group, idx)
     return DenseHermitian(n, blocks)

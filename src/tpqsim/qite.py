@@ -34,7 +34,7 @@ import numpy as np
 from .circuit import Circuit
 from .errors import DomainTooSmallWarning, SingularSystem
 from .lattice import LatticeSpec
-from .pauli import PauliSum, PauliTerm, pauli_string_action
+from .pauli import PauliSum, PauliTerm, string_gathers
 from .statevector import StateVector
 
 # Tikhonov term of the least-squares solve, and the rotation angle at or
@@ -84,19 +84,6 @@ def _term_window(term: PauliTerm, n: int, d: int,
     return tuple(range(start, start + d))
 
 
-def _window_basis(window: tuple[int, ...], n: int):
-    """Permutation/phase actions for every non-identity Pauli string on window."""
-    actions = []
-    labels = []
-    for ops in itertools.product("IXYZ", repeat=len(window)):
-        placed = tuple((q, o) for q, o in zip(window, ops) if o != "I")
-        if not placed:
-            continue
-        actions.append(pauli_string_action(PauliTerm(1.0, placed), n))
-        labels.append(placed)
-    return actions, labels
-
-
 def qite_circuit(rotations, n: int) -> Circuit:
     """The gadget circuit of `rotations` on n qubits, for counts and replay.
 
@@ -138,38 +125,35 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
     dtau = (spec.beta / 2.0) / spec.n_steps
 
     windows = [_term_window(t, n, d, lattice) for t in h]
-    basis_cache: dict[tuple[int, ...], tuple] = {}
-    for w in windows:
-        if w not in basis_cache:
-            basis_cache[w] = _window_basis(w, n)
+    fits = {}  # each window's non-identity strings, with their gather form
+    for w in dict.fromkeys(windows):
+        labels = [s for ops in itertools.product("IXYZ", repeat=d)
+                  if (s := tuple((q, o) for q, o in zip(w, ops) if o != "I"))]
+        fits[w] = (*string_gathers(labels, n), labels)
+    term_gathers = list(zip(*string_gathers([t.operators for t in h], n)))
 
     state = psi.amps.copy()
-    shifted = np.empty_like(state)  # P state for the string P at hand
     for _ in range(spec.n_steps):
-        for term, window in zip(h, windows):
-            actions, labels = basis_cache[window]
+        for term, window, (source, phase) in zip(h, windows, term_gathers):
+            sources, phases, labels = fits[window]
             # e^{-dtau c P} = cosh(dtau c) I - sinh(dtau c) P on the term's string
-            target_idx, phase = pauli_string_action(term, n)
-            shifted[target_idx] = phase * state
+            shifted = phase * state[source]
             evolved = math.cosh(dtau * term.coefficient) * state \
                 - math.sinh(dtau * term.coefficient) * shifted
             evolved /= np.linalg.norm(evolved)
             delta = evolved - state
 
-            sigma_psi = np.empty((len(actions), state.size), dtype=complex)
-            for i, (tgt, ph) in enumerate(actions):
-                sigma_psi[i, tgt] = ph * state
+            sigma_psi = phases * state[sources]
             gram = sigma_psi.conj() @ sigma_psi.T
             s_sym = gram.real + gram.real.T
             b = 2.0 * (sigma_psi @ delta.conj()).imag
             x = _regularized_solve(s_sym, b)
 
-            for x_j, (tgt, ph), placed in zip(x, actions, labels):
-                if abs(x_j) > _PRUNE_TOL:
-                    # exp(-i x P) = cos(x) I - i sin(x) P
-                    shifted[tgt] = ph * state
-                    state = math.cos(x_j) * state - 1j * math.sin(x_j) * shifted
-                    rotations.append((placed, 2.0 * x_j))
+            for j in np.flatnonzero(np.abs(x) > _PRUNE_TOL):
+                # exp(-i x P) = cos(x) I - i sin(x) P
+                shifted = phases[j] * state[sources[j]]
+                state = math.cos(x[j]) * state - 1j * math.sin(x[j]) * shifted
+                rotations.append((labels[j], 2.0 * x[j]))
     return StateVector(n, state), rotations
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .pauli import PauliSum, apply_pauli_sum, pauli_string_action
+from .pauli import PauliSum, PauliTerm, apply_pauli_sum
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -171,9 +171,8 @@ def sample_expectation(psi: StateVector, a: PauliSum, shots: int,
         if term.weight == 0:
             mean += term.coefficient
             continue
-        target, phase = pauli_string_action(term, psi.n)
-        shifted = np.empty_like(psi.amps)
-        shifted[target] = phase * psi.amps
+        shifted = apply_pauli_sum(psi.amps, psi.n,
+                                  PauliSum((PauliTerm(1.0, term.operators),)))
         p_plus = (1.0 + float(np.vdot(psi.amps, shifted).real)) / 2.0
         p_plus = min(max(p_plus, 0.0), 1.0)
         hits = rng.binomial(shots, p_plus)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpqsim
-from tpqsim.cli import config_hash, load_config, main
+from tpqsim.cli import config_hash, load_config, main, timed_builds
 from tpqsim.errors import ConfigError
 from tpqsim.pauli import to_dense
 
@@ -515,3 +516,43 @@ def test_dense_model_beyond_memory_is_backend_failure(runner, tmp_path):
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,body,refused", [
+    ("resources", {"resources": {"sizes": [6], "backends": ["dilated"]}},
+     "the dilated unitary"),
+    ("sweep-beta", {"estimate": {"betas": [0.5], "R": 2,
+                                 "observable": "magnetization_x"}},
+     "applying a Pauli sum to (64, 64)"),
+])
+def test_dense_artifact_beyond_its_budget_is_backend_failure(
+        runner, tmp_path, monkeypatch, subcommand, body, refused):
+    # on a 6-site chain with 128 KiB of memory, the blocks (56 KiB) and V
+    # (32 KiB) fit; Omega, or the magnetization applied to all of V, does not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [6]},
+        "output": {"path": str(tmp_path / "x.csv")}, **body,
+    })
+    result = runner.invoke(main, [subcommand, cfg])
+    assert result.exit_code == 2, result.output
+    assert f"backend failure: {refused}" in result.output
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_timed_builds_keeps_one_artifact_alive():
+    class Artifact:
+        def __init__(self, x):
+            self.x = x
+
+    alive = []
+
+    def build(x):
+        assert not any(ref() for ref in alive)
+        artifact = Artifact(x)
+        alive.append(weakref.ref(artifact))
+        return artifact
+
+    artifact, seconds = timed_builds(build, ["kept", "b", "c"])
+    assert artifact.x == "kept" and len(alive) == 3 and seconds >= 0.0

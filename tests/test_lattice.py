@@ -15,8 +15,9 @@ from tpqsim import (
     nearest_neighbor_pairs,
     to_dense,
 )
-from tpqsim.pauli import _hadamard_rotated, walsh_hadamard
+from tpqsim.pauli import _hadamard_rotated, apply_pauli_sum, walsh_hadamard
 from tpqsim.random_state import sample_haar_state
+from tpqsim.statevector import expectations, sample_expectation
 
 from conftest import SX, SY, SZ, kron_chain
 
@@ -94,17 +95,76 @@ def test_dense_heisenberg_traceless_real_symmetric(chain2):
     assert np.max(np.abs(m - m.T)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_dense_matches_kron_oracle(n):
-    lattice = LatticeSpec(1, (n,))
-    dense = to_dense(build_heisenberg(lattice), n)
-    ref = np.zeros((2**n, 2**n), dtype=complex)
-    mats = {"X": SX, "Y": SY, "Z": SZ}
-    for term in build_heisenberg(lattice):
-        ref += term.coefficient * kron_chain(n, {q: mats[o] for q, o in term.operators})
+def random_pauli_sum(n, count, seed):
+    """X0 Y1 Z2, whose single Y makes the sum complex, plus `count` random
+    strings of 1 to 5 letters drawn from X, Y and Z."""
+    rng = np.random.default_rng(seed)
+    terms = [PauliTerm(0.3, ((0, "X"), (1, "Y"), (2, "Z")))]
+    for _ in range(count):
+        k = int(rng.integers(1, min(n, 5) + 1))
+        qubits = rng.choice(n, size=k, replace=False).tolist()
+        letters = rng.choice(list("XYZ"), size=k).tolist()
+        terms.append(PauliTerm(rng.normal(), tuple(zip(qubits, letters))))
+    return PauliSum(tuple(terms))
+
+
+def even_y(h):
+    return PauliSum(tuple(t for t in h
+                          if sum(o == "Y" for _, o in t.operators) % 2 == 0))
+
+
+# 20 strings on 3 qubits share flip masks; the even-Y sum is real
+RANDOM_SUMS = {"random3": (random_pauli_sum(3, 20, 1), 3),
+               "random5": (random_pauli_sum(5, 12, 0), 5),
+               "random5_even_y": (even_y(random_pauli_sum(5, 12, 0)), 5)}
+
+
+@pytest.mark.parametrize("case", [2, 4, 6, *RANDOM_SUMS])
+def test_dense_matches_kron_oracle(case):
+    if isinstance(case, int):
+        h, n = build_heisenberg(LatticeSpec(1, (case,))), case
+    else:
+        h, n = RANDOM_SUMS[case]
+    dense = to_dense(h, n)
+    ref = kron_matrix(h, n)
     assert np.max(np.abs(dense.matrix - ref)) < 1e-12
+    assert np.iscomplexobj(dense.matrix) == np.any(ref.imag != 0)
     vals_ref = np.linalg.eigvalsh(ref)
     assert np.max(np.abs(dense.eigenvalues - vals_ref)) < 1e-9
+    # the matrix-free kernel, on one state and on a (2^n, 3) batch
+    batch = np.stack([sample_haar_state(n, s).amps for s in range(3)], axis=1)
+    for amps in (batch[:, 0], batch):
+        assert np.max(np.abs(apply_pauli_sum(amps, n, h) - ref @ amps)) < 1e-12
+        ref_means = np.einsum("i...,i...->...", amps.conj(), ref @ amps).real
+        assert np.max(np.abs(expectations(amps, h) - ref_means)) < 1e-12
+
+
+def test_a_qubit_past_n_is_an_index_error():
+    h = PauliSum((PauliTerm(1.0, ((0, "X"),)), PauliTerm(0.5, ((2, "Y"),))))
+    psi = sample_haar_state(2, 0)
+    with pytest.raises(IndexError):
+        apply_pauli_sum(psi.amps, 2, h)
+    with pytest.raises(IndexError):
+        expectations(psi.amps, h)
+    with pytest.raises(IndexError):
+        sample_expectation(psi, h, shots=10, seed=0)
+    with pytest.raises(IndexError):
+        to_dense(h, 2)
+
+
+def test_apply_pauli_sum_keeps_nothing_but_its_output():
+    # a 14-site chain, applied cold: the kernel keeps no table per string
+    n = 14
+    h = build_heisenberg(LatticeSpec(1, (n,)))
+    amps = sample_haar_state(n, 0).amps
+    tracemalloc.start()
+    try:
+        out = apply_pauli_sum(amps, n, h)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * 16 * 2**n
+    assert peak < 5 * 16 * 2**n
 
 
 def test_spectral_reconstruction(chain3):
@@ -151,7 +211,7 @@ def test_dense_overflow_guard():
 def test_to_dense_allocates_the_real_matrix_once():
     # tracemalloc sees numpy's buffers; the real 2^8 x 2^8 H is 512 KiB
     h = build_heisenberg(LatticeSpec(1, (8,)))
-    to_dense(h, 8)  # fill the per-string action cache before tracing
+    to_dense(h, 8)  # an untraced first call; nothing is cached between calls
     tracemalloc.start()
     try:
         dense = to_dense(h, 8)
@@ -225,7 +285,7 @@ def test_rotated_h_is_block_diagonal(case):
 def test_to_dense_never_allocates_the_full_matrix():
     # the two parity blocks of an 8-site chain are half of its 512 KiB H
     h = build_heisenberg(LatticeSpec(1, (8,)))
-    to_dense(h, 8)  # fill the per-string action cache before tracing
+    to_dense(h, 8)  # an untraced first call; nothing is cached between calls
     tracemalloc.start()
     try:
         to_dense(h, 8)

@@ -179,12 +179,14 @@ def test_resources_zero_beta(chain2):
 
 
 def test_generation_time_grows_with_system():
+    # the median of 5 builds per size, so that one stalled build in a busy
+    # process cannot reverse the order
     times = []
     for n in (2, 3):
         lattice = LatticeSpec(1, (n,))
         h = build_heisenberg(lattice)
         _, secs = timed_builds(
             qite_build(QiteSpec(1.0, n_steps=5, domain=n), h, n, lattice),
-            [sample_haar_state(n, 0)])
+            [sample_haar_state(n, seed) for seed in range(5)])
         times.append(secs)
     assert times[1] > times[0]
