@@ -467,11 +467,11 @@ def resources(config_path, output, seed):
             if kind == "qite":
                 # each build evolves its own Haar state, sampled untimed
                 inputs = [sample_haar_state(n, v["random_circuit"]["seed"] + i)
-                          for i in range(3)]
+                          .amps[:, None] for i in range(3)]
 
                 def build(psi):
                     return qite_circuit(
-                        qite_evolve(qspec, h_pauli, psi, lattice)[1], n)
+                        qite_evolve(qspec, h_pauli, psi, lattice)[1][0], n)
             else:
                 # each build starts from the Pauli sum: no shared eigenbasis
                 inputs = [h_pauli] * 3

@@ -12,9 +12,10 @@ reference from the eigenvalues alone, so an exact energy run never assembles
 the 2^n x 2^n eigenvectors; any other observable, or a finite shot budget,
 takes one back-transform per beta.  No FABLE circuit or block is synthesized
 here; `fable.apply_fable` is the circuit-faithful single-state path.  QITE fits
-state-dependent rotations, so it evolves one state at a time.  The exact
-canonical ensemble value Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense
-eigenbasis is attached as a reference.
+state-dependent rotations: it evolves the whole batch once per beta, each
+column with its own fits.  The exact canonical ensemble value
+Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense eigenbasis is attached as
+a reference.
 
 Reproducibility: realization r uses the circuit seed drawn from
 numpy SeedSequence(entropy=base_seed, spawn_key=(r,)); shot noise (when
@@ -157,13 +158,10 @@ def filtered_batches(spec: BackendSpec, betas, states: np.ndarray,
                      dense_h: DenseHermitian, h_pauli: PauliSum,
                      lattice: LatticeSpec | None = None):
     """Yield the normalized filtered (2^n, R) batch of `states` per beta."""
-    n = dense_h.n_qubits
     if spec.kind == "qite":
         for beta in betas:
             qspec = QiteSpec(beta, n_steps=spec.n_steps, domain=spec.domain)
-            yield np.stack([qite_evolve(qspec, h_pauli, StateVector(n, psi),
-                                        lattice)[0].amps
-                            for psi in states.T], axis=1)
+            yield qite_evolve(qspec, h_pauli, states, lattice)[0]
         return
     weights, coeffs, floor = _in_eigenbasis(spec, betas, states, dense_h)
     for w in weights:

@@ -151,17 +151,23 @@ def dilated_omega(spec: DilationSpec) -> np.ndarray:
     """exp(i eps [[0, -iQ'], [iQ', 0]]) = [[cos(eps Q'), sin(eps Q')],
     [-sin(eps Q'), cos(eps Q')]], with the ancilla as the most significant qubit.
 
+    Each block is computed into its quadrant of the preallocated Omega.
     Raises DimensionOverflow, before allocating, when V and what builds Omega
-    (11 matrices of H's size at 7 and 8 sites) exceed physical memory.
+    (at most 6.6 matrices of H's size at 7 and 8 sites, Omega being 4)
+    exceed physical memory.
     """
     h = spec.operator.hamiltonian
-    _check_budget(12 * h.blocks[0].itemsize * h.dim**2,
+    _check_budget(7 * h.blocks[0].itemsize * h.dim**2,
                   f"the dilated unitary on n={h.n_qubits} + 1 qubits")
     vecs = h.eigenvectors
     angles = spec.epsilon * spec.operator.scaled_eigenvalues()
-    cos_b = (vecs * np.cos(angles)) @ vecs.conj().T
-    sin_b = (vecs * np.sin(angles)) @ vecs.conj().T
-    return np.block([[cos_b, sin_b], [-sin_b, cos_b]])
+    omega = np.empty((2 * h.dim, 2 * h.dim), vecs.dtype)
+    cos_b, sin_b = omega[:h.dim, :h.dim], omega[:h.dim, h.dim:]
+    np.matmul(vecs * np.cos(angles), vecs.conj().T, out=cos_b)
+    np.matmul(vecs * np.sin(angles), vecs.conj().T, out=sin_b)
+    omega[h.dim:, h.dim:] = cos_b
+    np.negative(sin_b, out=omega[h.dim:, :h.dim])
+    return omega
 
 
 def apply_dilated(spec: DilationSpec, psi: StateVector) -> tuple[StateVector, float, float]:

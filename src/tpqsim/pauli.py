@@ -135,16 +135,6 @@ def apply_pauli_sum(amps: np.ndarray, n: int, p: PauliSum) -> np.ndarray:
     return out
 
 
-def string_gathers(strings, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gather form of unit Pauli strings, stacked: the (k, 2^n) source
-    indices and phases with (P_k a)[j] = phases[k, j] a[sources[k, j]]."""
-    idx = np.arange(1 << n)
-    masks = [_masks(s, n) for s in strings]
-    phases = [_diagonal([(1.0, sign, n_y)], idx) for _, sign, n_y in masks]
-    return (idx ^ np.array([[flip] for flip, _, _ in masks]),
-            np.array(phases, dtype=complex))
-
-
 def walsh_hadamard(a: np.ndarray) -> np.ndarray:
     """H^{(x)n} a, in place along axis 0 of a (2^n, ...) array or view;
     returns `a`.

@@ -5,18 +5,27 @@ each Hamiltonian term h is handled in construction order: the normalized
 target (e^{-dtau h} psi)/|| || - psi is fitted, in least squares, by the
 action of -i dtau A psi with A expanded in the non-identity Pauli strings on a
 bounded qubit window around h's support.  The fitted exponential is a
-product of Pauli rotations (first-order split within the window).  Each
-rotation advances the state in closed form, exp(-i x P) psi =
-cos(x) psi - i sin(x) P psi (Motta et al., Nat. Phys. 16, 205, 2020), and
-`qite_evolve` returns the kept rotations with the state.  No gate is built
-during the evolution: `qite_circuit` emits the rotations as CNOT-ladder
-gadgets, for resource counts and replay, and replaying that circuit
-reproduces the evolution.
+product of Pauli rotations exp(-i x P) = cos(x) I - i sin(x) P (first-order
+split within the window, Motta et al., Nat. Phys. 16, 205, 2020), which is
+multiplied out into one 2^d x 2^d window unitary and applied to the state.
+`qite_evolve` evolves a whole (2^n, R) batch of states at once, every column
+with its own fit, and returns each column's kept rotations with the batch.
+No gate is built during the evolution: `qite_circuit` emits the rotations as
+CNOT-ladder gadgets, for resource counts and replay, and replaying that
+circuit reproduces the evolution.
 
-Sign convention: coefficients x solve (Re S + Re S^T + _REG I) x = 2 b with
-S_IJ = <psi| s_I s_J |psi> and b_J = Im <delta | s_J psi>, which minimizes
-||delta + i sum_J x_J s_J psi||; each string then contributes exp(-i x_J s_J).
-The solve runs in the eigenbasis of the symmetric matrix and drops
+Sign convention: the coefficients x minimize ||delta + i sum_J x_J P_J psi||^2
++ _REG |x|^2 / 2, and each string then contributes exp(-i x_J P_J).  With
+the window's qubits first, psi and delta are 2^d x 2^(n-d) matrices M and D;
+the normal equations (Re S + Re S^T + _REG I) x = 2 b, S_IJ = <psi| P_I P_J
+|psi> and b_J = Im <delta| P_J psi>, read only rho = M M^dagger and
+C = -i (M D^dagger - D M^dagger).  They say that A = sum_J x_J P_J solves
+A rho + rho A + (_REG / 2^d) A = C + mu I with Tr A = 0, which the
+eigenbasis rho = U diag(p) U^dagger solves entry by entry:
+(U^dagger A U)_ij = ((U^dagger C U)_ij + mu delta_ij) / (p_i + p_j + _REG / 2^d),
+mu fixing the trace, and x_J = Tr(P_J A) / 2^d.  A window whose rho is
+rank-deficient at round-off (p_min <= (4^d - 1) eps p_max) instead solves the
+normal equations in the eigenbasis of their symmetric matrix, dropping
 eigen-directions at round-off level: b has no component there, so keeping
 them would only turn round-off into coefficients near the pruning threshold.
 Validated against the exact dense filter, not against any external QITE code.
@@ -34,8 +43,7 @@ import numpy as np
 from .circuit import Circuit
 from .errors import DomainTooSmallWarning, SingularSystem
 from .lattice import LatticeSpec
-from .pauli import PauliSum, PauliTerm, string_gathers
-from .statevector import StateVector
+from .pauli import PauliSum, PauliTerm, _check_budget, apply_pauli_sum
 
 # Tikhonov term of the least-squares solve, and the rotation angle at or
 # below which a rotation is dropped
@@ -87,14 +95,15 @@ def _term_window(term: PauliTerm, n: int, d: int,
 def qite_circuit(rotations, n: int) -> Circuit:
     """The gadget circuit of `rotations` on n qubits, for counts and replay.
 
-    Each (placed, theta) pair, `placed` listing (qubit, letter) pairs in
-    ascending qubit order as `PauliTerm.operators` does, becomes
+    `rotations` is a pair of equal-length lists, Pauli strings and angles.
+    Each string `placed`, listing (qubit, letter) pairs in ascending qubit
+    order as `PauliTerm.operators` does, with its angle theta becomes
     exp(-i theta/2 * PauliString): X and Y turned into Z (H, RX(pi/2)), a
     CNOT ladder up to the highest qubit, RZ(theta) there, and the inverse of
     the first half.
     """
     circuit = Circuit(n)
-    for placed, theta in rotations:
+    for placed, theta in zip(*rotations):
         qubits = [q for q, _ in placed]
         into = [("h", (q,), None) if o == "X" else ("rx", (q,), math.pi / 2)
                 for q, o in placed if o != "Z"]
@@ -105,71 +114,155 @@ def qite_circuit(rotations, n: int) -> Circuit:
     return circuit
 
 
-def qite_evolve(spec: QiteSpec, h: PauliSum, psi: StateVector,
-                lattice: LatticeSpec | None = None) -> tuple[StateVector, list]:
-    """Approximate e^{-beta H / 2} psi; returns the state and its rotations.
+def _window_strings(d: int) -> tuple[list, np.ndarray]:
+    """The 4^d - 1 non-identity strings on d window qubits, as local
+    (position, letter) tuples and as a (4^d - 1, 2^d, 2^d) matrix stack;
+    window position i is bit i of the local index."""
+    strings = [tuple((i, o) for i, o in enumerate(ops) if o != "I")
+               for ops in itertools.product("IXYZ", repeat=d)][1:]
+    eye = np.eye(1 << d)
+    return strings, np.array([apply_pauli_sum(eye, d, PauliSum((
+        PauliTerm(1.0, s),))) for s in strings])
 
-    The rotations are the kept (placed, theta) pairs, exp(-i theta/2 P) in
-    the order applied; `qite_circuit` emits their gates.
+
+def _window_axes(window: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The axis order of a (2,)*n + (R,) view of a batch that puts the batch
+    axis first, then the window's qubits, highest first, then the rest; so a
+    reshape to (R, 2^d, 2^(n-d)) gives each column's matrix M."""
+    front = [n - 1 - q for q in reversed(window)]
+    return (n, *front, *(k for k in range(n) if k not in front))
+
+
+def _to_window(batch: np.ndarray, axes: tuple[int, ...], d: int) -> np.ndarray:
+    """The (R, 2^d, 2^(n-d)) stack of window matrices M of a (2^n, R) batch,
+    for the axis order `axes` of `_window_axes`."""
+    r = batch.shape[1]
+    return batch.reshape((2,) * (len(axes) - 1) + (r,)).transpose(axes) \
+        .reshape(r, 1 << d, -1)
+
+
+def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
+                lattice: LatticeSpec | None = None) -> tuple[np.ndarray, list]:
+    """Approximate e^{-beta H / 2} on each column of the (2^n, R) batch
+    `states`; returns the evolved batch and each column's rotations.
+
+    A column's rotations are its kept exp(-i theta/2 P) in the order applied,
+    as a list of strings P and a list of angles theta; `qite_circuit` emits
+    their gates.  Raises DimensionOverflow, before allocating, when the
+    fit's window matrices exceed physical memory.
     """
-    n = psi.n
-    rotations = []
+    dim, r = states.shape
+    n = dim.bit_length() - 1
+    rotations = [([], []) for _ in range(r)]
     if spec.beta == 0.0 or len(h) == 0:
-        return psi.copy(), rotations
+        return np.array(states, dtype=complex), rotations
     d = spec.resolved_domain(n)
     max_weight = max(t.weight for t in h)
     if d < max_weight:
         warnings.warn(
             f"domain {d} smaller than max term support {max_weight}; "
             "fit quality will degrade", DomainTooSmallWarning, stacklevel=2)
+    # the string stack, and per column its rotation stack, their first
+    # pairwise products, and P L and the gram of a rank-deficient fit
+    k = 4**d - 1
+    _check_budget(16 * k * 4**d * (1 + 3 * r) + 32 * r * k**2,
+                  f"the QITE fit on a {d}-qubit window")
     dtau = (spec.beta / 2.0) / spec.n_steps
 
+    strings, paulis = _window_strings(d)
     windows = [_term_window(t, n, d, lattice) for t in h]
-    fits = {}  # each window's non-identity strings, with their gather form
-    for w in dict.fromkeys(windows):
-        labels = [s for ops in itertools.product("IXYZ", repeat=d)
-                  if (s := tuple((q, o) for q, o in zip(w, ops) if o != "I"))]
-        fits[w] = (*string_gathers(labels, n), labels)
-    term_gathers = list(zip(*string_gathers([t.operators for t in h], n)))
+    labels = {w: [tuple((w[i], o) for i, o in s) for s in strings]
+              for w in dict.fromkeys(windows)}
+    units = [PauliSum((PauliTerm(1.0, t.operators),)) for t in h]
 
-    state = psi.amps.copy()
+    state = np.array(states, dtype=complex)
     for _ in range(spec.n_steps):
-        for term, window, (source, phase) in zip(h, windows, term_gathers):
-            sources, phases, labels = fits[window]
+        for term, window, unit in zip(h, windows, units):
             # e^{-dtau c P} = cosh(dtau c) I - sinh(dtau c) P on the term's string
-            shifted = phase * state[source]
-            evolved = math.cosh(dtau * term.coefficient) * state \
-                - math.sinh(dtau * term.coefficient) * shifted
-            evolved /= np.linalg.norm(evolved)
-            delta = evolved - state
+            c = term.coefficient
+            evolved = math.cosh(dtau * c) * state \
+                - math.sinh(dtau * c) * apply_pauli_sum(state, n, unit)
+            evolved /= np.linalg.norm(evolved, axis=0)
 
-            sigma_psi = phases * state[sources]
-            gram = sigma_psi.conj() @ sigma_psi.T
-            s_sym = gram.real + gram.real.T
-            b = 2.0 * (sigma_psi @ delta.conj()).imag
-            x = _regularized_solve(s_sym, b)
+            axes = _window_axes(window, n)
+            m = _to_window(state, axes, d)
+            delta = _to_window(evolved, axes, d) - m
+            x = _fit(paulis, m, delta)
+            x[np.abs(x) <= _PRUNE_TOL] = 0.0
 
-            for j in np.flatnonzero(np.abs(x) > _PRUNE_TOL):
-                # exp(-i x P) = cos(x) I - i sin(x) P
-                shifted = phases[j] * state[sources[j]]
-                state = math.cos(x[j]) * state - 1j * math.sin(x[j]) * shifted
-                rotations.append((labels[j], 2.0 * x[j]))
-    return StateVector(n, state), rotations
+            # exp(-i x P) = cos(x) I - i sin(x) P; a pruned one is I exactly
+            steps = np.cos(x)[..., None, None] * np.eye(1 << d) \
+                - 1j * np.sin(x)[..., None, None] * paulis
+            m = _ordered_product(steps) @ m
+            state = m.reshape((r,) + (2,) * n).transpose(np.argsort(axes)) \
+                .reshape(dim, r)
+            for (placed, thetas), xs in zip(rotations, x):
+                kept = np.flatnonzero(xs)
+                placed.extend(labels[window][j] for j in kept)
+                thetas.extend((2.0 * xs[kept]).tolist())
+    return state, rotations
+
+
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """mats[:, -1] @ ... @ mats[:, 0] for each row of an (R, k, D, D) stack,
+    by pairwise batched products."""
+    while mats.shape[1] > 1:
+        pairs = mats[:, 1::2] @ mats[:, :-1:2]
+        mats = np.concatenate([pairs, mats[:, -1:]], axis=1) \
+            if mats.shape[1] % 2 else pairs
+    return mats[:, 0]
+
+
+def _pauli_traces(paulis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Re Tr(P_J X) for each string J and each X of an (R, D, D) stack."""
+    return (mats.reshape(len(mats), -1)
+            @ paulis.reshape(len(paulis), -1).conj().T).real
+
+
+def _fit(paulis: np.ndarray, m: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The (R, 4^d - 1) coefficients x of each column's window fit, from its
+    (2^d, 2^(n-d)) matrices M and D (see the module docstring)."""
+    dim = m.shape[1]
+    rho = m @ m.conj().mT
+    cross = m @ delta.conj().mT
+    c = -1j * (cross - cross.conj().mT)
+    x = np.zeros((len(m), len(paulis)))
+    deficient = np.ones(len(m), dtype=bool)
+    if m.shape[2] >= dim:  # else every rho has rank below 2^d
+        p, u = np.linalg.eigh(rho)
+        deficient = p[:, 0] <= len(paulis) * np.finfo(float).eps * p[:, -1]
+        denom = p[:, :, None] + p[:, None, :] + _REG / dim
+        c_eig = u.conj().mT @ c @ u
+        inv_diag = 1.0 / np.diagonal(denom, axis1=1, axis2=2)
+        mu = -np.einsum("rii,ri->r", c_eig, inv_diag).real / inv_diag.sum(axis=1)
+        a = u @ ((c_eig + mu[:, None, None] * np.eye(dim)) / denom) @ u.conj().mT
+        x = _pauli_traces(paulis, a) / dim
+    if deficient.any():
+        # S_IJ = 2 Re Tr(L^dagger P_I P_J L) for a factor rho = L L^dagger,
+        # the thinner of M and U sqrt(p); 2 b_J = Tr(P_J C)
+        factor = m if m.shape[2] < dim \
+            else u * np.sqrt(np.maximum(p, 0.0))[:, None]
+        sigma = (paulis @ factor[deficient][:, None]).reshape(
+            deficient.sum(), len(paulis), -1)
+        x[deficient] = _regularized_solve(2.0 * (sigma.conj() @ sigma.mT).real,
+                                          _pauli_traces(paulis, c[deficient]))
+    return x
 
 
 def _regularized_solve(s_sym: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(s_sym + _REG I)^{-1} b on the eigen-directions of s_sym above round-off.
+    """(s_sym + _REG I)^{-1} b for each (k, k) system and (k,) right side of
+    a stack, on the eigen-directions of s_sym above round-off.
 
-    Directions with eigenvalue at or below #strings * eps * lambda_max are
-    null analytically (b is orthogonal to them), so they get coefficient 0.
+    Directions with eigenvalue at or below k * eps * lambda_max are null
+    analytically (b is orthogonal to them), so they get coefficient 0.
     """
     try:
         lam, vecs = np.linalg.eigh(s_sym)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("QITE least-squares solve failed") from exc
-    keep = lam > len(lam) * np.finfo(float).eps * lam[-1]
-    vecs = vecs[:, keep]
-    x = vecs @ ((vecs.T @ b) / (lam[keep] + _REG))
+    keep = lam > lam.shape[-1] * np.finfo(float).eps * lam[:, -1:]
+    coeffs = np.where(keep, (b[:, None, :] @ vecs)[:, 0] / (lam + _REG), 0.0)
+    x = (vecs @ coeffs[:, :, None])[:, :, 0]
     if not np.all(np.isfinite(x)):
         raise SingularSystem("QITE least-squares solve failed")
     return x

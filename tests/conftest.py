@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tpqsim import LatticeSpec, ZeroProbability
+from tpqsim import LatticeSpec, ZeroProbability, qite_evolve
 from tpqsim.nonunitary import ThermalOperator
+from tpqsim.pauli import _diagonal, _masks
 from tpqsim.statevector import StateVector, _apply_gate
 
 # kron helpers for independent dense oracles (qubit 0 = least significant,
@@ -36,6 +37,24 @@ def thermal_scale(op):
 def thermal_matrix(op):
     """Literal e^{-beta H / 2}; may overflow for extreme beta * ||H||."""
     return thermal_scale(op) * np.asarray(op.scaled, dtype=complex)
+
+
+def string_gathers(strings, n):
+    """The gather form of unit Pauli strings on n qubits, stacked: the
+    (k, 2^n) source indices and phases with
+    (P_k a)[j] = phases[k, j] a[sources[k, j]]."""
+    idx = np.arange(1 << n)
+    masks = [_masks(s, n) for s in strings]
+    phases = [_diagonal([(1.0, sign, n_y)], idx) for _, sign, n_y in masks]
+    return (idx ^ np.array([[flip] for flip, _, _ in masks]),
+            np.array(phases, dtype=complex))
+
+
+def qite_one(spec, h, psi, lattice=None):
+    """`qite_evolve` on the one-column batch of psi: the evolved StateVector
+    and its rotations."""
+    out, rotations = qite_evolve(spec, h, psi.amps[:, None], lattice)
+    return StateVector(psi.n, out[:, 0]), rotations[0]
 
 
 def circuit_unitary(c):

@@ -41,7 +41,12 @@ from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import StateVector, expectation
 
-from conftest import circuit_unitary, exact_thermal_operator, postselect
+from conftest import (
+    circuit_unitary,
+    exact_thermal_operator,
+    postselect,
+    qite_one,
+)
 
 BETAS = tuple(float(b) for b in np.round(np.arange(0.1, 2.01, 0.1), 10))
 
@@ -202,15 +207,16 @@ def test_imaginary_time_evolution_matches_exact():
         lattice = LatticeSpec(1, (n,))
         h = build_heisenberg(lattice)
         op = exact_thermal_operator(to_dense(h, n), beta)
+        psis = [sample_haar_state(n, seed) for seed in range(10)]
+        exact = [apply_exact(op, psi) for psi in psis]
+        batch = np.stack([psi.amps for psi in psis], axis=1)
         fid_by_steps = []
         for steps in (5, 10, 25, 50):
-            fids = []
-            for seed in range(10):
-                psi = sample_haar_state(n, seed)
-                out, _ = qite_evolve(QiteSpec(beta, n_steps=steps, domain=n),
-                                     h, psi, lattice)
-                fids.append(out.fidelity(apply_exact(op, psi)))
-            fid_by_steps.append(float(np.mean(fids)))
+            out, _ = qite_evolve(QiteSpec(beta, n_steps=steps, domain=n),
+                                 h, batch, lattice)
+            fid_by_steps.append(float(np.mean([
+                StateVector(n, amps).fidelity(ref)
+                for amps, ref in zip(out.T, exact)])))
         print(f"  N={n} mean fidelity over steps (5,10,25,50): "
               + ", ".join(f"{f:.5f}" for f in fid_by_steps))
         assert fid_by_steps[-1] > 0.99
@@ -221,7 +227,7 @@ def test_imaginary_time_evolution_matches_exact():
     h = build_heisenberg(lattice)
     op = exact_thermal_operator(to_dense(h, 4), beta)
     psi = sample_haar_state(4, 0)
-    out, _ = qite_evolve(QiteSpec(beta, n_steps=50, domain=3), h, psi, lattice)
+    out, _ = qite_one(QiteSpec(beta, n_steps=50, domain=3), h, psi, lattice)
     print(f"  N=4 domain=3 (truncated) measured fidelity: "
           f"{out.fidelity(apply_exact(op, psi)):.4f}")
 
@@ -267,7 +273,7 @@ def test_invariants(tmp_path):
     assert np.max(np.abs(out0.amps - psi.amps)) < 1e-10
     outf, _ = apply_fable(fable_encode(op0), psi)
     assert np.max(np.abs(outf.amps - psi.amps)) < 1e-10
-    outq, rotations = qite_evolve(QiteSpec(0.0), h, psi, lattice)
+    outq, rotations = qite_one(QiteSpec(0.0), h, psi, lattice)
     circ = qite_circuit(rotations, psi.n)
     assert len(circ.gates) == 0
     assert np.max(np.abs(outq.amps - psi.amps)) < 1e-10

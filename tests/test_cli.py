@@ -541,6 +541,28 @@ def test_dense_artifact_beyond_its_budget_is_backend_failure(
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_qite_fit_beyond_its_budget_is_backend_failure(runner, tmp_path,
+                                                      monkeypatch):
+    # a 10-qubit window's 4^10 - 1 strings, as 2^10 x 2^10 matrices, alone
+    # take 17.6 TB: the fit is refused before it builds them
+    def forbidden(d):
+        raise AssertionError("the window strings were built")
+
+    monkeypatch.setattr(tpqsim.qite, "_window_strings", forbidden)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [10]},
+        "random_circuit": {"depth": 2, "seed": 0},
+        "backend": {"kind": "qite", "n_steps": 1, "domain": 10},
+        "estimate": {"betas": [0.5], "R": 1},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 2, result.output
+    assert ("backend failure: the QITE fit on a 10-qubit window"
+            in result.output)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_timed_builds_keeps_one_artifact_alive():
     class Artifact:
         def __init__(self, x):

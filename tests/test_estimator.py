@@ -19,7 +19,6 @@ from tpqsim import (
     build_heisenberg,
     ensemble_expectation,
     fable_encode,
-    qite_evolve,
     run_ensemble,
     squared_error_scan,
     to_dense,
@@ -34,6 +33,8 @@ from tpqsim.lattice import magnetization_x
 from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import StateVector, expectation, sample_expectation
+
+from conftest import qite_one
 
 
 @pytest.fixture
@@ -206,7 +207,7 @@ def per_state_run(spec):
                 out = apply_fable(fable_encode(op), psi)[0]
             else:
                 qspec = QiteSpec(beta, backend.n_steps, backend.domain)
-                out = qite_evolve(qspec, h, psi, lattice)[0]
+                out = qite_one(qspec, h, psi, lattice)[0]
             if spec.shots == 0:
                 values[bi, r] = expectation(out, observable)
                 continue

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -122,6 +124,22 @@ def test_omega_identity_q_case(chain2):
     expected = np.block([[np.cos(eps) * eye, np.sin(eps) * eye],
                          [-np.sin(eps) * eye, np.cos(eps) * eye]])
     assert np.max(np.abs(omega - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_omega_peak_fits_its_budget(n):
+    # tracemalloc sees numpy's buffers: the eigenvectors V, assembled inside,
+    # and Omega's build stay within the 7 matrices of H's size it budgets
+    dense = to_dense(build_heisenberg(LatticeSpec(1, (n,))), n)
+    dense._block_eig  # diagonalize before tracing
+    op = ThermalOperator(0.5, dense)
+    tracemalloc.start()
+    try:
+        dilated_omega(DilationSpec(0.1, op))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * dense.blocks[0].itemsize * dense.dim**2
 
 
 def omega_branch(spec, psi):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,17 @@ from tpqsim import (
     to_dense,
 )
 from tpqsim.cli import timed_builds
-from tpqsim.pauli import PauliTerm, to_dense as pauli_to_dense, PauliSum
+from tpqsim.pauli import (
+    PauliSum,
+    PauliTerm,
+    apply_pauli_sum,
+    to_dense as pauli_to_dense,
+)
+import tpqsim.qite as qite
 from tpqsim.qite import _term_window
 from tpqsim.random_state import sample_haar_state
 
-from conftest import exact_thermal_operator
+from conftest import exact_thermal_operator, qite_one, string_gathers
 
 
 @pytest.mark.parametrize("placed,theta", [
@@ -31,7 +38,7 @@ from conftest import exact_thermal_operator
 ])
 def test_pauli_rotation_gadget_against_expm(placed, theta):
     n = 3
-    circuit = qite_circuit([(placed, theta)], n)
+    circuit = qite_circuit(([placed], [theta]), n)
     psi = sample_haar_state(n, 7)
     out = apply_circuit(psi, circuit)
     p = pauli_to_dense(PauliSum((PauliTerm(1.0, placed),)), n).matrix
@@ -63,7 +70,7 @@ def test_window_2d_manhattan():
 def test_beta_zero_identity(chain2):
     h = build_heisenberg(chain2)
     psi = sample_haar_state(2, 1)
-    out, rotations = qite_evolve(QiteSpec(0.0), h, psi)
+    out, rotations = qite_one(QiteSpec(0.0), h, psi)
     circuit = qite_circuit(rotations, 2)
     assert len(circuit.gates) == 0
     assert np.array_equal(out.amps, psi.amps)
@@ -75,14 +82,14 @@ def test_full_domain_fidelity(n, beta):
     h = build_heisenberg(lattice)
     op = exact_thermal_operator(to_dense(h, n), beta)
     psi = sample_haar_state(n, 13)
-    out, _ = qite_evolve(QiteSpec(beta, n_steps=25, domain=n), h, psi, lattice)
+    out, _ = qite_one(QiteSpec(beta, n_steps=25, domain=n), h, psi, lattice)
     assert out.fidelity(apply_exact(op, psi)) > 0.99
 
 
 def test_replay_reproduces_state(chain3):
     h = build_heisenberg(chain3)
     psi = sample_haar_state(3, 5)
-    out, rotations = qite_evolve(QiteSpec(0.8, n_steps=5, domain=3), h, psi)
+    out, rotations = qite_one(QiteSpec(0.8, n_steps=5, domain=3), h, psi)
     circuit = qite_circuit(rotations, 3)
     replay = apply_circuit(psi, circuit)
     assert np.max(np.abs(replay.amps - out.amps)) < 1e-9
@@ -93,8 +100,8 @@ def test_replay_reproduces_state_2d_window():
     lattice = LatticeSpec(2, (2, 2))
     h = build_heisenberg(lattice)
     psi = sample_haar_state(4, 9)
-    out, rotations = qite_evolve(QiteSpec(0.8, n_steps=3, domain=3), h, psi,
-                                 lattice)
+    out, rotations = qite_one(QiteSpec(0.8, n_steps=3, domain=3), h, psi,
+                              lattice)
     circuit = qite_circuit(rotations, 4)
     replay = apply_circuit(psi, circuit)
     assert np.max(np.abs(replay.amps - out.amps)) < 1e-9
@@ -108,7 +115,7 @@ def test_fidelity_improves_with_steps(chain2):
         vals = []
         for seed in range(5):
             psi = sample_haar_state(2, seed)
-            out, _ = qite_evolve(QiteSpec(1.0, n_steps=steps, domain=2), h, psi)
+            out, _ = qite_one(QiteSpec(1.0, n_steps=steps, domain=2), h, psi)
             vals.append(out.fidelity(apply_exact(op, psi)))
         fids.append(np.mean(vals))
     assert fids[0] <= fids[1] + 1e-6 <= fids[2] + 2e-6
@@ -122,7 +129,7 @@ def test_fidelity_improves_with_domain():
     psi = sample_haar_state(n, 3)
     fids = []
     for d in (2, 3, 4):
-        out, _ = qite_evolve(QiteSpec(1.0, n_steps=10, domain=d), h, psi, lattice)
+        out, _ = qite_one(QiteSpec(1.0, n_steps=10, domain=d), h, psi, lattice)
         fids.append(out.fidelity(apply_exact(op, psi)))
     assert fids[0] <= fids[1] + 1e-6
     assert fids[1] <= fids[2] + 1e-6
@@ -132,7 +139,7 @@ def test_domain_too_small_warns(chain3):
     h = build_heisenberg(chain3)
     psi = sample_haar_state(3, 2)
     with pytest.warns(DomainTooSmallWarning):
-        qite_evolve(QiteSpec(0.5, n_steps=2, domain=1), h, psi)
+        qite_one(QiteSpec(0.5, n_steps=2, domain=1), h, psi)
 
 
 def test_cnot_count_additive_in_steps(chain2):
@@ -140,7 +147,7 @@ def test_cnot_count_additive_in_steps(chain2):
     per_step = []
     for steps in (1, 2, 4):
         psi = sample_haar_state(2, 0)
-        _, rotations = qite_evolve(QiteSpec(1.0, n_steps=steps, domain=2), h, psi)
+        _, rotations = qite_one(QiteSpec(1.0, n_steps=steps, domain=2), h, psi)
         circuit = qite_circuit(rotations, 2)
         per_step.append(circuit.cnot_count)
     # linear growth: equal per-step increments within pruning jitter
@@ -158,8 +165,8 @@ def test_cnot_count_invariant_under_global_phase(n, d):
     counts = set()
     for angle in (0.0, 0.3, 1.7, 2.9):
         rotated = StateVector(n, np.exp(1j * angle) * psi.amps)
-        _, rotations = qite_evolve(QiteSpec(1.0, n_steps=2, domain=d), h,
-                                   rotated, lattice)
+        _, rotations = qite_one(QiteSpec(1.0, n_steps=2, domain=d), h,
+                                rotated, lattice)
         circuit = qite_circuit(rotations, n)
         counts.add(circuit.cnot_count)
     assert len(counts) == 1
@@ -167,7 +174,7 @@ def test_cnot_count_invariant_under_global_phase(n, d):
 
 def qite_build(spec, h, n, lattice=None):
     """The QITE circuit of one input state, as `resources` builds it."""
-    return lambda psi: qite_circuit(qite_evolve(spec, h, psi, lattice)[1], n)
+    return lambda psi: qite_circuit(qite_one(spec, h, psi, lattice)[1], n)
 
 
 def test_resources_zero_beta(chain2):
@@ -190,3 +197,105 @@ def test_generation_time_grows_with_system():
             [sample_haar_state(n, seed) for seed in range(5)])
         times.append(secs)
     assert times[1] > times[0]
+
+
+def gram_solve(psi, delta, labels, n):
+    """The fit as the 63 x 63 normal equations over the strings' actions on
+    the whole state: (S_sym + _REG I) x = b, solved in S_sym's eigenbasis with
+    round-off directions dropped; returns x and the dropped count."""
+    sources, phases = string_gathers(labels, n)
+    sigma_psi = phases * psi[sources]
+    gram = sigma_psi.conj() @ sigma_psi.T
+    s_sym = gram.real + gram.real.T
+    b = 2.0 * (sigma_psi @ delta.conj()).imag
+    lam, vecs = np.linalg.eigh(s_sym)
+    keep = lam > len(lam) * np.finfo(float).eps * lam[-1]
+    vecs = vecs[:, keep]
+    return vecs @ ((vecs.T @ b) / (lam[keep] + qite._REG)), int(np.sum(~keep))
+
+
+def product_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = np.ones(1)
+    for _ in range(n):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        amps = np.kron(z / np.linalg.norm(z), amps)
+    return StateVector(n, amps)
+
+
+@pytest.mark.parametrize("n,window,state,reg,rank_deficient", [
+    (7, (3,), "haar", None, False),
+    (7, (2, 3), "haar", None, False),
+    (7, (2, 3, 4), "haar", None, False),
+    (9, (0, 1, 4), "haar", None, False),     # a 3x3 grid's window for bond 1-4
+    (7, (1, 2, 3), "product", None, True),   # drops directions
+    (3, (0, 1, 2), "haar", None, True),      # the window is the whole state
+    (7, (2, 3, 4), "haar", 1e-2, False),     # checks _REG / 2^d
+])
+def test_window_fit_matches_the_gram_solve(monkeypatch, n, window, state, reg,
+                                           rank_deficient):
+    if reg is not None:
+        monkeypatch.setattr(qite, "_REG", reg)
+    solves = []
+    solve = qite._regularized_solve
+    monkeypatch.setattr(qite, "_regularized_solve",
+                        lambda *a: solves.append(1) or solve(*a))
+    psi = (sample_haar_state(n, 3) if state == "haar"
+           else product_state(n, 3)).amps
+    # the target of one term step on a bond inside the window
+    term = PauliSum((PauliTerm(1.0, ((window[0], "X"), (window[-1], "X"))),))
+    evolved = math.cosh(0.1) * psi - math.sinh(0.1) * apply_pauli_sum(psi, n, term)
+    delta = evolved / np.linalg.norm(evolved) - psi
+
+    d = len(window)
+    strings, paulis = qite._window_strings(d)
+    labels = [tuple((window[i], o) for i, o in s) for s in strings]
+    axes = qite._window_axes(window, n)
+    m = qite._to_window(psi[:, None], axes, d)
+    x = qite._fit(paulis, m, qite._to_window(delta[:, None], axes, d) - m)[0]
+    ref, dropped = gram_solve(psi, delta, labels, n)
+    assert np.max(np.abs(x - ref)) < 1e-12
+    assert len(solves) == rank_deficient
+    assert (dropped > 0) == rank_deficient
+
+
+def haar_batch(n, seeds):
+    return np.stack([sample_haar_state(n, s).amps for s in seeds], axis=1)
+
+
+@pytest.mark.parametrize("lattice", [LatticeSpec(1, (5,)),
+                                     LatticeSpec(2, (2, 3))],
+                         ids=["chain5", "grid2x3"])
+def test_batch_columns_match_their_own_evolution(lattice):
+    n = lattice.n_sites
+    h = build_heisenberg(lattice)
+    spec = QiteSpec(0.8, n_steps=3, domain=3)
+    states = haar_batch(n, range(3))
+    out, rotations = qite_evolve(spec, h, states, lattice)
+    for k in range(3):
+        one, one_rotations = qite_evolve(spec, h, states[:, k:k + 1], lattice)
+        assert np.max(np.abs(out[:, k] - one[:, 0])) < 1e-12
+        assert rotations[k][0] == one_rotations[0][0]
+        assert np.max(np.abs(np.subtract(rotations[k][1],
+                                         one_rotations[0][1]))) < 1e-12
+        # replaying column k's rotations from its input reproduces it
+        replay = apply_circuit(StateVector(n, states[:, k]),
+                               qite_circuit(rotations[k], n))
+        assert np.max(np.abs(replay.amps - out[:, k])) < 1e-9
+
+
+def test_fit_holds_no_array_per_window_string():
+    # 12 sites, d = 3: one (63, 2^12) complex array of the strings' actions
+    # would take 4.1 MB, 32 times the (2^12, 2) batch; the evolution peaks
+    # at 13 batches, of which about 0.8 MB does not grow with N (measured at
+    # 8 to 13 sites)
+    lattice = LatticeSpec(1, (12,))
+    h = build_heisenberg(lattice)
+    states = haar_batch(12, range(2))
+    tracemalloc.start()
+    try:
+        qite_evolve(QiteSpec(0.5, n_steps=1, domain=3), h, states, lattice)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * states.nbytes
