@@ -12,10 +12,12 @@ reference from the eigenvalues alone, so an exact energy run never assembles
 the 2^n x 2^n eigenvectors; any other observable, or a finite shot budget,
 takes one back-transform per beta.  No FABLE circuit or block is synthesized
 here; `fable.apply_fable` is the circuit-faithful single-state path.  QITE fits
-state-dependent rotations: it evolves the whole batch once per beta, each
-column with its own fits.  The exact canonical ensemble value
-Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense eigenbasis is attached as
-a reference.
+state-dependent rotations: a sweep evolves its states once, tiled once per
+beta into one (2^n, R n_beta) batch in which each column has its own beta and
+its own fits; when that batch's evolution exceeds physical memory, the betas
+are split into the fewest groups that fit (`qite.beta_groups`).  The exact
+canonical ensemble value Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense
+eigenbasis is attached as a reference.
 
 Reproducibility: realization r uses the circuit seed drawn from
 numpy SeedSequence(entropy=base_seed, spawn_key=(r,)); shot noise (when
@@ -25,7 +27,7 @@ enabled) uses spawn_key=(r, 1 + beta_index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .nonunitary import (
     filter_states,
 )
 from .pauli import DenseHermitian, PauliSum, to_dense
-from .qite import QiteSpec, qite_evolve
+from .qite import QiteSpec, beta_groups, qite_evolve
 from .random_state import random_states
 from .statevector import StateVector, expectations, sample_expectation
 
@@ -159,9 +161,16 @@ def filtered_batches(spec: BackendSpec, betas, states: np.ndarray,
                      lattice: LatticeSpec | None = None):
     """Yield the normalized filtered (2^n, R) batch of `states` per beta."""
     if spec.kind == "qite":
-        for beta in betas:
-            qspec = QiteSpec(beta, n_steps=spec.n_steps, domain=spec.domain)
-            yield qite_evolve(qspec, h_pauli, states, lattice)[0]
+        # one evolution of the states tiled once per beta, in as few groups
+        # of betas as physical memory allows
+        sweep = QiteSpec(betas, n_steps=spec.n_steps, domain=spec.domain)
+        r = states.shape[1]
+        groups = beta_groups(sweep, h_pauli, dense_h.n_qubits, r)
+        for chunk in np.array_split(sweep.beta, groups):
+            evolved = qite_evolve(replace(sweep, beta=np.repeat(chunk, r)),
+                                  h_pauli, np.tile(states, len(chunk)),
+                                  lattice)[0]
+            yield from np.split(evolved, len(chunk), axis=1)
         return
     weights, coeffs, floor = _in_eigenbasis(spec, betas, states, dense_h)
     for w in weights:

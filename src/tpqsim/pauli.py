@@ -156,9 +156,14 @@ def walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def physical_memory() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_budget(nbytes: int, what: str) -> None:
     """Raise DimensionOverflow when `nbytes` exceed physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     if nbytes > memory:
         raise DimensionOverflow(f"{what} needs {nbytes} bytes; the machine "
                                 f"has {memory}")

@@ -9,10 +9,16 @@ product of Pauli rotations exp(-i x P) = cos(x) I - i sin(x) P (first-order
 split within the window, Motta et al., Nat. Phys. 16, 205, 2020), which is
 multiplied out into one 2^d x 2^d window unitary and applied to the state.
 `qite_evolve` evolves a whole (2^n, R) batch of states at once, every column
-with its own fit, and returns each column's kept rotations with the batch.
-No gate is built during the evolution: `qite_circuit` emits the rotations as
-CNOT-ladder gadgets, for resource counts and replay, and replaying that
-circuit reproduces the evolution.
+at its own beta and with its own fit, so a sweep over betas is one evolution
+of its states tiled once per beta (`beta_groups` splits the betas into the
+fewest groups whose evolutions fit physical memory).  A term's window, axis
+orders, local string and per-column cosh/sinh are fixed once per call; a term
+inside its window steps the window matrix alone.  The window unitary expands
+each group of 4 consecutive rotations over the 16 ordered products of their
+strings, which are fixed once per call, and multiplies the groups pairwise.
+No gate is built during the evolution: `qite_circuit` emits each column's
+rotations as CNOT-ladder gadgets, for resource counts and replay, and
+replaying that circuit reproduces the evolution.
 
 Sign convention: the coefficients x minimize ||delta + i sum_J x_J P_J psi||^2
 + _REG |x|^2 / 2, and each string then contributes exp(-i x_J P_J).  With
@@ -43,7 +49,13 @@ import numpy as np
 from .circuit import Circuit
 from .errors import DomainTooSmallWarning, SingularSystem
 from .lattice import LatticeSpec
-from .pauli import PauliSum, PauliTerm, _check_budget, apply_pauli_sum
+from .pauli import (
+    PauliSum,
+    PauliTerm,
+    _check_budget,
+    apply_pauli_sum,
+    physical_memory,
+)
 
 # Tikhonov term of the least-squares solve, and the rotation angle at or
 # below which a rotation is dropped
@@ -53,12 +65,14 @@ _PRUNE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QiteSpec:
-    beta: float
+    beta: float | tuple[float, ...]  # one for every column, or one per column
     n_steps: int = 10
     domain: int | None = None  # defaults to min(N, 3)
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not np.isscalar(self.beta):
+            object.__setattr__(self, "beta", tuple(map(float, self.beta)))
+        if np.any(np.asarray(self.beta) < 0):
             raise ValueError("beta must be >= 0")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
@@ -141,20 +155,69 @@ def _to_window(batch: np.ndarray, axes: tuple[int, ...], d: int) -> np.ndarray:
         .reshape(r, 1 << d, -1)
 
 
+def _evolve_bytes(n: int, d: int, r: int, term_steps: int) -> int:
+    """Bytes an r-column evolution on n qubits with d-qubit windows holds:
+    the string stack and its grouped-product basis (4 times as large), and
+    per column 10 copies of its state (input, output and working copies,
+    with those of `apply_pauli_sum` for a term outside its window),
+    the fallback fit's P L stack, gram and eigenvectors, the group unitaries
+    with their pairwise products, and its angles of `term_steps` term steps,
+    as an array and as Python floats."""
+    k = 4**d - 1
+    return 16 * 4**d * (k + 4 * (k + 1)) + r * (
+        10 * 16 * 2**n + 16 * k * 4**d + 32 * k**2 + 6 * 16**d
+        + 48 * term_steps * k)
+
+
+def beta_groups(sweep: QiteSpec, h: PauliSum, n: int, r: int) -> int:
+    """The fewest groups to split the betas of `sweep` into, each group
+    evolving r states on n qubits tiled once per beta, whose evolutions fit
+    physical memory; raises DimensionOverflow, before allocating, when one
+    beta's does not."""
+    d = sweep.resolved_domain(n)
+    n_betas = len(sweep.beta)
+    term_steps = sweep.n_steps * len(h)
+
+    def nbytes(groups):
+        return _evolve_bytes(n, d, r * -(-n_betas // groups), term_steps)
+
+    groups = next((g for g in range(1, n_betas)
+                   if nbytes(g) <= physical_memory()), n_betas)
+    _check_budget(nbytes(groups), f"the QITE fit on a {d}-qubit window")
+    return groups
+
+
+@dataclass(frozen=True)
+class _TermStep:
+    """A term's constants within one call: its window's axis orders, its
+    string as a window-local index (None when the window misses part of its
+    support) or as a unit Pauli sum, and each column's cosh and sinh."""
+    axes: tuple[int, ...]
+    inverse: tuple[int, ...]
+    local: int | None
+    unit: PauliSum
+    cosh: np.ndarray
+    sinh: np.ndarray
+
+
 def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
                 lattice: LatticeSpec | None = None) -> tuple[np.ndarray, list]:
     """Approximate e^{-beta H / 2} on each column of the (2^n, R) batch
-    `states`; returns the evolved batch and each column's rotations.
+    `states`, at spec.beta or, if that is a tuple, at its k-th beta for
+    column k; returns the evolved batch and each column's rotations.
 
     A column's rotations are its kept exp(-i theta/2 P) in the order applied,
     as a list of strings P and a list of angles theta; `qite_circuit` emits
-    their gates.  Raises DimensionOverflow, before allocating, when the
-    fit's window matrices exceed physical memory.
+    their gates.  A column at beta = 0 is returned as it is, with none.
+    Raises DimensionOverflow, before allocating, when the evolution exceeds
+    physical memory.
     """
     dim, r = states.shape
     n = dim.bit_length() - 1
+    betas = np.broadcast_to(np.asarray(spec.beta, dtype=float), (r,))
     rotations = [([], []) for _ in range(r)]
-    if spec.beta == 0.0 or len(h) == 0:
+    live = np.flatnonzero(betas)
+    if len(live) == 0 or len(h) == 0:
         return np.array(states, dtype=complex), rotations
     d = spec.resolved_domain(n)
     max_weight = max(t.weight for t in h)
@@ -162,55 +225,97 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
         warnings.warn(
             f"domain {d} smaller than max term support {max_weight}; "
             "fit quality will degrade", DomainTooSmallWarning, stacklevel=2)
-    # the string stack, and per column its rotation stack, their first
-    # pairwise products, and P L and the gram of a rank-deficient fit
-    k = 4**d - 1
-    _check_budget(16 * k * 4**d * (1 + 3 * r) + 32 * r * k**2,
+    term_steps = spec.n_steps * len(h)
+    _check_budget(_evolve_bytes(n, d, len(live), term_steps),
                   f"the QITE fit on a {d}-qubit window")
-    dtau = (spec.beta / 2.0) / spec.n_steps
 
     strings, paulis = _window_strings(d)
+    basis = _product_basis(paulis)
+    index = {s: j for j, s in enumerate(strings)}
+    dtaus = betas[live, None, None] / 2.0 / spec.n_steps  # (R, 1, 1)
     windows = [_term_window(t, n, d, lattice) for t in h]
     labels = {w: [tuple((w[i], o) for i, o in s) for s in strings]
               for w in dict.fromkeys(windows)}
-    units = [PauliSum((PauliTerm(1.0, t.operators),)) for t in h]
+    terms = []
+    for term, window in zip(h, windows):
+        axes = _window_axes(window, n)
+        local = tuple((window.index(q), o) for q, o in term.operators) \
+            if set(term.support) <= set(window) else None
+        c = term.coefficient
+        terms.append(_TermStep(
+            axes, tuple(np.argsort(axes)), index.get(local),
+            PauliSum((PauliTerm(1.0, term.operators),)),
+            np.cosh(dtaus * c), np.sinh(dtaus * c)))
 
+    r = len(live)
+    sub = np.asarray(states[:, live], dtype=complex)
+    angles = np.empty((r, term_steps, len(strings)))
+    for i, t in enumerate(terms * spec.n_steps):
+        m = _to_window(sub, t.axes, d)
+        # e^{-dtau c P} = cosh(dtau c) I - sinh(dtau c) P on the term's string
+        if t.local is None:
+            pm = _to_window(apply_pauli_sum(sub, n, t.unit), t.axes, d)
+        else:
+            pm = paulis[t.local] @ m
+        evolved = t.cosh * m - t.sinh * pm
+        evolved /= np.linalg.norm(evolved, axis=(1, 2))[:, None, None]
+        evolved -= m
+        x = _fit(paulis, m, evolved)
+        x[np.abs(x) <= _PRUNE_TOL] = 0.0
+        angles[:, i] = x
+        m = _window_unitary(basis, x) @ m
+        sub = m.reshape((r,) + (2,) * n).transpose(t.inverse).reshape(dim, r)
     state = np.array(states, dtype=complex)
-    for _ in range(spec.n_steps):
-        for term, window, unit in zip(h, windows, units):
-            # e^{-dtau c P} = cosh(dtau c) I - sinh(dtau c) P on the term's string
-            c = term.coefficient
-            evolved = math.cosh(dtau * c) * state \
-                - math.sinh(dtau * c) * apply_pauli_sum(state, n, unit)
-            evolved /= np.linalg.norm(evolved, axis=0)
+    state[:, live] = sub
 
-            axes = _window_axes(window, n)
-            m = _to_window(state, axes, d)
-            delta = _to_window(evolved, axes, d) - m
-            x = _fit(paulis, m, delta)
-            x[np.abs(x) <= _PRUNE_TOL] = 0.0
-
-            # exp(-i x P) = cos(x) I - i sin(x) P; a pruned one is I exactly
-            steps = np.cos(x)[..., None, None] * np.eye(1 << d) \
-                - 1j * np.sin(x)[..., None, None] * paulis
-            m = _ordered_product(steps) @ m
-            state = m.reshape((r,) + (2,) * n).transpose(np.argsort(axes)) \
-                .reshape(dim, r)
-            for (placed, thetas), xs in zip(rotations, x):
-                kept = np.flatnonzero(xs)
-                placed.extend(labels[window][j] for j in kept)
-                thetas.extend((2.0 * xs[kept]).tolist())
+    # each column's kept angles, in the order applied, and their strings,
+    # built once the strings' matrices are freed
+    del paulis, basis
+    step_labels = [s for w in windows for s in labels[w]] * spec.n_steps
+    for col, k in zip(angles.reshape(r, -1), live):
+        kept = np.flatnonzero(col)
+        placed, thetas = rotations[k]
+        placed.extend(map(step_labels.__getitem__, kept.tolist()))
+        thetas.extend((2.0 * col[kept]).tolist())
     return state, rotations
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[:, -1] @ ... @ mats[:, 0] for each row of an (R, k, D, D) stack,
-    by pairwise batched products."""
-    while mats.shape[1] > 1:
-        pairs = mats[:, 1::2] @ mats[:, :-1:2]
-        mats = np.concatenate([pairs, mats[:, -1:]], axis=1) \
-            if mats.shape[1] % 2 else pairs
-    return mats[:, 0]
+def _product_basis(paulis: np.ndarray) -> np.ndarray:
+    """The (4^(d-1), 16, 2^d, 2^d) ordered products of the window strings in
+    groups of 4 consecutive ones, the stack padded with the identity to 4^d:
+    entry [g, s] is the product, highest first, of the strings 4g + i whose
+    bit i is set in s."""
+    dim = paulis.shape[-1]
+    groups = np.concatenate([paulis, np.eye(dim)[None]]).reshape(
+        -1, 4, dim, dim)
+    basis = np.broadcast_to(np.eye(dim), (len(groups), 1, dim, dim))
+    for i in range(4):
+        basis = np.concatenate([basis, groups[:, i, None] @ basis], axis=1)
+    return basis
+
+
+def _window_unitary(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(-i x_{k-1} P_{k-1}) ... exp(-i x_0 P_0) for each row of the
+    (R, k) coefficients x, from the grouped-product basis of the k strings.
+
+    Each group's product of (cos x I - i sin x P) is the sum over subsets s
+    of its 4 rotations of basis[g, s] times the product of -i sin x over s
+    and cos x over the rest: one batched product for all groups.  The
+    4^(d-1) groups, a power of two, are then multiplied pairwise.
+    """
+    r, (groups, _, dim, _) = len(x), basis.shape
+    pad = np.zeros((r, 4 * groups - x.shape[1]))  # exp(-i 0 I) = I
+    x = np.concatenate([x, pad], axis=1).reshape(r, groups, 4)
+    factors = np.stack([np.cos(x), -1j * np.sin(x)], axis=-1)
+    coeffs = factors[:, :, 0]
+    for i in range(1, 4):
+        coeffs = (factors[:, :, i, :, None] * coeffs[:, :, None]).reshape(
+            r, groups, -1)
+    mats = (coeffs.transpose(1, 0, 2) @ basis.reshape(groups, 16, -1)) \
+        .reshape(groups, r, dim, dim)
+    while len(mats) > 1:
+        mats = mats[1::2] @ mats[::2]
+    return mats[0]
 
 
 def _pauli_traces(paulis: np.ndarray, mats: np.ndarray) -> np.ndarray:

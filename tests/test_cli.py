@@ -563,6 +563,66 @@ def test_qite_fit_beyond_its_budget_is_backend_failure(runner, tmp_path,
     assert not (tmp_path / "x.csv").exists()
 
 
+def qite_sweep_bytes(columns):
+    """The evolution bytes of the sweep below for `columns` columns."""
+    h = tpqsim.build_heisenberg(tpqsim.LatticeSpec(1, (6,)))
+    return tpqsim.qite._evolve_bytes(6, 3, columns, 2 * len(h))
+
+
+def qite_sweep_config(tmp_path, betas):
+    return write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [6]},
+        "random_circuit": {"depth": 3, "seed": 4},
+        "backend": {"kind": "qite", "n_steps": 2},
+        "estimate": {"betas": betas, "R": 2},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+
+
+def count_qite_evolve_calls(monkeypatch):
+    calls = []
+    evolve = tpqsim.estimator.qite_evolve
+    monkeypatch.setattr(tpqsim.estimator, "qite_evolve",
+                        lambda spec, *a: calls.append(spec.beta) or
+                        evolve(spec, *a))
+    return calls
+
+
+@pytest.mark.parametrize("betas_per_call,groups", [(3, 1), (2, 2), (1, 3)])
+def test_qite_sweep_evolves_its_betas_in_the_fewest_groups_that_fit(
+        runner, tmp_path, monkeypatch, betas_per_call, groups):
+    # a sweep is one evolution of its R = 2 states tiled once per beta; with
+    # memory for only `betas_per_call` betas at once, the betas are split
+    # into the fewest groups that fit, with the same CSV
+    cfg = qite_sweep_config(tmp_path, [0.3, 0.0, 1.1])
+    runner.invoke(main, ["sweep-beta", cfg, "-o", str(tmp_path / "one.csv")])
+    if betas_per_call < 3:
+        pages = {"SC_PAGE_SIZE": 1,
+                 "SC_PHYS_PAGES": qite_sweep_bytes(2 * betas_per_call)}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    calls = count_qite_evolve_calls(monkeypatch)
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == groups
+    assert sum(calls, ()) == (0.3, 0.3, 0.0, 0.0, 1.1, 1.1)
+    assert ((tmp_path / "out.csv").read_bytes()
+            == (tmp_path / "one.csv").read_bytes())
+
+
+def test_qite_sweep_beyond_one_beta_is_backend_failure(runner, tmp_path,
+                                                       monkeypatch):
+    cfg = qite_sweep_config(tmp_path, [0.3, 0.0, 1.1])
+    # one byte short of one beta's evolution
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": qite_sweep_bytes(2) - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    calls = count_qite_evolve_calls(monkeypatch)
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 2, result.output
+    assert ("backend failure: the QITE fit on a 3-qubit window"
+            in result.output)
+    assert calls == [] and not (tmp_path / "out.csv").exists()
+
+
 def test_timed_builds_keeps_one_artifact_alive():
     class Artifact:
         def __init__(self, x):

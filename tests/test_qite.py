@@ -263,31 +263,66 @@ def haar_batch(n, seeds):
     return np.stack([sample_haar_state(n, s).amps for s in seeds], axis=1)
 
 
-@pytest.mark.parametrize("lattice", [LatticeSpec(1, (5,)),
-                                     LatticeSpec(2, (2, 3))],
-                         ids=["chain5", "grid2x3"])
-def test_batch_columns_match_their_own_evolution(lattice):
+@pytest.mark.parametrize("lattice,betas,domain", [
+    (LatticeSpec(1, (5,)), (0.8, 0.8, 0.8), 3),
+    (LatticeSpec(1, (5,)), (0.8, 0.0, 0.3), 3),
+    (LatticeSpec(2, (2, 3)), (0.8, 0.8, 0.8), 3),
+    (LatticeSpec(2, (2, 3)), (0.0, 1.1, 0.4), 3),
+    (LatticeSpec(1, (5,)), (0.5, 0.0, 1.2), 1),  # bonds outside the window
+], ids=["chain5", "chain5-mixed", "grid2x3", "grid2x3-mixed",
+        "chain5-mixed-domain1"])
+@pytest.mark.filterwarnings("ignore::tpqsim.errors.DomainTooSmallWarning")
+def test_batch_columns_match_their_own_evolution(monkeypatch, lattice, betas,
+                                                 domain):
     n = lattice.n_sites
     h = build_heisenberg(lattice)
-    spec = QiteSpec(0.8, n_steps=3, domain=3)
     states = haar_batch(n, range(3))
-    out, rotations = qite_evolve(spec, h, states, lattice)
-    for k in range(3):
-        one, one_rotations = qite_evolve(spec, h, states[:, k:k + 1], lattice)
+    full_state_steps = []
+    apply = qite.apply_pauli_sum
+    monkeypatch.setattr(qite, "apply_pauli_sum", lambda a, *rest: (
+        full_state_steps.append(len(a) == 1 << n) or apply(a, *rest)))
+    out, rotations = qite_evolve(QiteSpec(betas, n_steps=3, domain=domain),
+                                 h, states, lattice)
+    # a term steps the whole state only when its window misses its support
+    assert any(full_state_steps) == (domain == 1)
+    for k, beta in enumerate(betas):
+        one, one_rotations = qite_evolve(QiteSpec(beta, n_steps=3,
+                                                  domain=domain),
+                                         h, states[:, k:k + 1], lattice)
         assert np.max(np.abs(out[:, k] - one[:, 0])) < 1e-12
-        assert rotations[k][0] == one_rotations[0][0]
-        assert np.max(np.abs(np.subtract(rotations[k][1],
-                                         one_rotations[0][1]))) < 1e-12
+        placed, thetas = rotations[k]
+        assert placed == one_rotations[0][0]
+        assert len(thetas) == len(one_rotations[0][1])
+        assert np.allclose(thetas, one_rotations[0][1], rtol=0, atol=1e-12)
+        if beta == 0.0:  # the input, with no rotation
+            assert np.max(np.abs(out[:, k] - states[:, k])) < 1e-12
+            assert rotations[k] == ([], [])
         # replaying column k's rotations from its input reproduces it
         replay = apply_circuit(StateVector(n, states[:, k]),
                                qite_circuit(rotations[k], n))
         assert np.max(np.abs(replay.amps - out[:, k])) < 1e-9
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_unitary_is_the_ordered_product(d):
+    # the 4^d - 1 strings leave the last group of 4 one identity short
+    _, paulis = qite._window_strings(d)
+    x = np.random.default_rng(d).normal(scale=0.7, size=(3, len(paulis)))
+    x[0, ::3] = 0.0  # pruned rotations
+    x[1, -2:] = 0.0  # the last group's strings pruned around the padding
+    x[2] = 0.0
+    unitaries = qite._window_unitary(qite._product_basis(paulis), x)
+    for row, u in zip(x, unitaries):
+        ref = np.eye(1 << d)
+        for xj, p in zip(row, paulis):
+            ref = scipy.linalg.expm(-1j * xj * p) @ ref
+        assert np.max(np.abs(u - ref)) < 1e-12
+
+
 def test_fit_holds_no_array_per_window_string():
     # 12 sites, d = 3: one (63, 2^12) complex array of the strings' actions
     # would take 4.1 MB, 32 times the (2^12, 2) batch; the evolution peaks
-    # at 13 batches, of which about 0.8 MB does not grow with N (measured at
+    # at 11 batches, of which about 0.6 MB does not grow with N (measured at
     # 8 to 13 sites)
     lattice = LatticeSpec(1, (12,))
     h = build_heisenberg(lattice)
