@@ -6,11 +6,13 @@ and the observable is measured on every (beta, state) pair; mean and
 stddev/sqrt(R) are taken over the states.  The exact, dilated and FABLE
 filters are all diagonal in H's eigenbasis (a run's FABLE encoding is exact,
 so its branch is (Q/s) psi / 2^N): they move the batch into that basis once
-per run, through H's parity blocks, and only rescale its rows per beta.  The
-energy is then read off in that basis for all betas at once, and its
-reference from the eigenvalues alone, so an exact energy run never assembles
-the 2^n x 2^n eigenvectors; any other observable, or a finite shot budget,
-takes one back-transform per beta.  No FABLE circuit or block is synthesized
+per run, through H's symmetry blocks (parity and qubit-order reversal), and
+only rescale its rows per beta.  The energy is then read off in that basis
+for all betas at once, and its reference from the eigenvalues alone, so an
+exact energy run never assembles the 2^n x 2^n eigenvectors; nor does the
+reference of an observable diagonal in the blocks' basis, such as
+`magnetization_x`.  Any other observable, or a finite shot budget, takes one
+back-transform per beta.  No FABLE circuit or block is synthesized
 here; `fable.apply_fable` is the circuit-faithful single-state path.  QITE fits
 state-dependent rotations: a sweep evolves its states once, tiled once per
 beta into one (2^n, R n_beta) batch in which each column has its own beta and
@@ -126,14 +128,19 @@ def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
 
     `a=None` means A = H, which needs only the eigenvalues.  `beta` is a
     scalar (float result) or a 1-D sequence (one value per beta); any other
-    A's eigenbasis diagonal <v_k|A|v_k> is computed once per call, from the
-    full eigenvectors; `apply_pauli_sum` checks its bytes first.
+    A's eigenbasis diagonal <v_k|A|v_k> is computed once per call: read off
+    the blocks when A is diagonal in their basis (`magnetization_x` when H
+    is rotated), and otherwise from the full eigenvectors, whose bytes
+    `apply_pauli_sum` checks first.
     """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta < 0):
         raise ValueError("beta must be >= 0")
     vals = h.eigenvalues
-    diag = vals if a is None else expectations(h.eigenvectors, a)
+    if a is None:
+        diag = vals
+    elif (diag := h.diagonal_in_eigenbasis(a)) is None:
+        diag = expectations(h.eigenvectors, a)
     w = np.exp(-np.multiply.outer(beta, vals - vals[0]))
     ref = w @ diag / w.sum(axis=-1)
     return float(ref) if ref.ndim == 0 else ref

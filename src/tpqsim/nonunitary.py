@@ -12,7 +12,7 @@ encoding's (Q/s) / 2^N.  They are simulated on a (2^n, R) batch of column
 states: the batch enters once as C = V^dagger Psi, each filter (a beta, or an
 epsilon) only rescales the rows of C, and a filtered batch leaves as V times
 the rescaled coefficients, or not at all when only its energy is wanted.
-Both transforms go through H's parity blocks (`DenseHermitian.to_eigenbasis`
+Both transforms go through H's symmetry blocks (`DenseHermitian.to_eigenbasis`
 and `from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
 `apply_exact` and `apply_dilated` are the one-state case.  The full V is
 assembled only for the scale s of Q/s, which the dilated and FABLE filters

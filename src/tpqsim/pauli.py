@@ -12,10 +12,13 @@ string outlives a call.
 
 A dense Hamiltonian is held as its symmetry blocks: a sum whose terms all
 commute with prod_i X_i (every XYZ + hx model) is built in the basis rotated
-by H^{(x)n}, as two blocks of size 2^(n-1) that are diagonalized separately.
-States enter and leave the eigenbasis through one Walsh-Hadamard transform
-and one product per block; the full 2^n x 2^n matrices are assembled only
-where they are read.
+by H^{(x)n}, as two parity sectors of size 2^(n-1); a sum invariant under the
+qubit-order reversal q -> n - 1 - q (every XYZ + hx chain or row-major grid)
+splits each sector again into reversal-even and reversal-odd blocks, so such
+a model is four blocks of about 2^(n-2), diagonalized separately.  States
+enter and leave the eigenbasis through one Walsh-Hadamard transform, one
+gather pair (a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full
+2^n x 2^n matrices are assembled only where they are read.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ import numpy as np
 
 from .errors import DimensionOverflow
 
-# block-sized arrays that diagonalizing one block adds to the blocks and the
-# eigenvectors already held: eigh's working copy and the ?syevd/?heevd
-# workspace (2N^2 reals for an N x N block); the whole blocked path peaked
-# at 7.4 blocks of a 12-site chain, against the 2 + 2 + 3 counted
+# arrays of the largest block's size that diagonalizing it adds to the blocks
+# and the eigenvectors already held: eigh's working copy and the
+# ?syevd/?heevd workspace (2N^2 reals for an N x N block); the two-block
+# path peaked at 7.4 blocks of a 12-site chain, against the 2 + 2 + 3 counted
 _EIGH_WORK_BLOCKS = 3
 
 # W P W for W = H^{(x)n}; a Y also flips the sign (W Y W = -Y)
@@ -169,18 +172,111 @@ def _check_budget(nbytes: int, what: str) -> None:
                                 f"has {memory}")
 
 
-def _sector_indices(n: int, count: int) -> list[np.ndarray]:
-    """The basis indices of each of `count` sectors, ascending.
+def _reversed_bits(x, n: int):
+    """x with bit q moved to bit n - 1 - q, for an int or an integer array:
+    the image of a basis index, or of a mask, under the qubit-order reversal
+    q -> n - 1 - q."""
+    out = x & 0
+    for q in range(n):
+        out |= (x >> q & 1) << (n - 1 - q)
+    return out
 
-    One sector holds every index.  Two are the even- and odd-popcount
-    indices: the j-th of each is 2j plus the low bit that fixes its parity,
-    so an index's position in its sector is index >> 1.
+
+def _reversal_invariant(groups: dict[int, list[tuple[float, int, int]]],
+                        n: int) -> bool:
+    """Whether the sum whose flip groups these are maps to itself under the
+    qubit-order reversal q -> n - 1 - q, which reverses both masks of each
+    string; coefficients must match exactly."""
+    coefficients: dict[tuple[int, int], float] = {}
+    for flip, group in groups.items():
+        for coefficient, sign, _ in group:
+            key = (flip, sign)
+            coefficients[key] = coefficients.get(key, 0.0) + coefficient
+    return all(coefficients.get((_reversed_bits(flip, n),
+                                 _reversed_bits(sign, n))) == c
+               for (flip, sign), c in coefficients.items())
+
+
+def _block_sizes(n: int, rotated: bool, reflected: bool) -> list[int]:
+    """The rows of each block of `_fold`'s layout, known before it is built.
+
+    A sector (all 2^n indices, or the 2^(n-1) of one popcount parity when
+    rotated) with p palindromes, r(s) = s, splits into (size + p) / 2
+    reversal-even and (size - p) / 2 reversal-odd rows.  There are
+    2^ceil(n/2) palindromes: all of even popcount when n is even, and half of
+    each parity, set by the middle bit, when n is odd.
     """
-    if count == 1:
-        return [np.arange(1 << n)]
-    j = np.arange(1 << (n - 1))
-    even = 2 * j + (np.bitwise_count(j) & 1)
-    return [even, even ^ 1]
+    sectors = [1 << (n - 1)] * 2 if rotated else [1 << n]
+    if not reflected:
+        return sectors
+    pals = 1 << (n + 1) // 2
+    in_sector = [pals] if not rotated else [pals, 0] if n % 2 == 0 \
+        else [pals // 2] * 2
+    return [size for sector, p in zip(sectors, in_sector)
+            for size in ((sector + p) // 2, (sector - p) // 2) if size]
+
+
+def _pairs(rows: np.ndarray, cols: np.ndarray,
+           weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(i1, i2, w1, w2) such that (M a)[k] = w1[k] a[i1[k]] + w2[k] a[i2[k]]
+    for the square matrix M with entries M[rows, cols] = weights, one or two
+    in each row; a row with one entry repeats it with weight 0."""
+    order = np.lexsort((cols, rows))
+    rows, cols, weights = rows[order], cols[order], weights[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    i1, w1 = cols[first], weights[first]
+    i2, w2 = i1.copy(), np.zeros(len(i1))
+    i2[rows[~first]], w2[rows[~first]] = cols[~first], weights[~first]
+    return i1, i2, w1, w2
+
+
+def _block_rows(forward: tuple[np.ndarray, ...],
+                bounds: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
+    """Each block's rows of F, as (i1, i2, w1, w2)."""
+    return [tuple(x[lo:hi] for x in forward)
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _gather(pair: tuple[np.ndarray, ...], a: np.ndarray) -> np.ndarray:
+    """w1 a[i1] + w2 a[i2] along axis 0 of a (2^n, m) batch."""
+    i1, i2, w1, w2 = pair
+    return w1[:, None] * a[i1] + w2[:, None] * a[i2]
+
+
+def _fold(n: int, rotated: bool, reflected: bool) -> tuple:
+    """The orthogonal map F from the (rotated) computational basis onto the
+    blocks' bases, rows concatenated block by block in the order of
+    `_block_sizes`: F and F^T as gather pairs, and the first row of each
+    block followed by the end.
+
+    Each sector is split by the qubit-order reversal r when `reflected`: a
+    pair s < r(s) gives the row (<s| + <r(s)|) / sqrt(2) of the sector's
+    reversal-even block and (<s| - <r(s)|) / sqrt(2) of its reversal-odd
+    block, and a palindrome the row <s| of the even block, after the pairs.
+    Otherwise every index is a palindrome and each sector is one block.
+    """
+    idx = np.arange(1 << n)
+    mirror = _reversed_bits(idx, n) if reflected else idx
+    parity = np.bitwise_count(idx) & 1
+    half = np.sqrt(0.5)
+    entries, bounds = [], [0]
+    for sector in [idx[parity == 0], idx[parity == 1]] if rotated else [idx]:
+        reps = sector[sector < mirror[sector]]
+        pals = sector[sector == mirror[sector]]
+        m, start = len(reps), bounds[-1]
+        even = start + np.arange(m + len(pals))
+        odd = even[-1] + 1 + np.arange(m)
+        entries += [(even[:m], reps, np.full(m, half)),
+                    (even[:m], mirror[reps], np.full(m, half)),
+                    (even[m:], pals, np.ones(len(pals))),
+                    (odd, reps, np.full(m, half)),
+                    (odd, mirror[reps], np.full(m, -half))]
+        mid = start + len(even)
+        bounds += [mid, mid + m] if m else [mid]
+    rows, cols, weights = map(np.concatenate, zip(*entries))
+    return (_pairs(rows, cols, weights), _pairs(cols, rows, weights),
+            tuple(bounds))
 
 
 def _product(u: np.ndarray, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -201,34 +297,43 @@ class DenseHermitian:
     """A dense Hamiltonian as its symmetry blocks, with a lazily cached
     spectral decomposition.
 
-    When every term commutes with prod_i X_i, `to_dense` builds H rotated by
-    W = H^{(x)n}, where prod_i X_i is the diagonal (-1)^popcount, as its
-    even- and odd-popcount blocks (`rotated`); otherwise `blocks` is H
-    itself.  A block is float64 when every term is real (an even number of Y
-    letters), so its eigenvectors are real too, and complex128 otherwise.
+    When every term commutes with prod_i X_i, `to_dense` works in the basis
+    rotated by W = H^{(x)n} (`rotated`), where prod_i X_i is the diagonal
+    (-1)^popcount, so H splits into its even- and odd-popcount sectors;
+    otherwise a sector is all of H.  When H is also invariant under the
+    qubit-order reversal r (the mirror of a chain, the 180-degree rotation
+    of a row-major grid), which keeps popcount and commutes with W, each
+    sector splits again into its reversal-even and reversal-odd blocks.
+    `forward` and `backward` hold the orthogonal map F onto the blocks'
+    bases and F^T as gather pairs (i1, i2, w1, w2), (F a)[k] = w1[k]
+    a[i1[k]] + w2[k] a[i2[k]], and `bounds` the first row of each block and
+    the end; `blocks` are the diagonal blocks of F (W) H (W) F^T.  A block
+    is float64 when every term is real (an even number of Y letters), so its
+    eigenvectors are real too, and complex128 otherwise.
 
     Each block is diagonalized on its own (numpy's eigh, LAPACK's
     divide-and-conquer ?syevd/?heevd on the lower triangle).  The filters
     move batches of states in and out of the eigenbasis through the blocks
-    (`to_eigenbasis`, `from_eigenbasis`); the full H (`matrix`) and its
-    eigenvector matrix V (`eig`) are assembled only where they are read.
+    (`to_eigenbasis`, `from_eigenbasis`): one Walsh-Hadamard transform, one
+    gather pair of F or F^T and one product per block.  The full H
+    (`matrix`) and its eigenvector matrix V (`eig`) are assembled only where
+    they are read.
     """
 
     n_qubits: int
     blocks: tuple[np.ndarray, ...]
+    rotated: bool
+    forward: tuple[np.ndarray, ...]
+    backward: tuple[np.ndarray, ...]
+    bounds: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
 
     @property
-    def rotated(self) -> bool:
-        return len(self.blocks) == 2
-
-    @cached_property
-    def sectors(self) -> list[np.ndarray]:
-        """The (rotated) basis indices of each block's rows and columns."""
-        return _sector_indices(self.n_qubits, len(self.blocks))
+    def _slices(self) -> list[slice]:
+        return [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
 
     @cached_property
     def _block_eig(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -241,7 +346,7 @@ class DenseHermitian:
         vals = np.concatenate([v for v, _ in self._block_eig])
         ranks = np.empty(len(vals), dtype=np.intp)
         ranks[np.argsort(vals, kind="stable")] = np.arange(len(vals))
-        return np.split(ranks, len(self.blocks))
+        return np.split(ranks, self.bounds[1:-1])
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -255,18 +360,23 @@ class DenseHermitian:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues ascending, orthonormal eigenvector columns V).
 
-        V = W blockdiag(U) is assembled in place: the blocks' eigenvectors U
-        are scattered into one 2^n x 2^n matrix, which one Walsh-Hadamard
-        transform rotates back, in O(n 4^n) and with no other temporary of
-        its size.  Raises DimensionOverflow, before allocating, when V
-        alone would exceed the machine's physical memory.
+        V = W F^T blockdiag(U) is assembled in place: each block's
+        eigenvectors U are scattered, weighted by its rows of F, into one
+        2^n x 2^n matrix, which one Walsh-Hadamard transform rotates back, in
+        O(n 4^n) and with no other temporary of its size.  Raises
+        DimensionOverflow, before allocating, when V alone would exceed the
+        machine's physical memory.
         """
         dtype = self.blocks[0].dtype
         _check_budget(dtype.itemsize * self.dim**2,
                       f"the eigenvectors of H on n={self.n_qubits} qubits")
         vecs = np.zeros((self.dim, self.dim), dtype)
-        for idx, rank, (_, u) in zip(self.sectors, self._ranks, self._block_eig):
-            vecs[np.ix_(idx, rank)] = u
+        rows = _block_rows(self.forward, self.bounds)
+        for (i1, i2, w1, w2), rank, (_, u) in zip(rows, self._ranks,
+                                                  self._block_eig):
+            # a palindrome's row repeats i1 as i2 with weight 0: i1 goes last
+            vecs[np.ix_(i2, rank)] = w2[:, None] * u
+            vecs[np.ix_(i1, rank)] = w1[:, None] * u
         if self.rotated:
             walsh_hadamard(vecs)
         return self.eigenvalues, vecs
@@ -277,10 +387,14 @@ class DenseHermitian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense 2^n x 2^n H, assembled from the blocks on each read."""
+        """The dense 2^n x 2^n H, assembled from the blocks on each read as
+        W (sum over blocks of F_b^T block F_b) W."""
         m = np.zeros((self.dim, self.dim), self.blocks[0].dtype)
-        for idx, block in zip(self.sectors, self.blocks):
-            m[np.ix_(idx, idx)] = block
+        for (i1, i2, w1, w2), block in zip(
+                _block_rows(self.forward, self.bounds), self.blocks):
+            for rows, w_rows in ((i1, w1), (i2, w2)):
+                for cols, w_cols in ((i1, w1), (i2, w2)):
+                    m[np.ix_(rows, cols)] += w_rows[:, None] * block * w_cols
         if self.rotated:  # H = W M W = (W (W M)^T)^T, as W is symmetric
             walsh_hadamard(walsh_hadamard(m).T)
         return m
@@ -288,24 +402,52 @@ class DenseHermitian:
     def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
         """C = V^dagger amps for a (2^n, m) batch of column states, rows in
         ascending-eigenvalue order: one Walsh-Hadamard transform of the
-        batch, then one product per block."""
+        batch, one gather pair of F, then one product per block."""
         batch = np.array(amps, dtype=complex)
         if self.rotated:
             walsh_hadamard(batch)
+        folded = _gather(self.forward, batch)
         coeffs = np.empty(batch.shape, dtype=complex)
-        for idx, rank, (_, u) in zip(self.sectors, self._ranks, self._block_eig):
-            coeffs[rank] = _product(u, batch[idx], adjoint=True)
+        for rows, rank, (_, u) in zip(self._slices, self._ranks,
+                                      self._block_eig):
+            coeffs[rank] = _product(u, folded[rows], adjoint=True)
         return coeffs
 
     def from_eigenbasis(self, coeffs: np.ndarray) -> np.ndarray:
         """V C for (2^n, m) eigenbasis coefficients: the inverse of
         `to_eigenbasis`."""
-        amps = np.empty(coeffs.shape, dtype=complex)
-        for idx, rank, (_, u) in zip(self.sectors, self._ranks, self._block_eig):
-            amps[idx] = _product(u, coeffs[rank])
+        folded = np.empty(coeffs.shape, dtype=complex)
+        for rows, rank, (_, u) in zip(self._slices, self._ranks,
+                                      self._block_eig):
+            folded[rows] = _product(u, coeffs[rank])
+        amps = _gather(self.backward, folded)
         if self.rotated:
             walsh_hadamard(amps)
         return amps
+
+    def diagonal_in_eigenbasis(self, a: PauliSum) -> np.ndarray | None:
+        """<v_k|A|v_k> for every eigenvector, in ascending-eigenvalue order,
+        when every term of A has flip mask 0 in the blocks' basis (X-only
+        strings, such as the transverse magnetization, when H is rotated);
+        None for any other A.
+
+        A's diagonal d there is read per block, as the sum over its rows a of
+        |U_ak|^2 times the mean of d over a's reversal orbit,
+        w1^2 d[i1] + w2^2 d[i2]: V is never assembled.
+        """
+        if self.rotated:
+            a = PauliSum(tuple(map(_hadamard_rotated, a)))
+        groups = _flip_groups(a, self.n_qubits)
+        if any(groups):  # a nonzero flip mask
+            return None
+        i1, i2, w1, w2 = self.forward
+        d = _diagonal(groups.get(0, []), np.arange(self.dim))
+        orbit_mean = w1**2 * d[i1] + w2**2 * d[i2]
+        diag = np.empty(self.dim)
+        for rows, rank, (_, u) in zip(self._slices, self._ranks,
+                                      self._block_eig):
+            diag[rank] = orbit_mean[rows] @ np.abs(u) ** 2
+        return diag
 
 
 def _hadamard_rotated(term: PauliTerm) -> PauliTerm:
@@ -315,22 +457,50 @@ def _hadamard_rotated(term: PauliTerm) -> PauliTerm:
                      tuple((q, _HADAMARD_IMAGE[o]) for q, o in term.operators))
 
 
+def _block(groups: dict[int, list[tuple[float, int, int]]],
+           rows: tuple[np.ndarray, ...], n: int, dtype) -> np.ndarray:
+    """F_b H F_b^T for the block whose rows of F are `rows` = (i1, i2, w1, w2),
+    by scatter-add from the flip groups of H (rotated when the blocks are).
+
+    Row k of F_b is kappa_k P |a> for a = i1[k], P the projector onto the
+    block's reversal parity and kappa_k = 1 / w1[k]; P commutes with H, so
+    entry (k, l) is kappa_k sum_t H[a, t] F_b[l, t], and a flip group adds
+    H[a, a ^ flip] = d[a] at the row l of F_b that holds t = a ^ flip.  An
+    index outside the block weighs 0.
+    """
+    i1, i2, w1, w2 = rows
+    size = len(i1)
+    k = np.arange(size)
+    col, weight = np.zeros(1 << n, dtype=np.intp), np.zeros(1 << n)
+    col[i2], weight[i2] = k, w2
+    col[i1], weight[i1] = k, w1
+    block = np.zeros((size, size), dtype=dtype)
+    for flip, group in groups.items():
+        t = i1 ^ flip
+        np.add.at(block.reshape(-1), k * size + col[t],
+                  _diagonal(group, i1) * (weight[t] / w1))
+    return block
+
+
 def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     """Expand a PauliSum to its dense blocks, each allocated once.
 
     A term commutes with prod_i X_i when it has an even number of Y and Z
     letters, as every XYZ + hx term does.  If all do, each term is rotated
     by W = H^{(x)n} (X <-> Z, Y -> -Y), which keeps its Y count and maps
-    prod_i X_i to prod_i Z_i, so the rotated sum is built directly as its
-    even- and odd-popcount blocks of size 2^(n-1); the full matrix is never
-    allocated.  Any other sum is one 2^n block, unrotated.  A string with an
-    even number of Y letters has phases +-1, so a sum of such strings is
-    built real, as float64, and any other sum complex.  The terms sharing a
-    flip mask fill one diagonal, scattered once into each block:
-    O(|terms| 2^n) plus the allocation.  Raises IndexError when a term
-    touches a qubit >= n, and DimensionOverflow, before allocating, when
-    diagonalizing the blocks would take more than the machine's physical
-    memory.
+    prod_i X_i to prod_i Z_i, so the rotated sum splits into its even- and
+    odd-popcount sectors of size 2^(n-1); any other sum is one 2^n sector,
+    unrotated.  When the sum is also invariant under the qubit-order
+    reversal q -> n - 1 - q, found from its strings, each sector splits into
+    its reversal-even and reversal-odd blocks (see `_fold`): four blocks of
+    about 2^(n-2) for every XYZ + hx chain or grid.  The full matrix is never
+    allocated.  A string with an even number of Y letters has phases +-1, so
+    a sum of such strings is built real, as float64, and any other sum
+    complex.  The terms sharing a flip mask fill one diagonal, scattered
+    once into each block: O(|terms| 2^n) plus the allocation.  Raises
+    IndexError when a term touches a qubit >= n, and DimensionOverflow,
+    before allocating, when diagonalizing the blocks would take more than
+    the machine's physical memory.
     """
     real = all(sum(o == "Y" for _, o in t.operators) % 2 == 0 for t in p)
     rotated = n >= 1 and all(sum(o != "X" for _, o in t.operators) % 2 == 0
@@ -338,17 +508,13 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     if rotated:
         p = PauliSum(tuple(map(_hadamard_rotated, p)))
     groups = _flip_groups(p, n)
+    reflected = _reversal_invariant(groups, n)
     dtype = np.dtype(float if real else complex)
-    sectors = _sector_indices(n, 2 if rotated else 1)
-    size = len(sectors[0])
-    _check_budget((2 * len(sectors) + _EIGH_WORK_BLOCKS) * dtype.itemsize
-                  * size**2, f"diagonalizing H on n={n} qubits")
-    blocks = tuple(np.zeros((size, size), dtype=dtype) for _ in sectors)
-    shift = len(sectors) - 1  # an index's position in its sector
-    rows = np.arange(size)
-    for flip, group in groups.items():
-        # each group fills the entries (j, j ^ flip), which no other group
-        # touches; a rotated flip has even popcount, so it keeps the sector
-        for block, idx in zip(blocks, sectors):
-            block[rows, (idx ^ flip) >> shift] = _diagonal(group, idx)
-    return DenseHermitian(n, blocks)
+    sizes = _block_sizes(n, rotated, reflected)
+    _check_budget(dtype.itemsize * (2 * sum(s * s for s in sizes)
+                                    + _EIGH_WORK_BLOCKS * max(sizes)**2),
+                  f"diagonalizing H on n={n} qubits")
+    forward, backward, bounds = _fold(n, rotated, reflected)
+    blocks = tuple(_block(groups, rows, n, dtype)
+                   for rows in _block_rows(forward, bounds))
+    return DenseHermitian(n, blocks, rotated, forward, backward, bounds)

@@ -109,15 +109,16 @@ def _term_window(term: PauliTerm, n: int, d: int,
 def qite_circuit(rotations, n: int) -> Circuit:
     """The gadget circuit of `rotations` on n qubits, for counts and replay.
 
-    `rotations` is a pair of equal-length lists, Pauli strings and angles.
-    Each string `placed`, listing (qubit, letter) pairs in ascending qubit
-    order as `PauliTerm.operators` does, with its angle theta becomes
-    exp(-i theta/2 * PauliString): X and Y turned into Z (H, RX(pi/2)), a
-    CNOT ladder up to the highest qubit, RZ(theta) there, and the inverse of
-    the first half.
+    `rotations` is a pair of equal-length sequences, Pauli strings and
+    angles.  Each string `placed`, listing (qubit, letter) pairs in
+    ascending qubit order as `PauliTerm.operators` does, with its angle
+    theta becomes exp(-i theta/2 * PauliString): X and Y turned into Z (H,
+    RX(pi/2)), a CNOT ladder up to the highest qubit, RZ(theta) there, and
+    the inverse of the first half.
     """
     circuit = Circuit(n)
-    for placed, theta in zip(*rotations):
+    placed_strings, thetas = rotations
+    for placed, theta in zip(placed_strings, np.asarray(thetas).tolist()):
         qubits = [q for q, _ in placed]
         into = [("h", (q,), None) if o == "X" else ("rx", (q,), math.pi / 2)
                 for q, o in placed if o != "Z"]
@@ -161,12 +162,13 @@ def _evolve_bytes(n: int, d: int, r: int, term_steps: int) -> int:
     per column 10 copies of its state (input, output and working copies,
     with those of `apply_pauli_sum` for a term outside its window),
     the fallback fit's P L stack, gram and eigenvectors, the group unitaries
-    with their pairwise products, and its angles of `term_steps` term steps,
-    as an array and as Python floats."""
+    with their pairwise products, and its angles of `term_steps` term steps:
+    the fitted array, the kept angles, their indices and their strings'
+    references."""
     k = 4**d - 1
     return 16 * 4**d * (k + 4 * (k + 1)) + r * (
         10 * 16 * 2**n + 16 * k * 4**d + 32 * k**2 + 6 * 16**d
-        + 48 * term_steps * k)
+        + 32 * term_steps * k)
 
 
 def beta_groups(sweep: QiteSpec, h: PauliSum, n: int, r: int) -> int:
@@ -207,15 +209,16 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
     column k; returns the evolved batch and each column's rotations.
 
     A column's rotations are its kept exp(-i theta/2 P) in the order applied,
-    as a list of strings P and a list of angles theta; `qite_circuit` emits
-    their gates.  A column at beta = 0 is returned as it is, with none.
+    as a list of strings P and a float64 array of angles theta;
+    `qite_circuit` emits their gates.  A column at beta = 0 is returned as it
+    is, with none.
     Raises DimensionOverflow, before allocating, when the evolution exceeds
     physical memory.
     """
     dim, r = states.shape
     n = dim.bit_length() - 1
     betas = np.broadcast_to(np.asarray(spec.beta, dtype=float), (r,))
-    rotations = [([], []) for _ in range(r)]
+    rotations = [([], np.empty(0)) for _ in range(r)]
     live = np.flatnonzero(betas)
     if len(live) == 0 or len(h) == 0:
         return np.array(states, dtype=complex), rotations
@@ -274,9 +277,8 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
     step_labels = [s for w in windows for s in labels[w]] * spec.n_steps
     for col, k in zip(angles.reshape(r, -1), live):
         kept = np.flatnonzero(col)
-        placed, thetas = rotations[k]
-        placed.extend(map(step_labels.__getitem__, kept.tolist()))
-        thetas.extend((2.0 * col[kept]).tolist())
+        rotations[k] = ([step_labels[j] for j in kept.tolist()],
+                        2.0 * col[kept])
     return state, rotations
 
 

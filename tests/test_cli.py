@@ -521,14 +521,11 @@ def test_dense_model_beyond_memory_is_backend_failure(runner, tmp_path):
 @pytest.mark.parametrize("subcommand,body,refused", [
     ("resources", {"resources": {"sizes": [6], "backends": ["dilated"]}},
      "the dilated unitary"),
-    ("sweep-beta", {"estimate": {"betas": [0.5], "R": 2,
-                                 "observable": "magnetization_x"}},
-     "applying a Pauli sum to (64, 64)"),
 ])
 def test_dense_artifact_beyond_its_budget_is_backend_failure(
         runner, tmp_path, monkeypatch, subcommand, body, refused):
-    # on a 6-site chain with 128 KiB of memory, the blocks (56 KiB) and V
-    # (32 KiB) fit; Omega, or the magnetization applied to all of V, does not
+    # on a 6-site chain with 128 KiB of memory, the blocks (95 KiB with
+    # their eigh workspace) and V (32 KiB) fit; Omega does not
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = write_config(tmp_path, {
@@ -539,6 +536,22 @@ def test_dense_artifact_beyond_its_budget_is_backend_failure(
     assert result.exit_code == 2, result.output
     assert f"backend failure: {refused}" in result.output
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_magnetization_reference_needs_no_eigenvectors(runner, tmp_path,
+                                                       monkeypatch):
+    # with the same 128 KiB, applying the magnetization to all 64 columns of
+    # V would not fit; its reference is read off the blocks instead
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [6]},
+        "estimate": {"betas": [0.5], "R": 2, "observable": "magnetization_x"},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "x.csv").exists()
 
 
 def test_qite_fit_beyond_its_budget_is_backend_failure(runner, tmp_path,

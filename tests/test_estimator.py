@@ -32,7 +32,12 @@ from tpqsim.estimator import (
 from tpqsim.lattice import magnetization_x
 from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
-from tpqsim.statevector import StateVector, expectation, sample_expectation
+from tpqsim.statevector import (
+    StateVector,
+    expectation,
+    expectations,
+    sample_expectation,
+)
 
 from conftest import qite_one
 
@@ -270,7 +275,7 @@ def test_exact_energy_run_changes_basis_once(chain3, monkeypatch):
                                      BackendSpec("qite", n_steps=2)])
 def test_energy_run_assembles_no_full_matrix(chain3, monkeypatch, backend):
     # the exact filter, the QITE measurement and the energy reference read
-    # the parity blocks only: neither V nor H is assembled at 2^n x 2^n
+    # the symmetry blocks only: neither V nor H is assembled at 2^n x 2^n
     def forbidden(*args):
         raise AssertionError("assembled a full 2^n x 2^n matrix")
 
@@ -279,6 +284,32 @@ def test_energy_run_assembles_no_full_matrix(chain3, monkeypatch, backend):
     est = run_ensemble(TpqRunSpec(chain3, (0.2, 1.0), realizations=3,
                                   depth=5, backend=backend))
     assert np.all(np.isfinite(est.values))
+
+
+@pytest.mark.parametrize("extents", [(5,), (3, 2)])
+def test_magnetization_run_assembles_no_full_matrix(monkeypatch, extents):
+    # X-only strings have flip mask 0 after the rotation: the reference reads
+    # <v_k|A|v_k> off the blocks, as the assembled V gives it
+    lattice = LatticeSpec(len(extents), extents)
+    dense = to_dense(build_heisenberg(lattice), lattice.n_sites)
+    mx = magnetization_x(lattice)
+    assert dense.diagonal_in_eigenbasis(build_heisenberg(lattice)) is None
+    vals, vecs = dense.eig
+    via_v = expectations(vecs, mx)
+    assert np.max(np.abs(dense.diagonal_in_eigenbasis(mx) - via_v)) < 1e-12
+    betas = (0.0, 0.2, 1.0, 3.0)
+    w = np.exp(-np.multiply.outer(betas, vals - vals[0]))
+    ref = w @ via_v / w.sum(axis=1)
+
+    def forbidden(*args):
+        raise AssertionError("assembled a full 2^n x 2^n matrix")
+
+    monkeypatch.setattr(DenseHermitian, "eig", property(forbidden))
+    monkeypatch.setattr(DenseHermitian, "matrix", property(forbidden))
+    est = run_ensemble(TpqRunSpec(lattice, betas, observable=mx,
+                                  realizations=3, depth=5))
+    assert np.all(np.isfinite(est.values))
+    assert np.max(np.abs(est.ensemble_ref - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("backend", [BackendSpec("dilated", epsilon=0.1),

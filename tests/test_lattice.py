@@ -233,10 +233,22 @@ def kron_matrix(terms, n):
 
 
 BLOCK_CASES = {
-    "chain8": (build_heisenberg(LatticeSpec(1, (8,))), 8, 2),
-    "chain5": (build_heisenberg(LatticeSpec(1, (5,))), 5, 2),
-    "grid3x2": (build_heisenberg(LatticeSpec(2, (3, 2))), 6, 2),
-    # a Z field anticommutes with prod_i X_i: one real sector, unrotated
+    # every XYZ + hx chain or grid: two parity sectors, each split by the
+    # qubit-order reversal (a chain's mirror, a grid's 180-degree rotation)
+    "chain8": (build_heisenberg(LatticeSpec(1, (8,))), 8, 4),
+    "chain5": (build_heisenberg(LatticeSpec(1, (5,))), 5, 4),
+    "grid3x2": (build_heisenberg(LatticeSpec(2, (3, 2))), 6, 4),
+    "grid3x3": (build_heisenberg(LatticeSpec(2, (3, 3))), 9, 4),
+    # a uniform Z field keeps the reversal but anticommutes with prod_i X_i:
+    # two real blocks, unrotated
+    "uniform_z": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
+                           + tuple(PauliTerm(0.7, ((q, "Z"),))
+                                   for q in range(4))), 4, 2),
+    # mirrored Z fields of unequal strength break the reversal too
+    "z_unequal": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
+                           + (PauliTerm(0.7, ((0, "Z"),)),
+                              PauliTerm(0.75, ((3, "Z"),)))), 4, 1),
+    # a Z field on one site breaks both: one real sector, unrotated
     "z_field": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
                          + (PauliTerm(0.7, ((2, "Z"),)),)), 4, 1),
     # a single Y: one complex sector
@@ -265,7 +277,19 @@ def test_blocked_eigenbasis_matches_kron_oracle(case):
     assert np.max(np.abs(dense.from_eigenbasis(coeffs) - psi)) < 1e-12
 
 
-@pytest.mark.parametrize("case", ["chain8", "grid3x2"])
+def reversal_matrix(n):
+    """The qubit-order reversal q -> n - 1 - q as a product of SWAP gates,
+    each SWAP(i, j) = (I + X_i X_j + Y_i Y_j + Z_i Z_j) / 2 from Kronecker
+    products."""
+    r = np.eye(2**n)
+    for q in range(n // 2):
+        pair = [PauliTerm(0.5, ())] + [PauliTerm(0.5, ((q, o), (n - 1 - q, o)))
+                                       for o in "XYZ"]
+        r = kron_matrix(pair, n).real @ r
+    return r
+
+
+@pytest.mark.parametrize("case", ["chain8", "chain5", "grid3x2", "grid3x3"])
 def test_rotated_h_is_block_diagonal(case):
     h, n, _ = BLOCK_CASES[case]
     rotated = kron_matrix([_hadamard_rotated(t) for t in h], n)
@@ -276,14 +300,45 @@ def test_rotated_h_is_block_diagonal(case):
     assert np.max(np.abs(hadamard @ ref @ hadamard - rotated)) < 1e-12
     parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
     assert np.all(rotated[parity[:, None] != parity[None, :]] == 0.0)
+    # the reversal R, a permutation (one 1 per column), is a symmetry of H
+    r = reversal_matrix(n)
+    eye = np.eye(2**n)
+    assert np.array_equal(np.sort(r, axis=0), np.sort(eye, axis=0))
+    assert np.max(np.abs(r @ ref @ r.T - ref)) < 1e-12
+    # each sector's reversal-even block on (|s> + R|s>) / sqrt(2) for the
+    # indices s < R(s), then |s> for R(s) = s, and its reversal-odd block on
+    # (|s> - R|s>) / sqrt(2), all in ascending s
+    expected = []
+    for sector in (0, 1):
+        indices = np.flatnonzero(parity == sector)
+        image = np.argmax(r[:, indices], axis=0)
+        for sign in (1, -1):
+            pairs = [(eye[s] + sign * eye[t]) / np.sqrt(2)
+                     for s, t in zip(indices, image) if s < t]
+            fixed = [eye[s] for s, t in zip(indices, image)
+                     if s == t and sign == 1]
+            if pairs or fixed:
+                isometry = np.array(pairs + fixed).T
+                expected.append(isometry.T @ rotated @ isometry)
     dense = to_dense(h, n)
-    for idx, block in zip(dense.sectors, dense.blocks):
-        assert np.all(parity[idx] == parity[idx[0]])
-        assert np.array_equal(block, rotated[np.ix_(idx, idx)].real)
+    assert len(dense.blocks) == len(expected) == 4
+    for block, ref_block in zip(dense.blocks, expected):
+        assert np.max(np.abs(block - ref_block)) < 1e-12
+
+
+def test_a_ten_site_chain_is_four_quarter_blocks():
+    # the reversal halves both parity blocks: a fall-back to two blocks of
+    # 2^(n-1) rows fails here
+    n = 10
+    dense = to_dense(build_heisenberg(LatticeSpec(1, (n,))), n)
+    sizes = [len(block) for block in dense.blocks]
+    assert sizes == [272, 240, 256, 256]
+    assert max(sizes) <= 2**(n - 2) + 2**(n // 2)
 
 
 def test_to_dense_never_allocates_the_full_matrix():
-    # the two parity blocks of an 8-site chain are half of its 512 KiB H
+    # the four blocks of an 8-site chain, 72, 56, 64 and 64 rows, are a
+    # quarter of its 512 KiB H
     h = build_heisenberg(LatticeSpec(1, (8,)))
     to_dense(h, 8)  # an untraced first call; nothing is cached between calls
     tracemalloc.start()
@@ -292,7 +347,7 @@ def test_to_dense_never_allocates_the_full_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.6 * 8 * 4**8
+    assert peak < 0.35 * 8 * 4**8
 
 
 def fake_memory(monkeypatch, nbytes):
@@ -301,13 +356,15 @@ def fake_memory(monkeypatch, nbytes):
 
 
 def test_byte_budget_counts_the_blocks(monkeypatch):
-    # a 9-site chain: the blocked peak, 7 x 8 x 4^8 bytes (3.5 MiB), fits in
-    # 8 MiB, where the unblocked 5 x 8 x 4^9 (10 MiB) would not
+    # a 9-site chain: the blocks of 136, 120, 136 and 120 rows, their
+    # eigenvectors and one 136-row eigh workspace, 8 x (2 x 65,792 + 3 x
+    # 136^2) bytes (1.43 MiB), fit in 2 MiB, where the two parity blocks'
+    # 7 x 8 x 4^8 (3.5 MiB) would not
     h = build_heisenberg(LatticeSpec(1, (9,)))
-    fake_memory(monkeypatch, 8 << 20)
+    fake_memory(monkeypatch, 2 << 20)
     dense = to_dense(h, 9)
     assert len(dense.eigenvalues) == 2**9
-    fake_memory(monkeypatch, 3 << 20)
+    fake_memory(monkeypatch, 1 << 20)
     with pytest.raises(DimensionOverflow):
         to_dense(h, 9)
     # the full V, 8 x 4^9 bytes (2 MiB), checks its own size when assembled
