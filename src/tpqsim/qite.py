@@ -12,7 +12,7 @@ multiplied out into one 2^d x 2^d window unitary and applied to the state.
 at its own beta and with its own fit, so a sweep over betas is one evolution
 of its states tiled once per beta (`beta_groups` splits the betas into the
 fewest groups whose evolutions fit physical memory).  A term's window, axis
-orders, local string and per-column cosh/sinh are fixed once per call; a term
+orders, local string and per-column tanh are fixed once per call; a term
 inside its window steps the window matrix alone.  The window unitary expands
 each group of 4 consecutive rotations over the 16 ordered products of their
 strings, which are fixed once per call, and multiplies the groups pairwise.
@@ -29,11 +29,13 @@ C = -i (M D^dagger - D M^dagger).  They say that A = sum_J x_J P_J solves
 A rho + rho A + (_REG / 2^d) A = C + mu I with Tr A = 0, which the
 eigenbasis rho = U diag(p) U^dagger solves entry by entry:
 (U^dagger A U)_ij = ((U^dagger C U)_ij + mu delta_ij) / (p_i + p_j + _REG / 2^d),
-mu fixing the trace, and x_J = Tr(P_J A) / 2^d.  A window whose rho is
-rank-deficient at round-off (p_min <= (4^d - 1) eps p_max) instead solves the
-normal equations in the eigenbasis of their symmetric matrix, dropping
-eigen-directions at round-off level: b has no component there, so keeping
-them would only turn round-off into coefficients near the pruning threshold.
+mu fixing the trace, and x_J = Tr(P_J A) / 2^d.  Every window takes this
+one solve, also one whose rho is rank-deficient (always so when 2^(n-d) <
+2^d): eigenvalues at round-off, p_i <= (4^d - 1) eps p_max, are set to 0,
+and so is the null x null block of U^dagger C U, which is round-off too.
+The normal equations' gram is then singular only on the traceless
+null x null matrices, where b has no component, and the formula gives what
+solving them with those directions dropped gives.
 Validated against the exact dense filter, not against any external QITE code.
 """
 
@@ -161,14 +163,12 @@ def _evolve_bytes(n: int, d: int, r: int, term_steps: int) -> int:
     the string stack and its grouped-product basis (4 times as large), and
     per column 10 copies of its state (input, output and working copies,
     with those of `apply_pauli_sum` for a term outside its window),
-    the fallback fit's P L stack, gram and eigenvectors, the group unitaries
-    with their pairwise products, and its angles of `term_steps` term steps:
-    the fitted array, the kept angles, their indices and their strings'
-    references."""
+    the group unitaries with their pairwise products, and its angles of
+    `term_steps` term steps: the fitted array, the kept angles, their
+    indices and their strings' references."""
     k = 4**d - 1
     return 16 * 4**d * (k + 4 * (k + 1)) + r * (
-        10 * 16 * 2**n + 16 * k * 4**d + 32 * k**2 + 6 * 16**d
-        + 32 * term_steps * k)
+        10 * 16 * 2**n + 6 * 16**d + 32 * term_steps * k)
 
 
 def beta_groups(sweep: QiteSpec, h: PauliSum, n: int, r: int) -> int:
@@ -193,13 +193,12 @@ def beta_groups(sweep: QiteSpec, h: PauliSum, n: int, r: int) -> int:
 class _TermStep:
     """A term's constants within one call: its window's axis orders, its
     string as a window-local index (None when the window misses part of its
-    support) or as a unit Pauli sum, and each column's cosh and sinh."""
+    support) or as a unit Pauli sum, and each column's tanh(dtau c)."""
     axes: tuple[int, ...]
     inverse: tuple[int, ...]
     local: int | None
     unit: PauliSum
-    cosh: np.ndarray
-    sinh: np.ndarray
+    tanh: np.ndarray
 
 
 def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
@@ -248,19 +247,21 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
         terms.append(_TermStep(
             axes, tuple(np.argsort(axes)), index.get(local),
             PauliSum((PauliTerm(1.0, term.operators),)),
-            np.cosh(dtaus * c), np.sinh(dtaus * c)))
+            np.tanh(dtaus * c)))
 
     r = len(live)
     sub = np.asarray(states[:, live], dtype=complex)
     angles = np.empty((r, term_steps, len(strings)))
     for i, t in enumerate(terms * spec.n_steps):
         m = _to_window(sub, t.axes, d)
-        # e^{-dtau c P} = cosh(dtau c) I - sinh(dtau c) P on the term's string
+        # e^{-dtau c P} = cosh(dtau c) (I - tanh(dtau c) P) on the term's
+        # string; the target is normalized, so the cosh, which overflows at
+        # large dtau c, drops out
         if t.local is None:
             pm = _to_window(apply_pauli_sum(sub, n, t.unit), t.axes, d)
         else:
             pm = paulis[t.local] @ m
-        evolved = t.cosh * m - t.sinh * pm
+        evolved = m - t.tanh * pm
         evolved /= np.linalg.norm(evolved, axis=(1, 2))[:, None, None]
         evolved -= m
         x = _fit(paulis, m, evolved)
@@ -333,43 +334,20 @@ def _fit(paulis: np.ndarray, m: np.ndarray, delta: np.ndarray) -> np.ndarray:
     rho = m @ m.conj().mT
     cross = m @ delta.conj().mT
     c = -1j * (cross - cross.conj().mT)
-    x = np.zeros((len(m), len(paulis)))
-    deficient = np.ones(len(m), dtype=bool)
-    if m.shape[2] >= dim:  # else every rho has rank below 2^d
-        p, u = np.linalg.eigh(rho)
-        deficient = p[:, 0] <= len(paulis) * np.finfo(float).eps * p[:, -1]
-        denom = p[:, :, None] + p[:, None, :] + _REG / dim
-        c_eig = u.conj().mT @ c @ u
-        inv_diag = 1.0 / np.diagonal(denom, axis1=1, axis2=2)
-        mu = -np.einsum("rii,ri->r", c_eig, inv_diag).real / inv_diag.sum(axis=1)
-        a = u @ ((c_eig + mu[:, None, None] * np.eye(dim)) / denom) @ u.conj().mT
-        x = _pauli_traces(paulis, a) / dim
-    if deficient.any():
-        # S_IJ = 2 Re Tr(L^dagger P_I P_J L) for a factor rho = L L^dagger,
-        # the thinner of M and U sqrt(p); 2 b_J = Tr(P_J C)
-        factor = m if m.shape[2] < dim \
-            else u * np.sqrt(np.maximum(p, 0.0))[:, None]
-        sigma = (paulis @ factor[deficient][:, None]).reshape(
-            deficient.sum(), len(paulis), -1)
-        x[deficient] = _regularized_solve(2.0 * (sigma.conj() @ sigma.mT).real,
-                                          _pauli_traces(paulis, c[deficient]))
-    return x
-
-
-def _regularized_solve(s_sym: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(s_sym + _REG I)^{-1} b for each (k, k) system and (k,) right side of
-    a stack, on the eigen-directions of s_sym above round-off.
-
-    Directions with eigenvalue at or below k * eps * lambda_max are null
-    analytically (b is orthogonal to them), so they get coefficient 0.
-    """
     try:
-        lam, vecs = np.linalg.eigh(s_sym)
+        p, u = np.linalg.eigh(rho)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("QITE least-squares solve failed") from exc
-    keep = lam > lam.shape[-1] * np.finfo(float).eps * lam[:, -1:]
-    coeffs = np.where(keep, (b[:, None, :] @ vecs)[:, 0] / (lam + _REG), 0.0)
-    x = (vecs @ coeffs[:, :, None])[:, :, 0]
+    # round-off eigenvalues are null, and C has no null x null part
+    null = p <= len(paulis) * np.finfo(float).eps * p[:, -1:]
+    p[null] = 0.0
+    c_eig = u.conj().mT @ c @ u
+    c_eig[null[:, :, None] & null[:, None, :]] = 0.0
+    denom = p[:, :, None] + p[:, None, :] + _REG / dim
+    inv_diag = 1.0 / np.diagonal(denom, axis1=1, axis2=2)
+    mu = -np.einsum("rii,ri->r", c_eig, inv_diag).real / inv_diag.sum(axis=1)
+    a = u @ ((c_eig + mu[:, None, None] * np.eye(dim)) / denom) @ u.conj().mT
+    x = _pauli_traces(paulis, a) / dim
     if not np.all(np.isfinite(x)):
         raise SingularSystem("QITE least-squares solve failed")
     return x

@@ -68,9 +68,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amps.copy())
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 

@@ -9,6 +9,7 @@ from tpqsim import (
     DomainTooSmallWarning,
     LatticeSpec,
     QiteSpec,
+    SingularSystem,
     StateVector,
     apply_circuit,
     apply_exact,
@@ -200,9 +201,10 @@ def test_generation_time_grows_with_system():
 
 
 def gram_solve(psi, delta, labels, n):
-    """The fit as the 63 x 63 normal equations over the strings' actions on
-    the whole state: (S_sym + _REG I) x = b, solved in S_sym's eigenbasis with
-    round-off directions dropped; returns x and the dropped count."""
+    """The fit as the (4^d - 1)-term normal equations over the strings'
+    actions on the whole state: (S_sym + _REG I) x = b, solved in S_sym's
+    eigenbasis with round-off directions dropped; returns x and the dropped
+    count."""
     sources, phases = string_gathers(labels, n)
     sigma_psi = phases * psi[sources]
     gram = sigma_psi.conj() @ sigma_psi.T
@@ -231,15 +233,16 @@ def product_state(n, seed):
     (7, (1, 2, 3), "product", None, True),   # drops directions
     (3, (0, 1, 2), "haar", None, True),      # the window is the whole state
     (7, (2, 3, 4), "haar", 1e-2, False),     # checks _REG / 2^d
+    (2, (0, 1), "haar", None, True),         # d = 2, the whole state
+    (6, (1, 2), "product", None, True),
+    (3, (0, 1, 2), "haar", 1e-2, True),      # _REG / 2^d, rank-deficient
+    # a 1 x 1 null block has no traceless part: nothing to drop
+    (5, (2,), "product", None, False),
 ])
 def test_window_fit_matches_the_gram_solve(monkeypatch, n, window, state, reg,
                                            rank_deficient):
     if reg is not None:
         monkeypatch.setattr(qite, "_REG", reg)
-    solves = []
-    solve = qite._regularized_solve
-    monkeypatch.setattr(qite, "_regularized_solve",
-                        lambda *a: solves.append(1) or solve(*a))
     psi = (sample_haar_state(n, 3) if state == "haar"
            else product_state(n, 3)).amps
     # the target of one term step on a bond inside the window
@@ -255,8 +258,31 @@ def test_window_fit_matches_the_gram_solve(monkeypatch, n, window, state, reg,
     x = qite._fit(paulis, m, qite._to_window(delta[:, None], axes, d) - m)[0]
     ref, dropped = gram_solve(psi, delta, labels, n)
     assert np.max(np.abs(x - ref)) < 1e-12
-    assert len(solves) == rank_deficient
     assert (dropped > 0) == rank_deficient
+
+
+def test_fit_of_a_non_finite_window_is_a_singular_system():
+    _, paulis = qite._window_strings(2)
+    m = sample_haar_state(4, 1).amps.reshape(1, 4, 4)
+    m[0, 1, 0] = np.nan
+    with pytest.raises(SingularSystem):
+        qite._fit(paulis, m, np.zeros_like(m))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_step_at_large_beta_stays_finite():
+    # dtau c = 1000 per term step: cosh and sinh overflow past 710
+    lattice = LatticeSpec(1, (6,))
+    h = build_heisenberg(lattice)
+    states = haar_batch(6, range(2))
+    out, rotations = qite_evolve(QiteSpec(2000.0, n_steps=1), h, states,
+                                 lattice)
+    assert np.all(np.isfinite(out))
+    assert np.allclose(np.linalg.norm(out, axis=0), 1.0, rtol=0, atol=1e-12)
+    for k in range(2):
+        replay = apply_circuit(StateVector(6, states[:, k]),
+                               qite_circuit(rotations[k], 6))
+        assert np.max(np.abs(replay.amps - out[:, k])) < 1e-9
 
 
 def haar_batch(n, seeds):
