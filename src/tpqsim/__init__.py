@@ -28,8 +28,8 @@ from .circuit import Circuit, Gate
 from .statevector import (
     StateVector,
     apply_circuit,
-    expectation,
-    sample_expectation,
+    expectations,
+    sample_expectations,
     zero_state,
 )
 from .nonunitary import (
@@ -74,8 +74,8 @@ __all__ = [
     "Gate",
     "StateVector",
     "apply_circuit",
-    "expectation",
-    "sample_expectation",
+    "expectations",
+    "sample_expectations",
     "zero_state",
     "DilationSpec",
     "ThermalOperator",

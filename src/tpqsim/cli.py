@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import statistics
 import sys
 import time
@@ -49,21 +50,23 @@ from .random_state import (
     sample_haar_state,
     state_entropy,
 )
-from .statevector import StateVector, expectations
+from .statevector import expectations
 
 _BIG = sys.float_info.max
 
 
-def _number(lo=None, integer=False, above=False):
-    """Kind: a finite number >= lo (> lo when `above`), never a bool or a
-    string; an integer kind rejects 3.7, which int() would truncate to 3."""
+def _number(lo=None, integer=False, above=False, hi=_BIG):
+    """Kind: a finite number >= lo (> lo when `above`) and <= hi, never a bool
+    or a string; an integer kind rejects 3.7, which int() truncates to 3."""
     rule = "an integer" if integer else "a finite number"
     if lo is not None:
         rule += f" {'>' if above else '>='} {lo}"
+    if hi != _BIG:
+        rule += f" and <= {hi}"
 
     def parse(v, name):
         if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not -_BIG <= v <= _BIG
+                or not -_BIG <= v <= hi
                 or lo is not None and not (v > lo if above else v >= lo)
                 or integer and not float(v).is_integer()):
             raise ConfigError(f"{name} must be {rule}, got {v!r}")
@@ -127,7 +130,8 @@ _TABLE = {
     "backend.domain": (_COUNT, None),  # None: min(N, 3)
     "estimate.betas": (_list(_number(0)), _BETA_GRID),
     "estimate.R": (_COUNT, 10),
-    "estimate.shots": (_number(0, integer=True), 0),
+    # numpy draws a binomial count as a C long
+    "estimate.shots": (_number(0, integer=True, hi=2**63 - 1), 0),
     "estimate.observable": (_choice("energy", "magnetization_x"), "energy"),
     "output.path": (_path, _REQUIRED),
     "entropy.depths": (_list(_COUNT), tuple(range(1, 31))),
@@ -271,6 +275,12 @@ def _fmt(x) -> str:
 
 def write_csv(path: str, config: dict, header: list[str],
               rows: list[list], comments: list[str] | None = None) -> None:
+    """Write the CSV; a nan or infinite float cell raises TpqsimError first."""
+    for row in rows:
+        for name, x in zip(header, row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise TpqsimError(f"column {name!r} has the non-finite "
+                                  f"value {x}")
     lines = [f"# config_sha256={config_hash(config)}"]
     lines.extend(f"# {c}" for c in (comments or []))
     lines.append(",".join(header))
@@ -356,9 +366,7 @@ def entropy_scan(config_path, output, seed):
     ref = haar_entropy_reference(lattice.n_sites)
     rows = []
     for d in v["entropy"]["depths"]:
-        states = random_states(lattice, d, rc["entangler"], seeds)
-        ent = [state_entropy(StateVector(lattice.n_sites, psi))
-               for psi in states.T]
+        ent = state_entropy(random_states(lattice, d, rc["entangler"], seeds))
         rows.append([d, float(np.mean(ent)),
                      float(np.std(ent) / np.sqrt(len(ent))), ref])
     write_csv(v["output"]["path"], config,
@@ -470,8 +478,9 @@ def resources(config_path, output, seed):
                           .amps[:, None] for i in range(3)]
 
                 def build(psi):
-                    return qite_circuit(
-                        qite_evolve(qspec, h_pauli, psi, lattice)[1][0], n)
+                    labels, thetas = qite_evolve(qspec, h_pauli, psi,
+                                                 lattice)[1]
+                    return qite_circuit((labels, thetas[0]), n)
             else:
                 # each build starts from the Pauli sum: no shared eigenbasis
                 inputs = [h_pauli] * 3

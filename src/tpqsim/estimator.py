@@ -1,8 +1,9 @@
 """Thermal-average estimation from ensembles of TPQ states.
 
 A run prepares its R independent random-circuit states as one (2^n, R)
-batch (`random_states`).  The backend filters the whole batch for each beta,
-and the observable is measured on every (beta, state) pair; mean and
+batch (`random_states`), once it is checked to fit physical memory.  The
+backend filters it for each beta and measures each filtered batch in one
+call, `expectations` or, with shots, `sample_expectations`; mean and
 stddev/sqrt(R) are taken over the states.  The exact, dilated and FABLE
 filters are all diagonal in H's eigenbasis (a run's FABLE encoding is exact,
 so its branch is (Q/s) psi / 2^N): they move the batch into that basis once
@@ -22,8 +23,8 @@ canonical ensemble value Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense
 eigenbasis is attached as a reference.
 
 Reproducibility: realization r uses the circuit seed drawn from
-numpy SeedSequence(entropy=base_seed, spawn_key=(r,)); shot noise (when
-enabled) uses spawn_key=(r, 1 + beta_index).
+numpy SeedSequence(entropy=base_seed, spawn_key=(r,)); its shot noise (when
+enabled) at each beta uses spawn_key=(r, 1 + beta_index).
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .nonunitary import (
     filter_energies,
     filter_states,
 )
-from .pauli import DenseHermitian, PauliSum, to_dense
+from .pauli import DenseHermitian, PauliSum, _check_budget, to_dense
 from .qite import QiteSpec, beta_groups, qite_evolve
 from .random_state import random_states
-from .statevector import StateVector, expectations, sample_expectation
+from .statevector import expectations, sample_expectations
 
 BACKEND_KINDS = ("exact", "dilated", "fable", "qite")
 
@@ -203,17 +204,19 @@ def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
         if spec.shots == 0:
             values[bi] = expectations(batch, observable)
             continue
-        for r, psi in enumerate(batch.T):
-            values[bi, r], err = sample_expectation(
-                StateVector(dense_h.n_qubits, psi), observable, spec.shots,
-                realization_seed(spec.base_seed, r, 1 + bi))
-            shot_var[bi] += err**2
+        values[bi], err = sample_expectations(
+            batch, observable, spec.shots,
+            [realization_seed(spec.base_seed, r, 1 + bi)
+             for r in range(batch.shape[1])])
+        shot_var[bi] = np.sum(err**2)
     return values, shot_var
 
 
 def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
     """The full pipeline: R random states, filtered and measured per beta."""
     lattice = spec.lattice
+    _check_budget(16 * spec.realizations * 2**lattice.n_sites,
+                  f"a batch of {spec.realizations} random states")
     h_pauli = build_heisenberg(lattice)
     dense_h = to_dense(h_pauli, lattice.n_sites)
     states = random_states(lattice, spec.depth, spec.entangler,

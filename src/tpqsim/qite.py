@@ -16,9 +16,10 @@ orders, local string and per-column tanh are fixed once per call; a term
 inside its window steps the window matrix alone.  The window unitary expands
 each group of 4 consecutive rotations over the 16 ordered products of their
 strings, which are fixed once per call, and multiplies the groups pairwise.
-No gate is built during the evolution: `qite_circuit` emits each column's
-rotations as CNOT-ladder gadgets, for resource counts and replay, and
-replaying that circuit reproduces the evolution.
+No gate is built during the evolution: it returns the window strings once,
+for every column, and the angles as one (R, strings) array, 0 where pruned;
+`qite_circuit` emits a row as CNOT-ladder gadgets, for resource counts and
+replay, and replaying that circuit reproduces the evolution.
 
 Sign convention: the coefficients x minimize ||delta + i sum_J x_J P_J psi||^2
 + _REG |x|^2 / 2, and each string then contributes exp(-i x_J P_J).  With
@@ -112,15 +113,17 @@ def qite_circuit(rotations, n: int) -> Circuit:
     """The gadget circuit of `rotations` on n qubits, for counts and replay.
 
     `rotations` is a pair of equal-length sequences, Pauli strings and
-    angles.  Each string `placed`, listing (qubit, letter) pairs in
-    ascending qubit order as `PauliTerm.operators` does, with its angle
-    theta becomes exp(-i theta/2 * PauliString): X and Y turned into Z (H,
-    RX(pi/2)), a CNOT ladder up to the highest qubit, RZ(theta) there, and
-    the inverse of the first half.
+    angles; a zero angle emits nothing.  Each string `placed`, listing
+    (qubit, letter) pairs in ascending qubit order as `PauliTerm.operators`
+    does, with its angle theta becomes exp(-i theta/2 * PauliString): X and
+    Y turned into Z (H, RX(pi/2)), a CNOT ladder up to the highest qubit,
+    RZ(theta) there, and the inverse of the first half.
     """
     circuit = Circuit(n)
     placed_strings, thetas = rotations
     for placed, theta in zip(placed_strings, np.asarray(thetas).tolist()):
+        if theta == 0.0:
+            continue
         qubits = [q for q, _ in placed]
         into = [("h", (q,), None) if o == "X" else ("rx", (q,), math.pi / 2)
                 for q, o in placed if o != "Z"]
@@ -160,15 +163,14 @@ def _to_window(batch: np.ndarray, axes: tuple[int, ...], d: int) -> np.ndarray:
 
 def _evolve_bytes(n: int, d: int, r: int, term_steps: int) -> int:
     """Bytes an r-column evolution on n qubits with d-qubit windows holds:
-    the string stack and its grouped-product basis (4 times as large), and
-    per column 10 copies of its state (input, output and working copies,
-    with those of `apply_pauli_sum` for a term outside its window),
-    the group unitaries with their pairwise products, and its angles of
-    `term_steps` term steps: the fitted array, the kept angles, their
-    indices and their strings' references."""
+    the string stack and its grouped-product basis (4 times as large), the
+    `term_steps` term steps' labels, and per column 10 copies of its state
+    (input, output and working copies, with those of `apply_pauli_sum` for a
+    term outside its window), the group unitaries with their pairwise
+    products, and its row of angles."""
     k = 4**d - 1
-    return 16 * 4**d * (k + 4 * (k + 1)) + r * (
-        10 * 16 * 2**n + 6 * 16**d + 32 * term_steps * k)
+    return 16 * 4**d * (k + 4 * (k + 1)) + 8 * term_steps * k + r * (
+        10 * 16 * 2**n + 6 * 16**d + 8 * term_steps * k)
 
 
 def beta_groups(sweep: QiteSpec, h: PauliSum, n: int, r: int) -> int:
@@ -202,25 +204,26 @@ class _TermStep:
 
 
 def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
-                lattice: LatticeSpec | None = None) -> tuple[np.ndarray, list]:
+                lattice: LatticeSpec | None = None
+                ) -> tuple[np.ndarray, tuple[list, np.ndarray]]:
     """Approximate e^{-beta H / 2} on each column of the (2^n, R) batch
     `states`, at spec.beta or, if that is a tuple, at its k-th beta for
-    column k; returns the evolved batch and each column's rotations.
+    column k; returns the evolved batch and its rotations.
 
-    A column's rotations are its kept exp(-i theta/2 P) in the order applied,
-    as a list of strings P and a float64 array of angles theta;
-    `qite_circuit` emits their gates.  A column at beta = 0 is returned as it
-    is, with none.
+    The rotations exp(-i theta/2 P), in the order applied, are one list
+    `labels` of window strings P, shared by every column, and an
+    (R, len(labels)) float64 array `thetas`, 0 where a rotation was pruned;
+    `qite_circuit((labels, thetas[k]), n)` emits column k's gates.  A column
+    at beta = 0 is returned as it is, with a row of zeros.
     Raises DimensionOverflow, before allocating, when the evolution exceeds
     physical memory.
     """
     dim, r = states.shape
     n = dim.bit_length() - 1
     betas = np.broadcast_to(np.asarray(spec.beta, dtype=float), (r,))
-    rotations = [([], np.empty(0)) for _ in range(r)]
     live = np.flatnonzero(betas)
     if len(live) == 0 or len(h) == 0:
-        return np.array(states, dtype=complex), rotations
+        return np.array(states, dtype=complex), ([], np.zeros((r, 0)))
     d = spec.resolved_domain(n)
     max_weight = max(t.weight for t in h)
     if d < max_weight:
@@ -236,8 +239,9 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
     index = {s: j for j, s in enumerate(strings)}
     dtaus = betas[live, None, None] / 2.0 / spec.n_steps  # (R, 1, 1)
     windows = [_term_window(t, n, d, lattice) for t in h]
-    labels = {w: [tuple((w[i], o) for i, o in s) for s in strings]
+    placed = {w: [tuple((w[i], o) for i, o in s) for s in strings]
               for w in dict.fromkeys(windows)}
+    labels = [s for w in windows for s in placed[w]] * spec.n_steps
     terms = []
     for term, window in zip(h, windows):
         axes = _window_axes(window, n)
@@ -249,9 +253,9 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
             PauliSum((PauliTerm(1.0, term.operators),)),
             np.tanh(dtaus * c)))
 
+    thetas = np.zeros((r, term_steps, len(strings)))
     r = len(live)
     sub = np.asarray(states[:, live], dtype=complex)
-    angles = np.empty((r, term_steps, len(strings)))
     for i, t in enumerate(terms * spec.n_steps):
         m = _to_window(sub, t.axes, d)
         # e^{-dtau c P} = cosh(dtau c) (I - tanh(dtau c) P) on the term's
@@ -266,21 +270,12 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
         evolved -= m
         x = _fit(paulis, m, evolved)
         x[np.abs(x) <= _PRUNE_TOL] = 0.0
-        angles[:, i] = x
+        thetas[live, i] = 2.0 * x
         m = _window_unitary(basis, x) @ m
         sub = m.reshape((r,) + (2,) * n).transpose(t.inverse).reshape(dim, r)
     state = np.array(states, dtype=complex)
     state[:, live] = sub
-
-    # each column's kept angles, in the order applied, and their strings,
-    # built once the strings' matrices are freed
-    del paulis, basis
-    step_labels = [s for w in windows for s in labels[w]] * spec.n_steps
-    for col, k in zip(angles.reshape(r, -1), live):
-        kept = np.flatnonzero(col)
-        rotations[k] = ([step_labels[j] for j in kept.tolist()],
-                        2.0 * col[kept])
-    return state, rotations
+    return state, (labels, thetas.reshape(len(thetas), -1))
 
 
 def _product_basis(paulis: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ vertical-odd grid bonds in 2D (parity of the bond's column, resp. row).
 `random_state` replays one seed's circuit gate by gate; `random_states`
 prepares the states of many seeds as one (2^n, R) batch, with the same gate
 draws and equal amplitudes, applying each entangling layer as one +-1 diagonal
-or one permutation of the whole batch.
+or one permutation of the whole batch.  `state_entropy` takes such a batch
+too, and returns one basis entropy per column.
 """
 
 from __future__ import annotations
@@ -158,11 +159,12 @@ def sample_haar_state(n: int, seed: int) -> StateVector:
     return StateVector(n, z / np.linalg.norm(z))
 
 
-def state_entropy(psi: StateVector) -> float:
-    """Shannon entropy -sum p_k ln p_k of the basis distribution p_k = |c_k|^2."""
-    p = psi.probabilities()
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)))
+def state_entropy(amps: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy -sum p_k ln p_k of the basis distribution p_k = |c_k|^2
+    of a state's amplitudes, or of each column of a (2^n, m) batch."""
+    p = np.abs(amps) ** 2
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    return -np.sum(p * log_p, axis=0)
 
 
 def haar_entropy_reference(n: int) -> float:

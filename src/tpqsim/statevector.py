@@ -1,8 +1,8 @@
 """Dense statevector simulation: gate kernels, expectations, shot sampling.
 
 Qubit 0 is the least significant index bit.  The gate kernels also accept a
-(2^n, m) batch whose columns are independent states; `expectations` measures
-such a batch.
+(2^n, m) batch whose columns are independent states; `expectations` and
+`sample_expectations` measure such a batch.
 """
 
 from __future__ import annotations
@@ -68,15 +68,9 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>| for normalized states."""
-        return float(abs(self.overlap(other)))
+        return float(abs(np.vdot(self.amps, other.amps)))
 
 
 def zero_state(n: int) -> StateVector:
@@ -138,11 +132,6 @@ def apply_circuit(psi: StateVector, c: Circuit) -> StateVector:
     return StateVector(psi.n, amps)
 
 
-def expectation(psi: StateVector, a: PauliSum) -> float:
-    """Exact <psi|A|psi>; the tiny imaginary residue is discarded."""
-    return float(expectations(psi.amps, a))
-
-
 def expectations(amps: np.ndarray, a: PauliSum) -> np.ndarray:
     """Exact <A> of each column of a (2^n, m) batch of states (or of one
     state), real parts."""
@@ -151,29 +140,30 @@ def expectations(amps: np.ndarray, a: PauliSum) -> np.ndarray:
     return np.einsum("i...,i...->...", amps.conj(), av).real
 
 
-def sample_expectation(psi: StateVector, a: PauliSum, shots: int,
-                       seed: int) -> tuple[float, float]:
-    """Finite-shot estimate of <A>, one independent shot budget per term.
+def sample_expectations(amps: np.ndarray, a: PauliSum, shots: int,
+                        seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-shot estimates of <A> on each column of a (2^n, m) batch, and
+    their standard errors; column k draws from default_rng(seeds[k]).
 
     Each Pauli string is a +-1-valued measurement whose outcome distribution
-    is Bernoulli with p = (1 + <P>)/2; sampling that distribution is
-    equivalent to measuring in the rotated basis.  Identity terms are exact.
+    is Bernoulli with p = (1 + <P>)/2, given its own shot budget; sampling
+    that distribution is equivalent to measuring in the rotated basis.  A
+    column draws all its strings in one call and sums them, both in term
+    order.  Identity terms are exact.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    mean = 0.0
-    var = 0.0
+    p_plus = np.clip([(1.0 + expectations(amps, PauliSum((PauliTerm(
+        1.0, t.operators),)))) / 2.0 for t in a if t.weight], 0.0, 1.0)
+    hits = np.array([np.random.default_rng(seed).binomial(shots, p)
+                     for seed, p in zip(seeds, p_plus.T)]).T
+    outcomes = iter(2.0 * hits / shots - 1.0)
+    mean, var = np.zeros((2, amps.shape[1]))
     for term in a:
         if term.weight == 0:
             mean += term.coefficient
             continue
-        shifted = apply_pauli_sum(psi.amps, psi.n,
-                                  PauliSum((PauliTerm(1.0, term.operators),)))
-        p_plus = (1.0 + float(np.vdot(psi.amps, shifted).real)) / 2.0
-        p_plus = min(max(p_plus, 0.0), 1.0)
-        hits = rng.binomial(shots, p_plus)
-        m = 2.0 * hits / shots - 1.0
+        m = next(outcomes)
         mean += term.coefficient * m
         var += term.coefficient**2 * (1.0 - m * m) / shots
-    return mean, math.sqrt(var)
+    return mean, np.sqrt(var)

@@ -52,9 +52,9 @@ def string_gathers(strings, n):
 
 def qite_one(spec, h, psi, lattice=None):
     """`qite_evolve` on the one-column batch of psi: the evolved StateVector
-    and its rotations."""
-    out, rotations = qite_evolve(spec, h, psi.amps[:, None], lattice)
-    return StateVector(psi.n, out[:, 0]), rotations[0]
+    and its rotations, the strings and the column's row of angles."""
+    out, (labels, thetas) = qite_evolve(spec, h, psi.amps[:, None], lattice)
+    return StateVector(psi.n, out[:, 0]), (labels, thetas[0])
 
 
 def circuit_unitary(c):

@@ -39,7 +39,7 @@ from tpqsim.cli import main as cli_main
 from tpqsim.estimator import ensemble_expectation, realization_seed
 from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
-from tpqsim.statevector import StateVector, expectation
+from tpqsim.statevector import StateVector, expectations
 
 from conftest import (
     circuit_unitary,
@@ -93,7 +93,7 @@ def test_entropy_converges_to_haar_reference():
     devs = {}
     for d in (10, 20):
         ent = [state_entropy(random_state(RandomCircuitSpec(lattice, depth=d,
-                                                            seed=s)))
+                                                            seed=s)).amps)
                for s in range(60)]
         devs[d] = abs(float(np.mean(ent)) - ref)
     print(f"  |mean entropy - {ref:.4f}|: d=10 -> {devs[10]:.4f}, "
@@ -155,7 +155,7 @@ def test_dilation_fidelity_success_and_energy():
         es, p0s, fids = [], [], []
         for psi in states:
             out, p0, fid = apply_dilated(spec, psi)
-            es.append(expectation(out, h))
+            es.append(float(expectations(out.amps, h)))
             p0s.append(p0)
             fids.append(fid)
         mean_f.append(float(np.mean(fids)))

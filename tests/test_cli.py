@@ -232,6 +232,8 @@ _SCAN = {"sizes": [2, 3], "depths": [2], "R": 1, "compare_R": [1],
                                  "n_steps": 3, "domain": 2}}),
     ("resources", {"resources": {"sizes": [2], "backends": ["fable"],
                                  "n_steps": 3}}),
+    # numpy draws a binomial count as a C long
+    ("sweep-beta", {"estimate": {**_ONE_BETA, "shots": 10**19}}),
 ])
 def test_bad_values_are_config_errors(runner, tmp_path, subcommand, body):
     cfg = write_config(tmp_path, {
@@ -515,6 +517,49 @@ def test_dense_model_beyond_memory_is_backend_failure(runner, tmp_path):
     assert "backend failure:" in result.output
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,body", [
+    ("sweep-beta", {"estimate": {"R": 10_000_000}}),
+    ("error-scan", {"error_scan": {"sizes": [10, 11], "R": 10_000_000}}),
+])
+def test_random_state_batch_beyond_memory_is_backend_failure(
+        runner, tmp_path, monkeypatch, subcommand, body):
+    # 10^7 states on 10 sites take 164 GB: refused before any seed is drawn
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}  # 8 GiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    seeds = []
+    monkeypatch.setattr(tpqsim.estimator, "realization_seed",
+                        lambda *key: seeds.append(key))
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [10]},
+        "output": {"path": str(tmp_path / "x.csv")}, **body,
+    })
+    result = runner.invoke(main, [subcommand, cfg])
+    assert result.exit_code == 2, result.output
+    assert ("backend failure: a batch of 10000000 random states needs "
+            "163840000000 bytes") in result.output
+    assert seeds == [] and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("coupling,column", [(1e308, "mean"),
+                                             (1e300, "uncertainty")])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_csv_cell_is_backend_failure(runner, tmp_path, coupling,
+                                                column):
+    # 1e308 overflows the Hamiltonian's entries (every column is nan);
+    # 1e300 overflows only the spread of the energies (inf)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [4], "Jx": coupling,
+                  "Jy": coupling},
+        "estimate": {"betas": [0.5], "R": 2},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 2, result.output
+    assert f"backend failure: column {column!r} has the non-finite value" \
+        in result.output
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -34,9 +34,8 @@ from tpqsim.nonunitary import ThermalOperator
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import (
     StateVector,
-    expectation,
     expectations,
-    sample_expectation,
+    sample_expectations,
 )
 
 from conftest import qite_one
@@ -104,8 +103,8 @@ def filter_one(kind, beta, psi, dense, h, lattice=None, **kwargs):
 def test_tpq_expectation_beta_zero_reduction(dense2, chain2):
     h = build_heisenberg(chain2)
     psi = sample_haar_state(2, 5)
-    assert expectation(filter_one("exact", 0.0, psi, dense2, h), h) == \
-        pytest.approx(expectation(psi, h), abs=1e-12)
+    assert expectations(filter_one("exact", 0.0, psi, dense2, h).amps, h) \
+        == pytest.approx(expectations(psi.amps, h), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -118,8 +117,10 @@ def test_backends_agree_with_exact(kind, kwargs, chain3):
     dense = to_dense(h, 3)
     psi = sample_haar_state(3, 11)
     beta = 1.0
-    e0 = expectation(filter_one("exact", beta, psi, dense, h, chain3), h)
-    e1 = expectation(filter_one(kind, beta, psi, dense, h, chain3, **kwargs), h)
+    e0 = expectations(filter_one("exact", beta, psi, dense, h, chain3).amps,
+                      h)
+    e1 = expectations(filter_one(kind, beta, psi, dense, h, chain3,
+                                 **kwargs).amps, h)
     assert abs(e1 - e0) / abs(e0) < 0.02
 
 
@@ -214,14 +215,15 @@ def per_state_run(spec):
                 qspec = QiteSpec(beta, backend.n_steps, backend.domain)
                 out = qite_one(qspec, h, psi, lattice)[0]
             if spec.shots == 0:
-                values[bi, r] = expectation(out, observable)
+                values[bi, r] = expectations(out.amps, observable)
                 continue
             seed = int(np.random.SeedSequence(
                 entropy=spec.base_seed,
                 spawn_key=(r, 1 + bi)).generate_state(1)[0])
-            values[bi, r], err = sample_expectation(out, observable,
-                                                    spec.shots, seed)
-            shot_var[bi] += err**2
+            mean, err = sample_expectations(out.amps[:, None], observable,
+                                            spec.shots, [seed])
+            values[bi, r] = mean[0]
+            shot_var[bi] += err[0]**2
     return values, np.sqrt(shot_var) / spec.realizations
 
 

@@ -17,7 +17,7 @@ from tpqsim import (
 )
 from tpqsim.pauli import _hadamard_rotated, apply_pauli_sum, walsh_hadamard
 from tpqsim.random_state import sample_haar_state
-from tpqsim.statevector import expectations, sample_expectation
+from tpqsim.statevector import expectations, sample_expectations
 
 from conftest import SX, SY, SZ, kron_chain
 
@@ -147,7 +147,7 @@ def test_a_qubit_past_n_is_an_index_error():
     with pytest.raises(IndexError):
         expectations(psi.amps, h)
     with pytest.raises(IndexError):
-        sample_expectation(psi, h, shots=10, seed=0)
+        sample_expectations(psi.amps[:, None], h, shots=10, seeds=[0])
     with pytest.raises(IndexError):
         to_dense(h, 2)
 

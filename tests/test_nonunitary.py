@@ -215,11 +215,11 @@ def test_expectation_agreement_exact_vs_dilated():
     h_pauli = build_heisenberg(lattice)
     op = exact_thermal_operator(to_dense(h_pauli, 4), 2.0)
     psi = sample_haar_state(4, 21)
-    from tpqsim import expectation
+    from tpqsim import expectations
 
-    e_exact = expectation(apply_exact(op, psi), h_pauli)
+    e_exact = expectations(apply_exact(op, psi).amps, h_pauli)
     out, _, _ = apply_dilated(DilationSpec(1e-3, op), psi)
-    e_dilated = expectation(out, h_pauli)
+    e_dilated = expectations(out.amps, h_pauli)
     assert abs(e_dilated - e_exact) / abs(e_exact) < 1e-4
 
 

@@ -48,6 +48,13 @@ def test_pauli_rotation_gadget_against_expm(placed, theta):
     assert circuit.cnot_count == 2 * (len(placed) - 1)
 
 
+def test_zero_angle_emits_no_gadget():
+    strings = [((0, "X"), (1, "Y")), ((1, "Z"),), ((0, "Y"), (2, "X"))]
+    kept = qite_circuit(([strings[0], strings[2]], [0.8, -0.3]), 3)
+    assert qite_circuit((strings, [0.8, 0.0, -0.3]), 3).gates == kept.gates
+    assert qite_circuit((strings, np.zeros(3)), 3).gates == []
+
+
 def test_window_1d_centering():
     term = PauliTerm(1.0, ((3, "X"), (4, "X")))
     assert set(_term_window(term, 8, 3, None)) >= {3, 4}
@@ -275,13 +282,13 @@ def test_one_step_at_large_beta_stays_finite():
     lattice = LatticeSpec(1, (6,))
     h = build_heisenberg(lattice)
     states = haar_batch(6, range(2))
-    out, rotations = qite_evolve(QiteSpec(2000.0, n_steps=1), h, states,
-                                 lattice)
+    out, (labels, thetas) = qite_evolve(QiteSpec(2000.0, n_steps=1), h,
+                                        states, lattice)
     assert np.all(np.isfinite(out))
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0, rtol=0, atol=1e-12)
     for k in range(2):
         replay = apply_circuit(StateVector(6, states[:, k]),
-                               qite_circuit(rotations[k], 6))
+                               qite_circuit((labels, thetas[k]), 6))
         assert np.max(np.abs(replay.amps - out[:, k])) < 1e-9
 
 
@@ -307,25 +314,28 @@ def test_batch_columns_match_their_own_evolution(monkeypatch, lattice, betas,
     apply = qite.apply_pauli_sum
     monkeypatch.setattr(qite, "apply_pauli_sum", lambda a, *rest: (
         full_state_steps.append(len(a) == 1 << n) or apply(a, *rest)))
-    out, rotations = qite_evolve(QiteSpec(betas, n_steps=3, domain=domain),
-                                 h, states, lattice)
+    out, (labels, thetas) = qite_evolve(QiteSpec(betas, n_steps=3,
+                                                 domain=domain),
+                                        h, states, lattice)
+    assert thetas.shape == (3, len(labels))
     # a term steps the whole state only when its window misses its support
     assert any(full_state_steps) == (domain == 1)
     for k, beta in enumerate(betas):
-        one, one_rotations = qite_evolve(QiteSpec(beta, n_steps=3,
-                                                  domain=domain),
-                                         h, states[:, k:k + 1], lattice)
+        one, (one_labels, one_thetas) = qite_evolve(
+            QiteSpec(beta, n_steps=3, domain=domain), h, states[:, k:k + 1],
+            lattice)
         assert np.max(np.abs(out[:, k] - one[:, 0])) < 1e-12
-        placed, thetas = rotations[k]
-        assert placed == one_rotations[0][0]
-        assert len(thetas) == len(one_rotations[0][1])
-        assert np.allclose(thetas, one_rotations[0][1], rtol=0, atol=1e-12)
-        if beta == 0.0:  # the input, with no rotation
+        if beta == 0.0:  # the input, with a row of zero angles
             assert np.max(np.abs(out[:, k] - states[:, k])) < 1e-12
-            assert placed == [] and len(thetas) == 0
+            assert one_labels == [] and one_thetas.shape == (1, 0)
+            assert not thetas[k].any()
+            assert qite_circuit((labels, thetas[k]), n).gates == []
+        else:
+            assert one_labels == labels
+            assert np.allclose(thetas[k], one_thetas[0], rtol=0, atol=1e-12)
         # replaying column k's rotations from its input reproduces it
         replay = apply_circuit(StateVector(n, states[:, k]),
-                               qite_circuit(rotations[k], n))
+                               qite_circuit((labels, thetas[k]), n))
         assert np.max(np.abs(replay.amps - out[:, k])) < 1e-9
 
 

@@ -130,17 +130,36 @@ def test_haar_first_amplitude_symmetry():
 
 
 def test_haar_entropy_matches_porter_thomas_value():
-    ent = [state_entropy(sample_haar_state(5, s)) for s in range(200)]
+    ent = state_entropy(np.stack([sample_haar_state(5, s).amps
+                                  for s in range(200)], axis=1))
+    assert ent.shape == (200,)
     assert abs(np.mean(ent) - (math.log(32) - 1 + EULER_GAMMA)) < 0.05
 
 
 def test_entropy_basics():
-    assert state_entropy(zero_state(4)) == 0.0
+    assert state_entropy(zero_state(4).amps) == 0.0
     n = 3
     uniform = np.full(2**n, 1 / math.sqrt(2**n), dtype=complex)
-    from tpqsim import StateVector
+    assert abs(state_entropy(uniform) - n * math.log(2)) < 1e-12
 
-    assert abs(state_entropy(StateVector(n, uniform)) - n * math.log(2)) < 1e-12
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batched_entropy_matches_per_column_values():
+    """One entropy per column, each equal to the column's own, with no
+    warning from the zero probabilities of a basis state."""
+    lattice = LatticeSpec(1, (4,))
+    batch = np.concatenate([zero_state(4).amps[:, None],
+                            random_states(lattice, 2, "cz", range(3))], axis=1)
+    ent = state_entropy(batch)
+    assert ent.shape == (4,)
+    assert ent[0] == 0.0
+    for k in range(4):
+        p = np.abs(batch[:, k]) ** 2
+        p = p[p > 0]
+        assert ent[k] == pytest.approx(-np.sum(p * np.log(p)), rel=0,
+                                       abs=1e-14)
+        assert ent[k] == pytest.approx(state_entropy(batch[:, k]), rel=0,
+                                       abs=1e-14)
 
 
 def test_haar_entropy_reference_values():
@@ -157,8 +176,7 @@ def test_entropy_converges_toward_haar_value():
     ref = haar_entropy_reference(5)
     devs = []
     for d in (1, 4, 12):
-        ent = [state_entropy(random_state(RandomCircuitSpec(lattice, depth=d, seed=s)))
-               for s in range(60)]
+        ent = state_entropy(random_states(lattice, d, "cz", range(60)))
         devs.append(abs(np.mean(ent) - ref))
     assert devs[1] < devs[0] + 0.05
     assert devs[2] < devs[1] + 0.05

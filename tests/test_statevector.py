@@ -16,8 +16,8 @@ from tpqsim import (
     apply_circuit,
     build_heisenberg,
     build_random_circuit,
-    expectation,
-    sample_expectation,
+    expectations,
+    sample_expectations,
     to_dense,
     zero_state,
 )
@@ -152,24 +152,25 @@ def test_circuit_unitary_matches_statevector_path():
 
 def test_expectation_basics():
     z0 = PauliSum((PauliTerm(1.0, ((0, "Z"),)),))
-    assert expectation(zero_state(1), z0) == pytest.approx(1.0)
-    plus = StateVector(1, np.array([1, 1]) / math.sqrt(2))
+    assert expectations(zero_state(1).amps, z0) == pytest.approx(1.0)
+    plus = np.array([1, 1]) / math.sqrt(2)
     x0 = PauliSum((PauliTerm(1.0, ((0, "X"),)),))
-    assert expectation(plus, x0) == pytest.approx(1.0)
+    assert expectations(plus, x0) == pytest.approx(1.0)
 
 
 def test_ground_state_energy_matches_diagonalization(chain2):
     h = build_heisenberg(chain2)
     dense = to_dense(h, 2)
-    ground = StateVector(2, dense.eigenvectors[:, 0])
-    assert expectation(ground, h) == pytest.approx(dense.eigenvalues[0], abs=1e-10)
+    ground = dense.eigenvectors[:, 0]
+    assert expectations(ground, h) == pytest.approx(dense.eigenvalues[0],
+                                                    abs=1e-10)
 
 
 def test_expectation_within_spectral_range(chain3):
     h = build_heisenberg(chain3)
     dense = to_dense(h, 3)
     for seed in range(10):
-        val = expectation(sample_haar_state(3, seed), h)
+        val = expectations(sample_haar_state(3, seed).amps, h)
         assert dense.eigenvalues[0] - 1e-10 <= val <= dense.eigenvalues[-1] + 1e-10
 
 
@@ -200,27 +201,63 @@ def test_postselect_zero_probability():
 
 def test_sample_expectation_exact_eigenstate():
     z0 = PauliSum((PauliTerm(1.0, ((0, "Z"),)),))
-    mean, err = sample_expectation(zero_state(1), z0, shots=100, seed=0)
-    assert mean == 1.0 and err == 0.0
+    mean, err = sample_expectations(zero_state(1).amps[:, None], z0,
+                                    shots=100, seeds=[0])
+    assert mean[0] == 1.0 and err[0] == 0.0
 
 
 def test_sample_expectation_binomial_noise():
     x0 = PauliSum((PauliTerm(1.0, ((0, "X"),)),))
-    mean, err = sample_expectation(zero_state(1), x0, shots=100_000, seed=1)
-    assert abs(mean) < 0.02
-    assert err == pytest.approx(1 / math.sqrt(100_000), rel=0.1)
+    mean, err = sample_expectations(zero_state(1).amps[:, None], x0,
+                                    shots=100_000, seeds=[1])
+    assert abs(mean[0]) < 0.02
+    assert err[0] == pytest.approx(1 / math.sqrt(100_000), rel=0.1)
 
 
 def test_sample_expectation_converges_at_sqrt_shots(chain2):
     h = build_heisenberg(chain2)
-    psi = sample_haar_state(2, 7)
-    exact = expectation(psi, h)
+    psi = sample_haar_state(2, 7).amps
+    exact = expectations(psi, h)
+    batch = np.repeat(psi[:, None], 20, axis=1)
     errors = []
     for shots in (100, 10_000, 1_000_000):
-        devs = [abs(sample_expectation(psi, h, shots, seed)[0] - exact)
-                for seed in range(20)]
-        errors.append(np.mean(devs))
+        means = sample_expectations(batch, h, shots, range(20))[0]
+        errors.append(np.mean(np.abs(means - exact)))
     assert errors[0] > errors[1] > errors[2]
     # each 100x shot increase should shrink error by roughly 10x
     assert errors[0] / errors[1] > 3
     assert errors[1] / errors[2] > 3
+
+
+def scalar_draws(psi, a, shots, seed):
+    """The finite-shot estimate of <A> with one scalar binomial draw per
+    non-identity term, in term order, from one generator."""
+    rng = np.random.default_rng(seed)
+    mean = var = 0.0
+    for term in a:
+        if term.weight == 0:
+            mean += term.coefficient
+            continue
+        unit = PauliSum((PauliTerm(1.0, term.operators),))
+        p_plus = min(max((1.0 + float(expectations(psi, unit))) / 2.0, 0.0),
+                     1.0)
+        m = 2.0 * rng.binomial(shots, p_plus) / shots - 1.0
+        mean += term.coefficient * m
+        var += term.coefficient**2 * (1.0 - m * m) / shots
+    return mean, math.sqrt(var)
+
+
+@pytest.mark.parametrize("shots", [1, 7, 1000, 100_000])
+def test_sample_expectations_match_scalar_draws_per_column(chain3, shots):
+    """Each column's one batched draw equals its per-term scalar draws, and
+    a column does not depend on the others in its batch."""
+    h = PauliSum((PauliTerm(0.75, ()), *build_heisenberg(chain3)))
+    batch = np.stack([sample_haar_state(3, s).amps for s in range(4)], axis=1)
+    seeds = [11, 12, 13, 14]
+    means, errs = sample_expectations(batch, h, shots, seeds)
+    for k, seed in enumerate(seeds):
+        mean, err = scalar_draws(batch[:, k], h, shots, seed)
+        assert means[k] == pytest.approx(mean, rel=0, abs=1e-12)
+        assert errs[k] == pytest.approx(err, rel=0, abs=1e-12)
+        one = sample_expectations(batch[:, k:k + 1], h, shots, [seed])
+        assert (one[0][0], one[1][0]) == (means[k], errs[k])
