@@ -36,11 +36,10 @@ from .nonunitary import (
     DilationSpec,
     ThermalOperator,
     apply_dilated,
-    apply_exact,
     dilated_cnot_count,
     dilated_omega,
 )
-from .fable import BlockEncoding, apply_fable, fable_encode
+from .fable import fable_encode
 from .qite import QiteSpec, qite_circuit, qite_evolve
 from .estimator import (
     TpqEstimate,
@@ -80,11 +79,8 @@ __all__ = [
     "DilationSpec",
     "ThermalOperator",
     "apply_dilated",
-    "apply_exact",
     "dilated_cnot_count",
     "dilated_omega",
-    "BlockEncoding",
-    "apply_fable",
     "fable_encode",
     "QiteSpec",
     "qite_circuit",

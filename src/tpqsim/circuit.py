@@ -42,12 +42,6 @@ class Circuit:
             raise IndexError(f"gate {g} out of range for width {self.width}")
         self.gates.append(g)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     @property
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "cnot")
-
-    def count(self, kind: str) -> int:
-        return sum(1 for g in self.gates if g.kind == kind)

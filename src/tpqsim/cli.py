@@ -28,7 +28,7 @@ from .estimator import (
     TpqRunSpec,
     ensemble_expectation,
     run_ensemble,
-    realization_seed,
+    realization_seeds,
     squared_error_scan,
 )
 from .fable import fable_encode
@@ -262,9 +262,8 @@ def _circuits(v: dict, lattice: LatticeSpec, depth: int,
               count: int) -> list[RandomCircuitSpec]:
     """The random circuits of realizations 0..count-1."""
     rc = v["random_circuit"]
-    return [RandomCircuitSpec(lattice, depth, rc["entangler"],
-                              realization_seed(rc["seed"], r))
-            for r in range(count)]
+    return [RandomCircuitSpec(lattice, depth, rc["entangler"], seed)
+            for seed in realization_seeds(rc["seed"], count, lattice.n_sites)]
 
 
 def _fmt(x) -> str:
@@ -361,8 +360,8 @@ def entropy_scan(config_path, output, seed):
                  output, seed) as (config, v):
         lattice = LatticeSpec(**v["model"])
         rc = v["random_circuit"]
-        seeds = [realization_seed(rc["seed"], r)
-                 for r in range(v["entropy"]["seeds"])]
+        seeds = realization_seeds(rc["seed"], v["entropy"]["seeds"],
+                                  lattice.n_sites)
     ref = haar_entropy_reference(lattice.n_sites)
     rows = []
     for d in v["entropy"]["depths"]:
@@ -421,6 +420,9 @@ def error_scan(config_path, output, seed):
     for d in scan["depths"]:
         dsq = squared_error_scan(chains, d, scan["beta"], scan["R"], base_seed)
         for n in sizes:
+            if not dsq[n] > 0:
+                raise TpqsimError(f"D^2 is {dsq[n]} at depth {d} and size "
+                                  f"{n}: its log-slope is undefined")
             rows.append(["dsq", d, n, "", dsq[n]])
         slope = np.polyfit(sizes, np.log(np.array([dsq[n] for n in sizes])), 1)[0]
         comments.append(f"trend_d{d}_slope={slope:.6g} "
@@ -448,10 +450,10 @@ def timed_builds(build, inputs):
 
 # kind -> (CNOTs, ancillas) of its artifact for n system qubits
 _ARTIFACT_COUNTS = {
-    "qite": lambda circuit, n: (circuit.cnot_count, circuit.width - n),
+    **dict.fromkeys(("qite", "fable"), lambda circuit, n: (
+        circuit.cnot_count, circuit.width - n)),
     "dilated": lambda omega, n: (dilated_cnot_count(n),
                                  len(omega).bit_length() - 1 - n),
-    "fable": lambda be, n: (be.cnot_count, be.ancilla_count),
 }
 
 

@@ -1,10 +1,10 @@
 """Thermal-average estimation from ensembles of TPQ states.
 
-A run prepares its R independent random-circuit states as one (2^n, R)
-batch (`random_states`), once it is checked to fit physical memory.  The
-backend filters it for each beta and measures each filtered batch in one
-call, `expectations` or, with shots, `sample_expectations`; mean and
-stddev/sqrt(R) are taken over the states.  The exact, dilated and FABLE
+A run prepares its R independent random-circuit states as one (2^n, R) batch
+(`random_states`), once `realization_seeds` has checked that it fits physical
+memory.  The backend filters it for each beta and measures each filtered
+batch in one call, `expectations` or, with shots, `sample_expectations`; mean
+and stddev/sqrt(R) are taken over the states.  The exact, dilated and FABLE
 filters are all diagonal in H's eigenbasis (a run's FABLE encoding is exact,
 so its branch is (Q/s) psi / 2^N): they move the batch into that basis once
 per run, through H's symmetry blocks (parity and qubit-order reversal), and
@@ -13,8 +13,7 @@ for all betas at once, and its reference from the eigenvalues alone, so an
 exact energy run never assembles the 2^n x 2^n eigenvectors; nor does the
 reference of an observable diagonal in the blocks' basis, such as
 `magnetization_x`.  Any other observable, or a finite shot budget, takes one
-back-transform per beta.  No FABLE circuit or block is synthesized
-here; `fable.apply_fable` is the circuit-faithful single-state path.  QITE fits
+back-transform per beta.  No FABLE circuit is synthesized here.  QITE fits
 state-dependent rotations: a sweep evolves its states once, tiled once per
 beta into one (2^n, R n_beta) batch in which each column has its own beta and
 its own fits; when that batch's evolution exceeds physical memory, the betas
@@ -123,6 +122,14 @@ def realization_seed(base_seed: int, *key: int) -> int:
                                       spawn_key=key).generate_state(1)[0])
 
 
+def realization_seeds(base_seed: int, count: int, n_sites: int) -> list[int]:
+    """The circuit seeds of realizations 0..count-1, drawn once a batch of
+    `count` random states on `n_sites` qubits is checked to fit physical
+    memory; raises DimensionOverflow before drawing any otherwise."""
+    _check_budget(16 * count * 2**n_sites, f"a batch of {count} random states")
+    return [realization_seed(base_seed, r) for r in range(count)]
+
+
 def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
                          beta: float | np.ndarray) -> float | np.ndarray:
     """Tr[e^{-beta H} A] / Tr[e^{-beta H}] with spectrum-shifted weights.
@@ -215,13 +222,11 @@ def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
 def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
     """The full pipeline: R random states, filtered and measured per beta."""
     lattice = spec.lattice
-    _check_budget(16 * spec.realizations * 2**lattice.n_sites,
-                  f"a batch of {spec.realizations} random states")
+    seeds = realization_seeds(spec.base_seed, spec.realizations,
+                              lattice.n_sites)
     h_pauli = build_heisenberg(lattice)
     dense_h = to_dense(h_pauli, lattice.n_sites)
-    states = random_states(lattice, spec.depth, spec.entangler,
-                           [realization_seed(spec.base_seed, r)
-                            for r in range(spec.realizations)])
+    states = random_states(lattice, spec.depth, spec.entangler, seeds)
     values, shot_var = measure_filtered(spec, states, dense_h, h_pauli)
     ref = ensemble_expectation(dense_h, spec.observable, spec.betas)
     shot_stderr = None

@@ -14,7 +14,7 @@ epsilon) only rescales the rows of C, and a filtered batch leaves as V times
 the rescaled coefficients, or not at all when only its energy is wanted.
 Both transforms go through H's symmetry blocks (`DenseHermitian.to_eigenbasis`
 and `from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
-`apply_exact` and `apply_dilated` are the one-state case.  The full V is
+`apply_dilated` is the one-state case of the dilation.  The full V is
 assembled only for the scale s of Q/s, which the dilated and FABLE filters
 need; the dilated unitary Omega is built only by `dilated_omega`, the
 unitarity oracle and the artifact whose synthesis the `resources` subcommand
@@ -121,14 +121,6 @@ def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
     sq_norms = w2 @ probs
     check_norms(sq_norms, floor)
     return (w2 * h.eigenvalues) @ probs / sq_norms
-
-
-def apply_exact(op: ThermalOperator, psi: StateVector) -> StateVector:
-    """Normalized Q psi via the eigenbasis; never materializes Q."""
-    h = op.hamiltonian
-    coeffs = h.to_eigenbasis(psi.amps[:, None])
-    states, _ = filter_states(h, op.shifted_weights(), coeffs, NORM_FLOOR)
-    return StateVector(psi.n, states[:, 0])
 
 
 @dataclass(frozen=True)

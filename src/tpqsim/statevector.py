@@ -64,14 +64,6 @@ class StateVector:
         if self.amps.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes")
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def fidelity(self, other: "StateVector") -> float:
-        """|<self|other>| for normalized states."""
-        return float(abs(np.vdot(self.amps, other.amps)))
-
 
 def zero_state(n: int) -> StateVector:
     amps = np.zeros(1 << n, dtype=complex)

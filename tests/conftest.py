@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tpqsim import LatticeSpec, ZeroProbability, qite_evolve
 from tpqsim.nonunitary import ThermalOperator
 from tpqsim.pauli import _diagonal, _masks
-from tpqsim.statevector import StateVector, _apply_gate
+from tpqsim.statevector import StateVector, _apply_gate, apply_circuit
 
 # kron helpers for independent dense oracles (qubit 0 = least significant,
 # so the operator on qubit q sits at kron position n-1-q)
@@ -37,6 +38,13 @@ def thermal_scale(op):
 def thermal_matrix(op):
     """Literal e^{-beta H / 2}; may overflow for extreme beta * ||H||."""
     return thermal_scale(op) * np.asarray(op.scaled, dtype=complex)
+
+
+def expm_filter(h, beta, amps):
+    """Normalized e^{-beta H / 2} applied to a state or to each column of a
+    (2^n, m) batch, from scipy's dense expm (the exact filter's oracle)."""
+    out = scipy.linalg.expm(-beta * h.matrix / 2.0) @ amps
+    return out / np.linalg.norm(out, axis=0)
 
 
 def string_gathers(strings, n):
@@ -92,6 +100,16 @@ def postselect(psi, ancilla_qubits, outcome_bits):
     if p < 1e-14:
         raise ZeroProbability(f"outcome probability {p:.3e} underflows")
     return StateVector(len(keep), picked / math.sqrt(p)), p
+
+
+def fable_branch(circuit, psi):
+    """Replay a FABLE circuit on psi with its ancillas (qubits psi.n and up)
+    in |0>, and post-select every ancilla on 0: the normalized branch and P0."""
+    full = np.zeros(1 << circuit.width, dtype=complex)
+    full[: 1 << psi.n] = psi.amps
+    replayed = apply_circuit(StateVector(circuit.width, full), circuit)
+    return postselect(replayed, range(psi.n, circuit.width),
+                      [0] * (circuit.width - psi.n))
 
 
 @pytest.fixture

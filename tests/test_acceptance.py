@@ -22,8 +22,6 @@ from tpqsim import (
     RandomCircuitSpec,
     TpqRunSpec,
     apply_dilated,
-    apply_exact,
-    apply_fable,
     build_heisenberg,
     build_random_circuit,
     fable_encode,
@@ -36,14 +34,21 @@ from tpqsim import (
     to_dense,
 )
 from tpqsim.cli import main as cli_main
-from tpqsim.estimator import ensemble_expectation, realization_seed
-from tpqsim.nonunitary import ThermalOperator
+from tpqsim.estimator import (
+    BackendSpec,
+    ensemble_expectation,
+    filtered_batches,
+    realization_seed,
+)
+from tpqsim.nonunitary import NORM_FLOOR, ThermalOperator, filter_states
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import StateVector, expectations
 
 from conftest import (
     circuit_unitary,
     exact_thermal_operator,
+    expm_filter,
+    fable_branch,
     postselect,
     qite_one,
 )
@@ -183,17 +188,18 @@ def test_block_encoding_is_exact():
         h = to_dense(_hamiltonian(n), n)
         for beta in (0.0, 0.5, 1.0):
             op = exact_thermal_operator(h, beta)
-            be = fable_encode(op)
-            assert be.ancilla_count == n + 1
-            assert be.cnot_count == 4**n
-            u = circuit_unitary(be.circuit)
+            circuit = fable_encode(op)
+            assert circuit.width - n == n + 1
+            assert circuit.cnot_count == 4**n
+            u = circuit_unitary(circuit)
             dim = 2**n
             block_err = float(np.max(np.abs(u[:dim, :dim]
                                             - op.scaled / dim)))
             worst_block = max(worst_block, block_err)
             psi = sample_haar_state(n, 17 + n)
-            out, _ = apply_fable(be, psi)
-            worst_fid = min(worst_fid, out.fidelity(apply_exact(op, psi)))
+            out, _ = fable_branch(circuit, psi)
+            exact = expm_filter(h, beta, psi.amps)
+            worst_fid = min(worst_fid, abs(np.vdot(out.amps, exact)))
     print(f"  worst block error {worst_block:.3g}, "
           f"worst post-selected fidelity {worst_fid:.10f}")
     assert worst_block < 1e-8
@@ -206,17 +212,15 @@ def test_imaginary_time_evolution_matches_exact():
     for n in (2, 3):
         lattice = LatticeSpec(1, (n,))
         h = build_heisenberg(lattice)
-        op = exact_thermal_operator(to_dense(h, n), beta)
         psis = [sample_haar_state(n, seed) for seed in range(10)]
-        exact = [apply_exact(op, psi) for psi in psis]
         batch = np.stack([psi.amps for psi in psis], axis=1)
+        exact = expm_filter(to_dense(h, n), beta, batch)
         fid_by_steps = []
         for steps in (5, 10, 25, 50):
             out, _ = qite_evolve(QiteSpec(beta, n_steps=steps, domain=n),
                                  h, batch, lattice)
-            fid_by_steps.append(float(np.mean([
-                StateVector(n, amps).fidelity(ref)
-                for amps, ref in zip(out.T, exact)])))
+            fid_by_steps.append(float(np.mean(np.abs(
+                np.einsum("ij,ij->j", out.conj(), exact)))))
         print(f"  N={n} mean fidelity over steps (5,10,25,50): "
               + ", ".join(f"{f:.5f}" for f in fid_by_steps))
         assert fid_by_steps[-1] > 0.99
@@ -225,11 +229,11 @@ def test_imaginary_time_evolution_matches_exact():
     # truncated-domain regime: measured, not asserted
     lattice = LatticeSpec(1, (4,))
     h = build_heisenberg(lattice)
-    op = exact_thermal_operator(to_dense(h, 4), beta)
     psi = sample_haar_state(4, 0)
     out, _ = qite_one(QiteSpec(beta, n_steps=50, domain=3), h, psi, lattice)
+    exact = expm_filter(to_dense(h, 4), beta, psi.amps)
     print(f"  N=4 domain=3 (truncated) measured fidelity: "
-          f"{out.fidelity(apply_exact(op, psi)):.4f}")
+          f"{abs(np.vdot(out.amps, exact)):.4f}")
 
 
 @criterion("8 invariant-suite")
@@ -257,21 +261,28 @@ def test_invariants(tmp_path):
                              [3], [0])
     assert abs(p0 - ref_p0) < 1e-10
     assert np.max(np.abs(out.amps - ref.amps)) < 1e-10
-    assert abs(fid - ref.fidelity(apply_exact(op, psi))) < 1e-10
+    exact = expm_filter(dense, 1.0, psi.amps)
+    assert abs(fid - abs(np.vdot(ref.amps, exact))) < 1e-10
 
-    # normalized output is invariant under rescaling the thermal operator
+    # normalized output is invariant under rescaling the thermal operator:
+    # Q/s with s rescaled filters psi to the exact filter's state
     rescaled = ThermalOperator(1.0, dense)
     rescaled._shifted_scale
     rescaled.__dict__["_shifted_scale"] = op._shifted_scale * 11.0
-    assert np.max(np.abs(apply_exact(op, psi).amps
-                         - apply_exact(rescaled, psi).amps)) < 1e-12
+    coeffs = dense.to_eigenbasis(psi.amps[:, None])
+    outs = [filter_states(dense, w, coeffs, NORM_FLOOR)[0][:, 0]
+            for w in (op.shifted_weights(), rescaled.scaled_eigenvalues())]
+    assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
 
     # beta = 0 reduces every backend to the identity
     op0 = ThermalOperator(0.0, dense)
-    assert np.max(np.abs(apply_exact(op0, psi).amps - psi.amps)) < 1e-10
+    for kind in ("exact", "fable"):
+        out0 = next(filtered_batches(BackendSpec(kind), (0.0,),
+                                     psi.amps[:, None], dense, h))
+        assert np.max(np.abs(out0[:, 0] - psi.amps)) < 1e-10
     out0, _, _ = apply_dilated(DilationSpec(0.5, op0), psi)
     assert np.max(np.abs(out0.amps - psi.amps)) < 1e-10
-    outf, _ = apply_fable(fable_encode(op0), psi)
+    outf, _ = fable_branch(fable_encode(op0), psi)
     assert np.max(np.abs(outf.amps - psi.amps)) < 1e-10
     outq, rotations = qite_one(QiteSpec(0.0), h, psi, lattice)
     circ = qite_circuit(rotations, psi.n)

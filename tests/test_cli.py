@@ -494,6 +494,10 @@ def test_refused_allocation_is_backend_failure(runner, tmp_path, monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(f"tpqsim.cli.{patched}", refuse_40_sites)
+    # 4 PiB of physical memory admit a 40-site state to the byte budgets,
+    # so the refusal comes from the allocator
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**40}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = write_config(tmp_path, {
         "model": {"dimension": 1, "extents": extents},
         "output": {"path": str(tmp_path / "x.csv")}, **body,
@@ -523,6 +527,8 @@ def test_dense_model_beyond_memory_is_backend_failure(runner, tmp_path):
 @pytest.mark.parametrize("subcommand,body", [
     ("sweep-beta", {"estimate": {"R": 10_000_000}}),
     ("error-scan", {"error_scan": {"sizes": [10, 11], "R": 10_000_000}}),
+    ("entropy-scan", {"entropy": {"seeds": 10_000_000}}),
+    ("dilation-scan", {"dilation": {"R": 10_000_000}}),
 ])
 def test_random_state_batch_beyond_memory_is_backend_failure(
         runner, tmp_path, monkeypatch, subcommand, body):
@@ -541,6 +547,41 @@ def test_random_state_batch_beyond_memory_is_backend_failure(
     assert ("backend failure: a batch of 10000000 random states needs "
             "163840000000 bytes") in result.output
     assert seeds == [] and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,body", [
+    ("entropy-scan", {"entropy": {"depths": [1], "seeds": 3}}),
+    ("dilation-scan", {"dilation": {"R": 3}}),
+])
+def test_random_states_past_numpy_dimensions_are_backend_failure(
+        runner, tmp_path, subcommand, body):
+    # 3 states on 100 sites: refused by the byte budget before numpy is
+    # asked for 2^100 amplitudes
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [100]},
+        "output": {"path": str(tmp_path / "x.csv")}, **body,
+    })
+    result = runner.invoke(main, [subcommand, cfg])
+    assert result.exit_code == 2, result.output
+    assert "backend failure: a batch of 3 random states needs" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_error_scan_zero_squared_error_is_backend_failure(runner, tmp_path):
+    # with every coupling 0, H = 0: each TPQ energy is the ensemble value,
+    # so D^2 is 0 and its log-slope in N is undefined
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [2], "Jx": 0, "Jy": 0, "Jz": 0,
+                  "hx": 0},
+        "error_scan": {"sizes": [2, 3], "depths": [5], "R": 2,
+                       "compare_R": [1], "compare_N": 3, "compare_seeds": 1},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["error-scan", cfg])
+    assert result.exit_code == 2, result.output
+    assert "backend failure: D^2 is 0.0 at depth 5 and size 2" in result.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("coupling,column", [(1e308, "mean"),

@@ -14,8 +14,6 @@ from tpqsim import (
     TpqRunSpec,
     ZeroProbability,
     apply_dilated,
-    apply_exact,
-    apply_fable,
     build_heisenberg,
     ensemble_expectation,
     fable_encode,
@@ -38,7 +36,7 @@ from tpqsim.statevector import (
     sample_expectations,
 )
 
-from conftest import qite_one
+from conftest import expm_filter, fable_branch, qite_one
 
 
 @pytest.fixture
@@ -192,7 +190,8 @@ def test_averaging_reduces_error(chain3):
 
 def per_state_run(spec):
     """run_ensemble's values and shot stderr, one (state, beta) pair at a
-    time through the single-state filters and measurements."""
+    time through the filters' oracles and the single-state measurements: the
+    dense expm for the exact filter and the replayed circuit for FABLE."""
     lattice, backend = spec.lattice, spec.backend
     h = build_heisenberg(lattice)
     dense = to_dense(h, lattice.n_sites)
@@ -206,11 +205,11 @@ def per_state_run(spec):
         for bi, beta in enumerate(spec.betas):
             op = ThermalOperator(beta, dense)
             if backend.kind == "exact":
-                out = apply_exact(op, psi)
+                out = StateVector(psi.n, expm_filter(dense, beta, psi.amps))
             elif backend.kind == "dilated":
                 out = apply_dilated(DilationSpec(backend.epsilon, op), psi)[0]
             elif backend.kind == "fable":
-                out = apply_fable(fable_encode(op), psi)[0]
+                out = fable_branch(fable_encode(op), psi)[0]
             else:
                 qspec = QiteSpec(beta, backend.n_steps, backend.domain)
                 out = qite_one(qspec, h, psi, lattice)[0]
@@ -325,7 +324,7 @@ def test_circuit_energy_run_filters_in_the_eigenbasis(chain3, monkeypatch,
 
     calls = count_basis_changes(monkeypatch)
     monkeypatch.setattr(ThermalOperator, "scaled", property(forbidden))
-    monkeypatch.setattr(tpqsim.fable, "fable_block", forbidden)
+    monkeypatch.setattr(tpqsim.fable, "fable_encode", forbidden)
     run_ensemble(TpqRunSpec(chain3, (0.2, 0.5, 1.0, 2.0), realizations=4,
                             depth=5, backend=backend))
     # one V^T Psi for the whole (2^n, R) batch

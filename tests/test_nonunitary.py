@@ -10,19 +10,20 @@ from tpqsim import (
     PauliSum,
     PauliTerm,
     apply_dilated,
-    apply_exact,
     build_heisenberg,
     dilated_cnot_count,
     dilated_omega,
     to_dense,
 )
 from tpqsim.errors import ZeroProbability
-from tpqsim.nonunitary import ThermalOperator
+from tpqsim.estimator import BackendSpec, filtered_batches
+from tpqsim.nonunitary import NORM_FLOOR, ThermalOperator, filter_states
 from tpqsim.statevector import StateVector
 from tpqsim.random_state import sample_haar_state
 
 from conftest import (
     exact_thermal_operator,
+    expm_filter,
     postselect,
     thermal_matrix,
     thermal_scale,
@@ -34,11 +35,18 @@ def op2(chain2):
     return exact_thermal_operator(to_dense(build_heisenberg(chain2), 2), 1.0)
 
 
+def exact_run_filter(op, psi):
+    """The exact filter as a run applies it, on the one-column batch of psi."""
+    batches = filtered_batches(BackendSpec("exact"), (op.beta,),
+                               psi.amps[:, None], op.hamiltonian, None)
+    return next(batches)[:, 0]
+
+
 def test_beta_zero_is_identity(chain2):
     op = exact_thermal_operator(to_dense(build_heisenberg(chain2), 2), 0.0)
     assert np.allclose(thermal_matrix(op), np.eye(4))
     psi = sample_haar_state(2, 0)
-    assert np.max(np.abs(apply_exact(op, psi).amps - psi.amps)) < 1e-12
+    assert np.max(np.abs(exact_run_filter(op, psi) - psi.amps)) < 1e-12
 
 
 def test_diagonal_hamiltonian():
@@ -84,20 +92,23 @@ def test_large_beta_projects_onto_ground_state(chain3):
     h = to_dense(build_heisenberg(chain3), 3)
     op = exact_thermal_operator(h, 50.0)
     psi = sample_haar_state(3, 4)
-    out = apply_exact(op, psi)
+    out = exact_run_filter(op, psi)
     ground = h.eigenvectors[:, 0]
-    assert abs(np.vdot(ground, out.amps)) ** 2 > 0.999
+    assert abs(np.vdot(ground, out)) ** 2 > 0.999
 
 
-def test_scale_invariance_of_apply_exact(op2):
-    # rescaling Q cannot change the normalized output
+def test_scale_invariance_of_the_exact_filter(op2):
+    # rescaling Q cannot change the normalized output: the eigenvalues of
+    # Q/s with s rescaled filter psi to the exact filter's state
     psi = sample_haar_state(2, 9)
-    out = apply_exact(op2, psi)
+    out = exact_run_filter(op2, psi)
     rescaled = ThermalOperator(op2.beta, op2.hamiltonian)
     rescaled._shifted_scale  # force cache
     rescaled.__dict__["_shifted_scale"] = op2._shifted_scale * 37.5
-    out2 = apply_exact(rescaled, psi)
-    assert np.max(np.abs(out.amps - out2.amps)) < 1e-12
+    h = op2.hamiltonian
+    out2, _ = filter_states(h, rescaled.scaled_eigenvalues(),
+                            h.to_eigenbasis(psi.amps[:, None]), NORM_FLOOR)
+    assert np.max(np.abs(out - out2[:, 0])) < 1e-12
 
 
 @pytest.mark.parametrize("eps", [1e-4, 0.3, 1.5])
@@ -151,7 +162,7 @@ def omega_branch(spec, psi):
 
 def test_apply_dilated_closed_form_oracle(op2):
     psi = sample_haar_state(2, 3)
-    exact = apply_exact(op2, psi)
+    exact = expm_filter(op2.hamiltonian, op2.beta, psi.amps)
     # at eps = 4.0 sin(eps q) changes sign across the scaled spectrum
     for eps in (0.25, 0.3, 2.0, 4.0):
         spec = DilationSpec(eps, op2)
@@ -159,7 +170,7 @@ def test_apply_dilated_closed_form_oracle(op2):
         ref, ref_p0 = omega_branch(spec, psi)
         assert p0 == pytest.approx(ref_p0, abs=1e-10)
         assert np.max(np.abs(out.amps - ref.amps)) < 1e-10
-        assert fid == pytest.approx(ref.fidelity(exact), abs=1e-10)
+        assert fid == pytest.approx(abs(np.vdot(ref.amps, exact)), abs=1e-10)
         assert 0.0 < fid <= 1.0
 
 
@@ -217,7 +228,7 @@ def test_expectation_agreement_exact_vs_dilated():
     psi = sample_haar_state(4, 21)
     from tpqsim import expectations
 
-    e_exact = expectations(apply_exact(op, psi).amps, h_pauli)
+    e_exact = expectations(expm_filter(op.hamiltonian, 2.0, psi.amps), h_pauli)
     out, _, _ = apply_dilated(DilationSpec(1e-3, op), psi)
     e_dilated = expectations(out.amps, h_pauli)
     assert abs(e_dilated - e_exact) / abs(e_exact) < 1e-4
@@ -237,8 +248,8 @@ def test_complex_basis_filters_match_oracles():
     op = exact_thermal_operator(h, 1.0)
     psi = sample_haar_state(2, 5)
     q_psi = scipy.linalg.expm(-0.5 * h.matrix) @ psi.amps
-    out = apply_exact(op, psi)
-    assert np.max(np.abs(out.amps - q_psi / np.linalg.norm(q_psi))) < 1e-10
+    out = exact_run_filter(op, psi)
+    assert np.max(np.abs(out - q_psi / np.linalg.norm(q_psi))) < 1e-10
     spec = DilationSpec(0.6, op)
     branch, p0, _ = apply_dilated(spec, psi)
     ref, ref_p0 = omega_branch(spec, psi)

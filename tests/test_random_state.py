@@ -115,12 +115,12 @@ def test_entangler_choice():
 def test_circuit_state_unit_norm():
     for seed in range(5):
         spec = RandomCircuitSpec(LatticeSpec(1, (5,)), depth=20, seed=seed)
-        assert abs(random_state(spec).norm - 1.0) < 1e-10
+        assert abs(np.linalg.norm(random_state(spec).amps) - 1.0) < 1e-10
 
 
 def test_haar_state_normalized():
     for n in (1, 3, 6):
-        assert abs(sample_haar_state(n, 4).norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(sample_haar_state(n, 4).amps) - 1.0) < 1e-12
 
 
 def test_haar_first_amplitude_symmetry():
