@@ -33,8 +33,6 @@ from .statevector import (
     zero_state,
 )
 from .nonunitary import (
-    DilationSpec,
-    ThermalOperator,
     apply_dilated,
     dilated_cnot_count,
     dilated_omega,
@@ -76,8 +74,6 @@ __all__ = [
     "expectations",
     "sample_expectations",
     "zero_state",
-    "DilationSpec",
-    "ThermalOperator",
     "apply_dilated",
     "dilated_cnot_count",
     "dilated_omega",

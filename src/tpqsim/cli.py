@@ -34,11 +34,12 @@ from .estimator import (
 from .fable import fable_encode
 from .lattice import LatticeSpec, build_heisenberg, magnetization_x
 from .nonunitary import (
-    DilationSpec,
-    ThermalOperator,
     apply_dilated,
     dilated_cnot_count,
     dilated_omega,
+    scaled_filter,
+    scaled_weights,
+    thermal_weights,
 )
 from .pauli import to_dense
 from .qite import QiteSpec, qite_circuit, qite_evolve
@@ -384,13 +385,15 @@ def dilation_scan(config_path, output, seed):
                              scan["R"])
     h_pauli = build_heisenberg(lattice)
     dense = to_dense(h_pauli, lattice.n_sites)
-    op = ThermalOperator(scan["beta"], dense)
+    exact = thermal_weights(dense, scan["beta"])
+    scaled = scaled_weights(dense, exact)
     ref = ensemble_expectation(dense, None, scan["beta"])
     states = [random_state(c) for c in circuits]
     rows = []
     for eps in scan["epsilons"]:
-        dspec = DilationSpec(eps, op)
-        outs, p0s, fids = zip(*(apply_dilated(dspec, psi) for psi in states))
+        branch = np.sin(eps * scaled)
+        outs, p0s, fids = zip(*(apply_dilated(dense, psi, branch, exact)
+                                for psi in states))
         energies = expectations(np.stack([out.amps for out in outs], axis=1),
                                 h_pauli)
         # successful post-selections occur in proportion to P0, so the
@@ -488,10 +491,10 @@ def resources(config_path, output, seed):
                 inputs = [h_pauli] * 3
 
                 def build(h):
-                    op = ThermalOperator(scan["beta"], to_dense(h, n))
+                    dense = to_dense(h, n)
                     if kind == "dilated":
-                        return dilated_omega(DilationSpec(1e-1, op))
-                    return fable_encode(op)
+                        return dilated_omega(dense, scan["beta"], 1e-1)
+                    return fable_encode(scaled_filter(dense, scan["beta"]))
             artifact, seconds = timed_builds(build, inputs)
             rows.append([kind, n, *_ARTIFACT_COUNTS[kind](artifact, n),
                          seconds])

@@ -5,10 +5,11 @@ A run prepares its R independent random-circuit states as one (2^n, R) batch
 memory.  The backend filters it for each beta and measures each filtered
 batch in one call, `expectations` or, with shots, `sample_expectations`; mean
 and stddev/sqrt(R) are taken over the states.  The exact, dilated and FABLE
-filters are all diagonal in H's eigenbasis (a run's FABLE encoding is exact,
-so its branch is (Q/s) psi / 2^N): they move the batch into that basis once
-per run, through H's symmetry blocks (parity and qubit-order reversal), and
-only rescale its rows per beta.  The energy is then read off in that basis
+filters are all diagonal in H's eigenbasis, each one (n_beta, 2^n) array of
+weights on H's spectrum built once per run (`_in_eigenbasis`; a run's FABLE
+encoding is exact, so its branch is (Q/s) psi / 2^N): they move the batch
+into that basis once per run, through H's symmetry blocks (parity and
+qubit-order reversal), and only rescale its rows per beta.  The energy is then read off in that basis
 for all betas at once, and its reference from the eigenvalues alone, so an
 exact energy run never assembles the 2^n x 2^n eigenvectors; nor does the
 reference of an observable diagonal in the blocks' basis, such as
@@ -38,10 +39,10 @@ from .lattice import LatticeSpec, build_heisenberg
 from .nonunitary import (
     NORM_FLOOR,
     P0_FLOOR,
-    DilationSpec,
-    ThermalOperator,
     filter_energies,
     filter_states,
+    scaled_weights,
+    thermal_weights,
 )
 from .pauli import DenseHermitian, PauliSum, _check_budget, to_dense
 from .qite import QiteSpec, beta_groups, qite_evolve
@@ -159,16 +160,13 @@ def _in_eigenbasis(spec: BackendSpec, betas, states: np.ndarray,
     """The filter's eigenbasis weights, one row per beta, the (2^n, R)
     coefficients C = V^dagger states, and the squared norm below which a
     filtered state is lost, for every backend but QITE."""
-    ops = [ThermalOperator(beta, dense_h) for beta in betas]
-    if spec.kind == "exact":
-        weights = [op.shifted_weights() for op in ops]
-    elif spec.kind == "dilated":
-        weights = [DilationSpec(spec.epsilon, op).branch_weights()
-                   for op in ops]
-    else:  # fable: the post-selected branch is (Q/s) psi / 2^N
-        weights = [op.scaled_eigenvalues() / dense_h.dim for op in ops]
+    weights = thermal_weights(dense_h, betas)
+    if spec.kind == "dilated":
+        weights = np.sin(spec.epsilon * scaled_weights(dense_h, weights))
+    elif spec.kind == "fable":  # the post-selected branch is (Q/s) psi / 2^N
+        weights = scaled_weights(dense_h, weights) / dense_h.dim
     floor = NORM_FLOOR if spec.kind == "exact" else P0_FLOOR
-    return np.array(weights), dense_h.to_eigenbasis(states), floor
+    return weights, dense_h.to_eigenbasis(states), floor
 
 
 def filtered_batches(spec: BackendSpec, betas, states: np.ndarray,

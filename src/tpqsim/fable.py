@@ -1,21 +1,23 @@
-"""FABLE-style block encoding of the scaled thermal operator.
+"""FABLE-style block encoding of a real 2^N x 2^N matrix A with entries in
+[-1, 1], at subnormalization 2^N.
 
 Layout on 2N+1 qubits: system register = qubits 0..N-1, index ancilla
 register = qubits N..2N-1, rotation ancilla = qubit 2N.  With ancillas in the
 high bits, the all-ancillas-zero sector is the leading principal 2^N block of
-the circuit unitary, which equals (Q/s) / 2^N.
+the circuit unitary, which equals A / 2^N.
 
 Synthesis: Hadamards on the index register, one uniformly-controlled RY over
 all 2N control bits decomposed into a Gray-code walk of RY/CNOT pairs
 (rotation angles via a scaled Walsh-Hadamard transform), a register swap, and
 closing Hadamards.
 
-The circuit is emitted for resource counts and for replay; simulation does not
-run it.  The uniformly-controlled RY with angle theta_c for control value
+The uniformly-controlled RY with angle theta_c for control value
 c = (i << N) | j puts cos(theta_c / 2) / 2^N at (i, j) of the leading block
-(Camps & Van Beeumen, arXiv:2205.00081), so an exact encoding's block is Q/s
-itself, diagonal in H's eigenbasis, and `estimator` filters a run's batch
-there and synthesizes nothing.
+(Camps & Van Beeumen, arXiv:2205.00081).  The thermal filter encodes
+A = Q/s (`nonunitary.scaled_filter`); the circuit is emitted for resource
+counts and for replay, and simulation does not run it: an exact encoding's
+block is Q/s / 2^N itself, diagonal in H's eigenbasis, where `estimator`
+filters a run's batch and synthesizes nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import EntryOutOfRange
-from .nonunitary import ThermalOperator
 from .pauli import _check_budget, walsh_hadamard
 
 # bytes per emitted Gate object and its list slot (tracemalloc, 4-6 qubits)
@@ -78,21 +79,30 @@ def fable_circuit(phi: np.ndarray, n: int, prune: bool = False) -> Circuit:
     return circuit
 
 
-def fable_encode(op: ThermalOperator, compression_tol: float = 0.0) -> Circuit:
-    """Synthesize the block-encoding circuit of Q/s with subnormalization 2^N.
+def fable_encode(a: np.ndarray, compression_tol: float = 0.0) -> Circuit:
+    """Synthesize the block-encoding circuit of the real matrix `a`, of side
+    2^N for some N >= 1, with subnormalization 2^N.
 
     The compiled angles are in Gray-code walk order: `compression_tol` > 0
     prunes those at or below the tolerance (approximate encoding); the
-    default keeps the circuit exact.  Raises EntryOutOfRange when an entry
-    of Q/s leaves [-1, 1], and DimensionOverflow, before synthesizing, when
-    the unpruned circuit's 2 * 4^N + 3N gates would exceed the machine's
-    physical memory.
+    default keeps the circuit exact.  Raises ValueError for a matrix with a
+    nonzero imaginary part, or not square with a side that is a power of two;
+    DimensionOverflow, before synthesizing, when the unpruned circuit's
+    2 * 4^N + 3N gates would exceed the machine's physical memory; and
+    EntryOutOfRange when an entry leaves [-1, 1] or is nan.
     """
-    n = op.n_qubits
+    a = np.asarray(a)
+    side = a.shape[0] if a.ndim == 2 else 0
+    if a.shape != (side, side) or side < 2 or side & (side - 1):
+        raise ValueError(f"FABLE encodes a square matrix of side 2^N, N >= 1;"
+                         f" got shape {a.shape}")
+    if np.iscomplexobj(a) and np.any(a.imag):
+        raise ValueError("FABLE encodes a real matrix")
+    n = side.bit_length() - 1
     _check_budget(_GATE_BYTES * (2 * 4**n + 3 * n),
                   f"the FABLE circuit on n={n} qubits")
-    a = np.asarray(op.scaled, dtype=float)
-    if np.max(np.abs(a)) > 1.0 + 1e-12:
+    a = np.asarray(a.real, dtype=float)
+    if not np.all(np.abs(a) <= 1.0 + 1e-12):  # a nan entry fails too
         raise EntryOutOfRange("matrix entries must lie in [-1, 1]")
     a = np.clip(a, -1.0, 1.0)
     # theta_c = 2 arccos(a_ij) with c = (i << n) | j; compiled angles via the

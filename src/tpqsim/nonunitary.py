@@ -7,25 +7,26 @@ scaled by its largest entry s, which is read off the eigenbasis diagonal.
 
 Every filter whose post-selected branch is a function of Q is diagonal in the
 eigenbasis V of H, which is real for the real-symmetric Hamiltonians built
-here: the exact filter, the dilation's sin(eps Q/s), and an exact FABLE
-encoding's (Q/s) / 2^N.  They are simulated on a (2^n, R) batch of column
-states: the batch enters once as C = V^dagger Psi, each filter (a beta, or an
-epsilon) only rescales the rows of C, and a filtered batch leaves as V times
-the rescaled coefficients, or not at all when only its energy is wanted.
-Both transforms go through H's symmetry blocks (`DenseHermitian.to_eigenbasis`
-and `from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
-`apply_dilated` is the one-state case of the dilation.  The full V is
-assembled only for the scale s of Q/s, which the dilated and FABLE filters
-need; the dilated unitary Omega is built only by `dilated_omega`, the
-unitarity oracle and the artifact whose synthesis the `resources` subcommand
-times, and Q/s only by `ThermalOperator.scaled`.
+here, so each is one array of weights on H's spectrum, one row per beta:
+`thermal_weights` is the exact filter, and `scaled_weights` turns it into the
+eigenvalues q of Q/s, from which the dilation's branch is sin(eps q) and an
+exact FABLE encoding's q / 2^N.  They are simulated on a (2^n, R) batch of
+column states: the batch enters once as C = V^dagger Psi, each row of weights
+only rescales the rows of C, and a filtered batch leaves as V times the
+rescaled coefficients, or not at all when only its energy is wanted.  Both
+transforms go through H's symmetry blocks (`DenseHermitian.to_eigenbasis` and
+`from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
+`apply_dilated` filters one state and also returns its post-selection
+probability and fidelity.  The full V is assembled only for the scale s of
+Q/s, which the dilated and FABLE filters need; the dilated unitary Omega is
+built only by `dilated_omega`, the unitarity oracle and the artifact whose
+synthesis the `resources` subcommand times, and the dense Q/s only by
+`scaled_filter`, the matrix that `resources` block-encodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,52 +35,36 @@ from .pauli import DenseHermitian, _check_budget
 from .statevector import StateVector
 
 
-@dataclass
-class ThermalOperator:
-    """e^{-beta H / 2} over a dense Hamiltonian's cached eigenbasis.
+def thermal_weights(h: DenseHermitian, betas) -> np.ndarray:
+    """e^{-beta (lambda - lambda_min) / 2} on H's ascending spectrum, all in
+    (0, 1]: the exact filter, one row per beta of a 1-D `betas` (one row for
+    a scalar)."""
+    betas = np.asarray(betas, dtype=float)
+    if np.any(betas < 0):
+        raise ValueError("beta must be >= 0")
+    vals = h.eigenvalues
+    return np.exp(np.multiply.outer(-betas, vals - vals[0]) / 2.0)
 
-    Every filter normalizes its output, so the literal Q is never needed: the
-    filters use the eigenvalues of Q/s, the scale s being the largest entry
-    of the shifted Q.  `scaled`, the dense Q/s with max-abs entry 1, is built
-    only when asked for, by the block-encoding synthesis and the tests.
+
+def scaled_weights(h: DenseHermitian, weights: np.ndarray) -> np.ndarray:
+    """Each row w of `weights` divided by its scale s = max_i sum_k |V_ik|^2
+    w_k: for the exact filter's rows, the eigenvalues of Q/s.
+
+    The shifted Q = V diag(w) V^dagger is positive definite, so |Q_ij| <=
+    sqrt(Q_ii Q_jj) and its largest entry s is its largest diagonal one,
+    summed in O(4^n) per row without a 2^n x 2^n temporary.
     """
+    vecs = h.eigenvectors
+    scales = [np.max(np.einsum("ik,ik,k->i", vecs, vecs.conj(), w).real)
+              for w in np.reshape(weights, (-1, h.dim))]
+    return weights / np.reshape(scales, np.shape(weights)[:-1] + (1,))
 
-    beta: float
-    hamiltonian: DenseHermitian
 
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.hamiltonian.n_qubits
-
-    def shifted_weights(self) -> np.ndarray:
-        """e^{-beta (lambda - lambda_min) / 2}, all in (0, 1]."""
-        vals = self.hamiltonian.eigenvalues
-        return np.exp(-self.beta * (vals - vals[0]) / 2.0)
-
-    @cached_property
-    def _shifted_scale(self) -> float:
-        # the shifted Q is positive definite, so |Q_ij| <= sqrt(Q_ii Q_jj) and
-        # its largest entry is its largest diagonal one, sum_k |V_ik|^2 w_k,
-        # summed in O(4^n) without a 2^n x 2^n temporary
-        vecs = self.hamiltonian.eigenvectors
-        diagonal = np.einsum("ik,ik,k->i", vecs, vecs.conj(),
-                             self.shifted_weights())
-        return float(np.max(diagonal.real))
-
-    @cached_property
-    def scaled(self) -> np.ndarray:
-        """Q/s, real symmetric for the real-symmetric Hamiltonians used here."""
-        vecs = self.hamiltonian.eigenvectors
-        q = (vecs * self.shifted_weights()) @ vecs.conj().T
-        return q / self._shifted_scale
-
-    def scaled_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of `scaled`, sharing the Hamiltonian's eigenvectors."""
-        return self.shifted_weights() / self._shifted_scale
+def scaled_filter(h: DenseHermitian, beta: float) -> np.ndarray:
+    """The dense Q/s, max-abs entry 1; real symmetric for the real-symmetric
+    Hamiltonians used here."""
+    vecs = h.eigenvectors
+    return (vecs * scaled_weights(h, thermal_weights(h, beta))) @ vecs.conj().T
 
 
 # below these squared norms a filtered state is lost: ||Q psi|| under 1e-14
@@ -123,36 +108,23 @@ def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
     return (w2 * h.eigenvalues) @ probs / sq_norms
 
 
-@dataclass(frozen=True)
-class DilationSpec:
-    """Single-ancilla dilation of Q with performance parameter epsilon."""
-
-    epsilon: float
-    operator: ThermalOperator
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-
-    def branch_weights(self) -> np.ndarray:
-        """sin(eps q) per eigenvalue q of Q': the post-selected branch."""
-        return np.sin(self.epsilon * self.operator.scaled_eigenvalues())
-
-
-def dilated_omega(spec: DilationSpec) -> np.ndarray:
+def dilated_omega(h: DenseHermitian, beta: float, epsilon: float) -> np.ndarray:
     """exp(i eps [[0, -iQ'], [iQ', 0]]) = [[cos(eps Q'), sin(eps Q')],
-    [-sin(eps Q'), cos(eps Q')]], with the ancilla as the most significant qubit.
+    [-sin(eps Q'), cos(eps Q')]] for Q' = Q/s, with the ancilla as the most
+    significant qubit.
 
     Each block is computed into its quadrant of the preallocated Omega.
-    Raises DimensionOverflow, before allocating, when V and what builds Omega
-    (at most 6.6 matrices of H's size at 7 and 8 sites, Omega being 4)
-    exceed physical memory.
+    Raises ValueError unless epsilon > 0, and DimensionOverflow, before
+    allocating, when V and what builds Omega (at most 6.6 matrices of H's
+    size at 7 and 8 sites, Omega being 4) exceed physical memory.
     """
-    h = spec.operator.hamiltonian
+    weights = thermal_weights(h, beta)
+    if not epsilon > 0:
+        raise ValueError("epsilon must be > 0")
     _check_budget(7 * h.blocks[0].itemsize * h.dim**2,
                   f"the dilated unitary on n={h.n_qubits} + 1 qubits")
     vecs = h.eigenvectors
-    angles = spec.epsilon * spec.operator.scaled_eigenvalues()
+    angles = epsilon * scaled_weights(h, weights)
     omega = np.empty((2 * h.dim, 2 * h.dim), vecs.dtype)
     cos_b, sin_b = omega[:h.dim, :h.dim], omega[:h.dim, h.dim:]
     np.matmul(vecs * np.cos(angles), vecs.conj().T, out=cos_b)
@@ -162,25 +134,25 @@ def dilated_omega(spec: DilationSpec) -> np.ndarray:
     return omega
 
 
-def apply_dilated(spec: DilationSpec, psi: StateVector) -> tuple[StateVector, float, float]:
-    """Dilated application of Q: returns (post-selected state, P0, fidelity F).
+def apply_dilated(h: DenseHermitian, psi: StateVector, branch: np.ndarray,
+                  exact: np.ndarray) -> tuple[StateVector, float, float]:
+    """Dilated application of Q to one state: returns (post-selected state,
+    P0, fidelity F).
 
     The ancilla starts in |1>, Omega is applied, and the ancilla is
     post-selected in |0>; the surviving branch is b = sin(eps Q') psi, which
-    is diagonal in H's eigenbasis, so Omega itself is never built.  P0 is
-    ||b||^2 and F the overlap magnitude with the exact filtered state, in
-    [0, 1].
+    is diagonal in H's eigenbasis, so Omega itself is never built: `branch`
+    holds sin(eps q) for the eigenvalues q of Q' and `exact` the exact
+    filter's weights.  P0 is ||b||^2 and F the overlap magnitude with the
+    exact filtered state, in [0, 1].
     Raises ZeroProbability when P0 underflows.
     """
-    op = spec.operator
-    h = op.hamiltonian
     coeffs = h.to_eigenbasis(psi.amps[:, None])
-    weights = spec.branch_weights()
-    states, p0 = filter_states(h, weights, coeffs, P0_FLOOR)
+    states, p0 = filter_states(h, branch, coeffs, P0_FLOOR)
     p0 = float(p0[0])
-    branch = weights * coeffs[:, 0]
-    exact = op.shifted_weights() * coeffs[:, 0]
-    fid = abs(np.vdot(branch, exact)) / (math.sqrt(p0) * np.linalg.norm(exact))
+    filtered = branch * coeffs[:, 0]
+    ideal = exact * coeffs[:, 0]
+    fid = abs(np.vdot(filtered, ideal)) / (math.sqrt(p0) * np.linalg.norm(ideal))
     # Cauchy-Schwarz bounds F by 1; round-off must not push it past
     return StateVector(psi.n, states[:, 0]), p0, min(1.0, float(fid))
 

@@ -23,13 +23,14 @@ gather pair (a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionOverflow
+from .errors import DimensionOverflow, TpqsimError
 
 # arrays of the largest block's size that diagonalizing it adds to the blocks
 # and the eigenvectors already held: eigh's working copy and the
@@ -315,9 +316,8 @@ class DenseHermitian:
     divide-and-conquer ?syevd/?heevd on the lower triangle).  The filters
     move batches of states in and out of the eigenbasis through the blocks
     (`to_eigenbasis`, `from_eigenbasis`): one Walsh-Hadamard transform, one
-    gather pair of F or F^T and one product per block.  The full H
-    (`matrix`) and its eigenvector matrix V (`eig`) are assembled only where
-    they are read.
+    gather pair of F or F^T and one product per block.  The full H is never
+    assembled, and its eigenvector matrix V (`eig`) only where it is read.
     """
 
     n_qubits: int
@@ -384,20 +384,6 @@ class DenseHermitian:
     @property
     def eigenvectors(self) -> np.ndarray:
         return self.eig[1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense 2^n x 2^n H, assembled from the blocks on each read as
-        W (sum over blocks of F_b^T block F_b) W."""
-        m = np.zeros((self.dim, self.dim), self.blocks[0].dtype)
-        for (i1, i2, w1, w2), block in zip(
-                _block_rows(self.forward, self.bounds), self.blocks):
-            for rows, w_rows in ((i1, w1), (i2, w2)):
-                for cols, w_cols in ((i1, w1), (i2, w2)):
-                    m[np.ix_(rows, cols)] += w_rows[:, None] * block * w_cols
-        if self.rotated:  # H = W M W = (W (W M)^T)^T, as W is symmetric
-            walsh_hadamard(walsh_hadamard(m).T)
-        return m
 
     def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
         """C = V^dagger amps for a (2^n, m) batch of column states, rows in
@@ -498,10 +484,16 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     a sum of such strings is built real, as float64, and any other sum
     complex.  The terms sharing a flip mask fill one diagonal, scattered
     once into each block: O(|terms| 2^n) plus the allocation.  Raises
-    IndexError when a term touches a qubit >= n, and DimensionOverflow,
-    before allocating, when diagonalizing the blocks would take more than
-    the machine's physical memory.
+    TpqsimError, before building anything, when 2 sum |c|, which bounds the
+    spread of the spectrum, is not a finite float; IndexError when a term
+    touches a qubit >= n; and DimensionOverflow, before allocating, when
+    diagonalizing the blocks would take more than the machine's physical
+    memory.
     """
+    spread = 2 * sum(abs(t.coefficient) for t in p)
+    if not math.isfinite(spread):
+        raise TpqsimError(f"the Hamiltonian's spectrum may spread over "
+                          f"2 sum |c| = {spread}, which overflows float64")
     real = all(sum(o == "Y" for _, o in t.operators) % 2 == 0 for t in p)
     rotated = n >= 1 and all(sum(o != "X" for _, o in t.operators) % 2 == 0
                              for t in p)

@@ -26,6 +26,7 @@ import numpy.random
 
 from .circuit import Circuit, Gate
 from .lattice import LatticeSpec, nearest_neighbor_pairs
+from .pauli import _check_budget
 from .statevector import (
     StateVector,
     _apply_1q,
@@ -74,12 +75,13 @@ def entangling_patterns(lattice: LatticeSpec) -> list[list[tuple[int, int]]]:
     return patterns
 
 
-def _gate_choices(seed: int, n: int, depth: int) -> list[list[int]]:
-    """Each block's GATE_SET index per qubit, drawn from the seed's stream."""
+def _gate_choices(seed: int, n: int, depth: int) -> np.ndarray:
+    """Each block's GATE_SET index per qubit, drawn from the seed's stream,
+    as one (depth, n) int8 array."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     previous = [-1] * n
-    blocks = []
-    for _ in range(depth):
+    blocks = np.empty((depth, n), dtype=np.int8)
+    for block in range(depth):
         for q in range(n):
             if previous[q] < 0:
                 previous[q] = int(rng.integers(3))
@@ -87,7 +89,7 @@ def _gate_choices(seed: int, n: int, depth: int) -> list[list[int]]:
                 # uniform over the two gates that differ from last block's
                 options = [g for g in range(3) if g != previous[q]]
                 previous[q] = options[int(rng.integers(2))]
-        blocks.append(list(previous))
+        blocks[block] = previous
     return blocks
 
 
@@ -131,12 +133,17 @@ def random_states(lattice: LatticeSpec, depth: int, entangler: str,
     The gates are drawn as `build_random_circuit` draws them, but no circuit
     is built: each single-qubit layer applies one 2x2 matrix per column and
     qubit, and each entangling layer is one precomputed map of the batch.
-    The columns equal the gate-by-gate states.
+    The columns equal the gate-by-gate states.  Raises DimensionOverflow,
+    before drawing, when the table of gate choices, one byte per seed, block
+    and qubit, exceeds physical memory.
     """
     RandomCircuitSpec(lattice, depth, entangler)  # checks depth and entangler
     n = lattice.n_sites
-    choices = np.array([_gate_choices(seed, n, depth) for seed in seeds],
-                       dtype=np.intp).reshape(-1, depth, n)
+    _check_budget(len(seeds) * depth * n,
+                  f"the gate choices of {len(seeds)} random circuits")
+    choices = np.empty((len(seeds), depth, n), dtype=np.int8)
+    for r, seed in enumerate(seeds):
+        choices[r] = _gate_choices(seed, n, depth)
     mats = np.array([gate_matrix(Gate(kind, (0,), angle))
                      for kind, angle in GATE_SET])
     layers = [_entangling_layer(n, entangler, pattern)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from tpqsim import LatticeSpec, ZeroProbability, qite_evolve
-from tpqsim.nonunitary import ThermalOperator
+from tpqsim.nonunitary import scaled_filter, scaled_weights, thermal_weights
 from tpqsim.pauli import _diagonal, _masks
 from tpqsim.statevector import StateVector, _apply_gate, apply_circuit
 
@@ -25,25 +25,36 @@ def kron_chain(n, placed):
     return out
 
 
-def exact_thermal_operator(h, beta):
-    return ThermalOperator(beta, h)
+def kron_matrix(terms, n):
+    """The dense sum of Pauli terms, term by term from Kronecker products:
+    the oracle of H that shares no code with `to_dense`."""
+    mats = {"X": SX, "Y": SY, "Z": SZ}
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for term in terms:
+        ref += term.coefficient * kron_chain(
+            n, {q: mats[o] for q, o in term.operators})
+    return ref
 
 
-def thermal_scale(op):
-    """s such that e^{-beta H / 2} = s * op.scaled."""
-    lam_min = float(op.hamiltonian.eigenvalues[0])
-    return op._shifted_scale * math.exp(-op.beta * lam_min / 2.0)
+def thermal_scale(h, beta):
+    """s such that e^{-beta H / 2} = s * scaled_filter(h, beta): the shifted
+    filter's weight on the ground state is 1, so Q/s has 1/s there."""
+    lam_min = float(h.eigenvalues[0])
+    scaled = scaled_weights(h, thermal_weights(h, beta))
+    return math.exp(-beta * lam_min / 2.0) / scaled[0]
 
 
-def thermal_matrix(op):
+def thermal_matrix(h, beta):
     """Literal e^{-beta H / 2}; may overflow for extreme beta * ||H||."""
-    return thermal_scale(op) * np.asarray(op.scaled, dtype=complex)
+    return thermal_scale(h, beta) * np.asarray(scaled_filter(h, beta),
+                                               dtype=complex)
 
 
-def expm_filter(h, beta, amps):
+def expm_filter(m, beta, amps):
     """Normalized e^{-beta H / 2} applied to a state or to each column of a
-    (2^n, m) batch, from scipy's dense expm (the exact filter's oracle)."""
-    out = scipy.linalg.expm(-beta * h.matrix / 2.0) @ amps
+    (2^n, m) batch, from scipy's dense expm of the matrix `m` of H (the
+    exact filter's oracle)."""
+    out = scipy.linalg.expm(-beta * m / 2.0) @ amps
     return out / np.linalg.norm(out, axis=0)
 
 

@@ -14,7 +14,6 @@ from click.testing import CliRunner
 
 from tpqsim import (
     Circuit,
-    DilationSpec,
     LatticeSpec,
     PauliSum,
     PauliTerm,
@@ -40,15 +39,22 @@ from tpqsim.estimator import (
     filtered_batches,
     realization_seed,
 )
-from tpqsim.nonunitary import NORM_FLOOR, ThermalOperator, filter_states
+from tpqsim.nonunitary import (
+    NORM_FLOOR,
+    dilated_omega,
+    filter_states,
+    scaled_filter,
+    scaled_weights,
+    thermal_weights,
+)
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import StateVector, expectations
 
 from conftest import (
     circuit_unitary,
-    exact_thermal_operator,
     expm_filter,
     fable_branch,
+    kron_matrix,
     postselect,
     qite_one,
 )
@@ -148,7 +154,7 @@ def test_dilation_fidelity_success_and_energy():
     h = build_heisenberg(lattice)
     dense = to_dense(h, 5)
     beta = 0.5
-    op = ThermalOperator(beta, dense)
+    exact = thermal_weights(dense, beta)
     ref = ensemble_expectation(dense, h, beta)
     states = [random_state(RandomCircuitSpec(lattice, depth=20,
                                              seed=realization_seed(0, r)))
@@ -156,10 +162,10 @@ def test_dilation_fidelity_success_and_energy():
     eps_grid = np.logspace(-3, 0, 10)
     mean_f, mean_p0, weighted_e = [], [], []
     for eps in eps_grid:
-        spec = DilationSpec(float(eps), op)
+        branch = np.sin(eps * scaled_weights(dense, exact))
         es, p0s, fids = [], [], []
         for psi in states:
-            out, p0, fid = apply_dilated(spec, psi)
+            out, p0, fid = apply_dilated(dense, psi, branch, exact)
             es.append(float(expectations(out.amps, h)))
             p0s.append(p0)
             fids.append(fid)
@@ -186,19 +192,19 @@ def test_block_encoding_is_exact():
     worst_block, worst_fid = 0.0, 1.0
     for n in (1, 2, 3, 4):
         h = to_dense(_hamiltonian(n), n)
+        m = kron_matrix(_hamiltonian(n), n)
         for beta in (0.0, 0.5, 1.0):
-            op = exact_thermal_operator(h, beta)
-            circuit = fable_encode(op)
+            a = scaled_filter(h, beta)
+            circuit = fable_encode(a)
             assert circuit.width - n == n + 1
             assert circuit.cnot_count == 4**n
             u = circuit_unitary(circuit)
             dim = 2**n
-            block_err = float(np.max(np.abs(u[:dim, :dim]
-                                            - op.scaled / dim)))
+            block_err = float(np.max(np.abs(u[:dim, :dim] - a / dim)))
             worst_block = max(worst_block, block_err)
             psi = sample_haar_state(n, 17 + n)
             out, _ = fable_branch(circuit, psi)
-            exact = expm_filter(h, beta, psi.amps)
+            exact = expm_filter(m, beta, psi.amps)
             worst_fid = min(worst_fid, abs(np.vdot(out.amps, exact)))
     print(f"  worst block error {worst_block:.3g}, "
           f"worst post-selected fidelity {worst_fid:.10f}")
@@ -214,7 +220,7 @@ def test_imaginary_time_evolution_matches_exact():
         h = build_heisenberg(lattice)
         psis = [sample_haar_state(n, seed) for seed in range(10)]
         batch = np.stack([psi.amps for psi in psis], axis=1)
-        exact = expm_filter(to_dense(h, n), beta, batch)
+        exact = expm_filter(kron_matrix(h, n), beta, batch)
         fid_by_steps = []
         for steps in (5, 10, 25, 50):
             out, _ = qite_evolve(QiteSpec(beta, n_steps=steps, domain=n),
@@ -231,7 +237,7 @@ def test_imaginary_time_evolution_matches_exact():
     h = build_heisenberg(lattice)
     psi = sample_haar_state(4, 0)
     out, _ = qite_one(QiteSpec(beta, n_steps=50, domain=3), h, psi, lattice)
-    exact = expm_filter(to_dense(h, 4), beta, psi.amps)
+    exact = expm_filter(kron_matrix(h, 4), beta, psi.amps)
     print(f"  N=4 domain=3 (truncated) measured fidelity: "
           f"{abs(np.vdot(out.amps, exact)):.4f}")
 
@@ -242,47 +248,45 @@ def test_invariants(tmp_path):
     lattice = LatticeSpec(1, (3,))
     h = build_heisenberg(lattice)
     dense = to_dense(h, 3)
-    op = ThermalOperator(1.0, dense)
+    exact_w = thermal_weights(dense, 1.0)
     psi = sample_haar_state(3, 2)
 
     # unitarity of the dilated operator
     for eps in (1e-3, 0.3, 1.0):
-        from tpqsim.nonunitary import dilated_omega
-
-        omega = dilated_omega(DilationSpec(eps, op))
+        omega = dilated_omega(dense, 1.0, eps)
         assert np.max(np.abs(omega.conj().T @ omega
                              - np.eye(omega.shape[0]))) < 1e-10
 
     # closed-form post-selected branch against the dense Omega
-    spec = DilationSpec(0.2, op)
-    out, p0, fid = apply_dilated(spec, psi)
+    branch = np.sin(0.2 * scaled_weights(dense, exact_w))
+    out, p0, fid = apply_dilated(dense, psi, branch, exact_w)
     augmented = np.concatenate([np.zeros_like(psi.amps), psi.amps])
-    ref, ref_p0 = postselect(StateVector(4, dilated_omega(spec) @ augmented),
-                             [3], [0])
+    ref, ref_p0 = postselect(
+        StateVector(4, dilated_omega(dense, 1.0, 0.2) @ augmented), [3], [0])
     assert abs(p0 - ref_p0) < 1e-10
     assert np.max(np.abs(out.amps - ref.amps)) < 1e-10
-    exact = expm_filter(dense, 1.0, psi.amps)
+    exact = expm_filter(kron_matrix(h, 3), 1.0, psi.amps)
     assert abs(fid - abs(np.vdot(ref.amps, exact))) < 1e-10
 
     # normalized output is invariant under rescaling the thermal operator:
     # Q/s with s rescaled filters psi to the exact filter's state
-    rescaled = ThermalOperator(1.0, dense)
-    rescaled._shifted_scale
-    rescaled.__dict__["_shifted_scale"] = op._shifted_scale * 11.0
+    rescaled = scaled_weights(dense, exact_w) / 11.0
     coeffs = dense.to_eigenbasis(psi.amps[:, None])
     outs = [filter_states(dense, w, coeffs, NORM_FLOOR)[0][:, 0]
-            for w in (op.shifted_weights(), rescaled.scaled_eigenvalues())]
+            for w in (exact_w, rescaled)]
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
 
     # beta = 0 reduces every backend to the identity
-    op0 = ThermalOperator(0.0, dense)
     for kind in ("exact", "fable"):
         out0 = next(filtered_batches(BackendSpec(kind), (0.0,),
                                      psi.amps[:, None], dense, h))
         assert np.max(np.abs(out0[:, 0] - psi.amps)) < 1e-10
-    out0, _, _ = apply_dilated(DilationSpec(0.5, op0), psi)
+    exact0 = thermal_weights(dense, 0.0)
+    out0, _, _ = apply_dilated(dense, psi,
+                               np.sin(0.5 * scaled_weights(dense, exact0)),
+                               exact0)
     assert np.max(np.abs(out0.amps - psi.amps)) < 1e-10
-    outf, _ = fable_branch(fable_encode(op0), psi)
+    outf, _ = fable_branch(fable_encode(scaled_filter(dense, 0.0)), psi)
     assert np.max(np.abs(outf.amps - psi.amps)) < 1e-10
     outq, rotations = qite_one(QiteSpec(0.0), h, psi, lattice)
     circ = qite_circuit(rotations, psi.n)

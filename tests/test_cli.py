@@ -549,6 +549,28 @@ def test_random_state_batch_beyond_memory_is_backend_failure(
     assert seeds == [] and not (tmp_path / "x.csv").exists()
 
 
+def test_gate_choices_beyond_memory_are_backend_failure(runner, tmp_path,
+                                                        monkeypatch):
+    # 1000 states on 2 sites take 64 KB and fit in 128 KiB, but their gate
+    # choices at depth 100, one byte per seed, block and qubit, take 200 KB:
+    # refused before any is drawn
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    draws = []
+    monkeypatch.setattr(tpqsim.random_state, "_gate_choices",
+                        lambda *args: draws.append(args))
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [2]},
+        "entropy": {"depths": [100], "seeds": 1000},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["entropy-scan", cfg])
+    assert result.exit_code == 2, result.output
+    assert ("backend failure: the gate choices of 1000 random circuits needs "
+            "200000 bytes") in result.output
+    assert draws == [] and not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("subcommand,body", [
     ("entropy-scan", {"entropy": {"depths": [1], "seeds": 3}}),
     ("dilation-scan", {"dilation": {"R": 3}}),
@@ -584,13 +606,13 @@ def test_error_scan_zero_squared_error_is_backend_failure(runner, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("coupling,column", [(1e308, "mean"),
-                                             (1e300, "uncertainty")])
+@pytest.mark.parametrize("coupling,column", [(1e300, "uncertainty")])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_csv_cell_is_backend_failure(runner, tmp_path, coupling,
                                                 column):
-    # 1e308 overflows the Hamiltonian's entries (every column is nan);
-    # 1e300 overflows only the spread of the energies (inf)
+    # 1e300 leaves H's spectrum finite and overflows only the spread of the
+    # energies (inf); couplings that overflow the spectrum itself are refused
+    # by `to_dense` (test_overflowing_hamiltonian_is_backend_failure)
     cfg = write_config(tmp_path, {
         "model": {"dimension": 1, "extents": [4], "Jx": coupling,
                   "Jy": coupling},
@@ -601,6 +623,33 @@ def test_non_finite_csv_cell_is_backend_failure(runner, tmp_path, coupling,
     assert result.exit_code == 2, result.output
     assert f"backend failure: column {column!r} has the non-finite value" \
         in result.output
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,body", [
+    ("sweep-beta", {"estimate": {"betas": [0.5], "R": 2}}),
+    ("dilation-scan", {"dilation": {"epsilons": [0.1], "R": 2}}),
+    ("error-scan", {"error_scan": {"sizes": [2, 3], "depths": [2], "R": 2,
+                                   "compare_R": [1], "compare_N": 2,
+                                   "compare_seeds": 1}}),
+    ("resources", {"resources": {"sizes": [2], "backends": ["fable"]}}),
+])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_hamiltonian_is_backend_failure(runner, tmp_path,
+                                                    subcommand, body):
+    # couplings of 1e308 make 2 sum |c|, the bound on the spread of H's
+    # spectrum, overflow: `to_dense` refuses H before building it, so no nan
+    # reaches a diagonalization, a circuit angle or a CSV cell, and nothing
+    # warns on the way
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [3], "Jx": 1e308, "Jy": 1e308,
+                  "Jz": 1e308},
+        "output": {"path": str(tmp_path / "x.csv")}, **body,
+    })
+    result = runner.invoke(main, [subcommand, cfg])
+    assert result.exit_code == 2, result.output
+    assert result.output.count("backend failure:") == 1
+    assert "2 sum |c| = inf, which overflows float64" in result.output
     assert not (tmp_path / "x.csv").exists()
 
 

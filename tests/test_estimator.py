@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import tpqsim.fable
+import tpqsim.nonunitary
 from tpqsim import (
     DenseHermitian,
-    DilationSpec,
     Gate,
     LatticeSpec,
     QiteSpec,
@@ -28,7 +28,7 @@ from tpqsim.estimator import (
     realization_seed,
 )
 from tpqsim.lattice import magnetization_x
-from tpqsim.nonunitary import ThermalOperator
+from tpqsim.nonunitary import scaled_filter, scaled_weights, thermal_weights
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import (
     StateVector,
@@ -36,7 +36,7 @@ from tpqsim.statevector import (
     sample_expectations,
 )
 
-from conftest import expm_filter, fable_branch, qite_one
+from conftest import expm_filter, fable_branch, kron_matrix, qite_one
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ def test_ensemble_beta_zero_is_normalized_trace(dense2, chain2):
     h = build_heisenberg(chain2)
     assert ensemble_expectation(dense2, h, 0.0) == pytest.approx(0.0, abs=1e-12)
     mx = magnetization_x(chain2)
-    ref = np.trace(to_dense(mx, 2).matrix).real / 4
+    ref = np.trace(kron_matrix(mx, 2)).real / 4
     assert ensemble_expectation(dense2, mx, 0.0) == pytest.approx(ref, abs=1e-12)
 
 
@@ -63,8 +63,9 @@ def test_ensemble_against_direct_matrix_oracle(dense2, chain2):
 
     h = build_heisenberg(chain2)
     beta = 1.0
-    rho = scipy.linalg.expm(-beta * dense2.matrix)
-    ref = np.trace(rho @ dense2.matrix).real / np.trace(rho).real
+    m = kron_matrix(h, 2)
+    rho = scipy.linalg.expm(-beta * m)
+    ref = np.trace(rho @ m).real / np.trace(rho).real
     assert ensemble_expectation(dense2, h, beta) == pytest.approx(ref, abs=1e-10)
 
 
@@ -73,8 +74,8 @@ def test_ensemble_magnetization_against_expm_oracle(chain3, beta):
     import scipy.linalg
 
     h = to_dense(build_heisenberg(chain3), 3)
-    mx = to_dense(magnetization_x(chain3), 3).matrix
-    rho = scipy.linalg.expm(-beta * h.matrix)
+    mx = kron_matrix(magnetization_x(chain3), 3)
+    rho = scipy.linalg.expm(-beta * kron_matrix(build_heisenberg(chain3), 3))
     ref = np.trace(rho @ mx).real / np.trace(rho).real
     got = ensemble_expectation(h, magnetization_x(chain3), beta)
     assert got == pytest.approx(ref, abs=1e-10)
@@ -195,6 +196,7 @@ def per_state_run(spec):
     lattice, backend = spec.lattice, spec.backend
     h = build_heisenberg(lattice)
     dense = to_dense(h, lattice.n_sites)
+    m = kron_matrix(h, lattice.n_sites)
     observable = h if spec.observable is None else spec.observable
     values = np.empty((len(spec.betas), spec.realizations))
     shot_var = np.zeros(len(spec.betas))
@@ -203,13 +205,15 @@ def per_state_run(spec):
             lattice, spec.depth, spec.entangler,
             realization_seed(spec.base_seed, r)))
         for bi, beta in enumerate(spec.betas):
-            op = ThermalOperator(beta, dense)
             if backend.kind == "exact":
-                out = StateVector(psi.n, expm_filter(dense, beta, psi.amps))
+                out = StateVector(psi.n, expm_filter(m, beta, psi.amps))
             elif backend.kind == "dilated":
-                out = apply_dilated(DilationSpec(backend.epsilon, op), psi)[0]
+                exact = thermal_weights(dense, beta)
+                branch = np.sin(backend.epsilon * scaled_weights(dense, exact))
+                out = apply_dilated(dense, psi, branch, exact)[0]
             elif backend.kind == "fable":
-                out = fable_branch(fable_encode(op), psi)[0]
+                out = fable_branch(fable_encode(scaled_filter(dense, beta)),
+                                   psi)[0]
             else:
                 qspec = QiteSpec(beta, backend.n_steps, backend.domain)
                 out = qite_one(qspec, h, psi, lattice)[0]
@@ -281,7 +285,6 @@ def test_energy_run_assembles_no_full_matrix(chain3, monkeypatch, backend):
         raise AssertionError("assembled a full 2^n x 2^n matrix")
 
     monkeypatch.setattr(DenseHermitian, "eig", property(forbidden))
-    monkeypatch.setattr(DenseHermitian, "matrix", property(forbidden))
     est = run_ensemble(TpqRunSpec(chain3, (0.2, 1.0), realizations=3,
                                   depth=5, backend=backend))
     assert np.all(np.isfinite(est.values))
@@ -306,7 +309,6 @@ def test_magnetization_run_assembles_no_full_matrix(monkeypatch, extents):
         raise AssertionError("assembled a full 2^n x 2^n matrix")
 
     monkeypatch.setattr(DenseHermitian, "eig", property(forbidden))
-    monkeypatch.setattr(DenseHermitian, "matrix", property(forbidden))
     est = run_ensemble(TpqRunSpec(lattice, betas, observable=mx,
                                   realizations=3, depth=5))
     assert np.all(np.isfinite(est.values))
@@ -323,7 +325,7 @@ def test_circuit_energy_run_filters_in_the_eigenbasis(chain3, monkeypatch,
         raise AssertionError("built a dense 2^n x 2^n filter")
 
     calls = count_basis_changes(monkeypatch)
-    monkeypatch.setattr(ThermalOperator, "scaled", property(forbidden))
+    monkeypatch.setattr(tpqsim.nonunitary, "scaled_filter", forbidden)
     monkeypatch.setattr(tpqsim.fable, "fable_encode", forbidden)
     run_ensemble(TpqRunSpec(chain3, (0.2, 0.5, 1.0, 2.0), realizations=4,
                             depth=5, backend=backend))

@@ -19,7 +19,14 @@ from tpqsim.pauli import _hadamard_rotated, apply_pauli_sum, walsh_hadamard
 from tpqsim.random_state import sample_haar_state
 from tpqsim.statevector import expectations, sample_expectations
 
-from conftest import SX, SY, SZ, kron_chain
+from conftest import kron_chain, kron_matrix
+
+
+def reassembled(dense):
+    """V diag(lambda) V^dagger from the dense eigenbasis: H as `to_dense`'s
+    blocks and their eigenvectors give it back."""
+    vals, vecs = dense.eig
+    return (vecs * vals) @ vecs.conj().T
 
 
 def brute_force_grid_edges(rows, cols):
@@ -80,16 +87,16 @@ def test_heisenberg_term_count(chain3):
 
 def test_to_dense_single_x():
     h = PauliSum((PauliTerm(1.0, ((0, "X"),)),))
-    assert np.allclose(to_dense(h, 1).matrix, [[0, 1], [1, 0]])
+    assert np.allclose(reassembled(to_dense(h, 1)), [[0, 1], [1, 0]])
 
 
 def test_to_dense_zz():
     h = PauliSum((PauliTerm(2.0, ((0, "Z"), (1, "Z"))),))
-    assert np.allclose(to_dense(h, 2).matrix, np.diag([2, -2, -2, 2]))
+    assert np.allclose(reassembled(to_dense(h, 2)), np.diag([2, -2, -2, 2]))
 
 
 def test_dense_heisenberg_traceless_real_symmetric(chain2):
-    m = to_dense(build_heisenberg(chain2), 2).matrix
+    m = reassembled(to_dense(build_heisenberg(chain2), 2))
     assert abs(np.trace(m)) < 1e-12
     assert np.max(np.abs(m.imag)) < 1e-12
     assert np.max(np.abs(m - m.T)) < 1e-12
@@ -127,8 +134,8 @@ def test_dense_matches_kron_oracle(case):
         h, n = RANDOM_SUMS[case]
     dense = to_dense(h, n)
     ref = kron_matrix(h, n)
-    assert np.max(np.abs(dense.matrix - ref)) < 1e-12
-    assert np.iscomplexobj(dense.matrix) == np.any(ref.imag != 0)
+    assert np.max(np.abs(reassembled(dense) - ref)) < 1e-12
+    assert (dense.blocks[0].dtype == complex) == np.any(ref.imag != 0)
     vals_ref = np.linalg.eigvalsh(ref)
     assert np.max(np.abs(dense.eigenvalues - vals_ref)) < 1e-9
     # the matrix-free kernel, on one state and on a (2^n, 3) batch
@@ -168,28 +175,30 @@ def test_apply_pauli_sum_keeps_nothing_but_its_output():
 
 
 def test_spectral_reconstruction(chain3):
-    dense = to_dense(build_heisenberg(chain3), 3)
+    h = build_heisenberg(chain3)
+    dense = to_dense(h, 3)
     vals, vecs = dense.eig
     assert vecs.dtype == np.float64
     recon = (vecs * vals) @ vecs.conj().T
-    assert np.max(np.abs(recon - dense.matrix)) < 1e-9
+    assert np.max(np.abs(recon - kron_matrix(h, 3))) < 1e-9
     # a single Y makes the matrix imaginary, so the basis stays complex
     h = PauliSum((PauliTerm(1.0, ((0, "Y"),)), PauliTerm(0.5, ((1, "Z"),))))
     dense = to_dense(h, 2)
     vals, vecs = dense.eig
-    assert np.iscomplexobj(dense.matrix) and np.iscomplexobj(vecs)
+    assert dense.blocks[0].dtype == complex and np.iscomplexobj(vecs)
     recon = (vecs * vals) @ vecs.conj().T
-    assert np.max(np.abs(recon - dense.matrix)) < 1e-9
+    assert np.max(np.abs(recon - kron_matrix(h, 2))) < 1e-9
 
 
 @pytest.mark.parametrize("case", ["chain", "single_y"])
 def test_eig_matches_scipy_evd_oracle(case):
     if case == "chain":
-        dense = to_dense(build_heisenberg(LatticeSpec(1, (6,))), 6)
+        h, n = build_heisenberg(LatticeSpec(1, (6,))), 6
     else:
-        dense = to_dense(PauliSum((PauliTerm(1.0, ((0, "Y"),)),
-                                   PauliTerm(0.5, ((1, "Z"),)))), 2)
-    m = dense.matrix
+        h, n = PauliSum((PauliTerm(1.0, ((0, "Y"),)),
+                         PauliTerm(0.5, ((1, "Z"),)))), 2
+    dense = to_dense(h, n)
+    m = kron_matrix(h, n)
     vals, vecs = dense.eig
     ref_vals = scipy.linalg.eigh(m, driver="evd", eigvals_only=True)
     assert np.max(np.abs(vals - ref_vals)) < 1e-12
@@ -218,18 +227,8 @@ def test_to_dense_allocates_the_real_matrix_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dense.matrix.dtype == np.float64
+    assert dense.blocks[0].dtype == np.float64
     assert peak < 1.5 * 8 * 4**8
-
-
-def kron_matrix(terms, n):
-    """The dense sum of Pauli terms, term by term from Kronecker products."""
-    mats = {"X": SX, "Y": SY, "Z": SZ}
-    ref = np.zeros((2**n, 2**n), dtype=complex)
-    for term in terms:
-        ref += term.coefficient * kron_chain(
-            n, {q: mats[o] for q, o in term.operators})
-    return ref
 
 
 BLOCK_CASES = {
@@ -263,7 +262,7 @@ def test_blocked_eigenbasis_matches_kron_oracle(case):
     dense = to_dense(h, n)
     ref = kron_matrix(h, n)
     assert len(dense.blocks) == sectors
-    assert np.max(np.abs(dense.matrix - ref)) < 1e-12
+    assert np.max(np.abs(reassembled(dense) - ref)) < 1e-12
     ref_vals = scipy.linalg.eigh(ref, eigvals_only=True)
     assert np.max(np.abs(dense.eigenvalues - ref_vals)) < 1e-12
     vals, vecs = dense.eig

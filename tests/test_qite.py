@@ -15,20 +15,18 @@ from tpqsim import (
     build_heisenberg,
     qite_circuit,
     qite_evolve,
-    to_dense,
 )
 from tpqsim.cli import timed_builds
 from tpqsim.pauli import (
     PauliSum,
     PauliTerm,
     apply_pauli_sum,
-    to_dense as pauli_to_dense,
 )
 import tpqsim.qite as qite
 from tpqsim.qite import _term_window
 from tpqsim.random_state import sample_haar_state
 
-from conftest import expm_filter, qite_one, string_gathers
+from conftest import expm_filter, kron_matrix, qite_one, string_gathers
 
 
 @pytest.mark.parametrize("placed,theta", [
@@ -41,7 +39,7 @@ def test_pauli_rotation_gadget_against_expm(placed, theta):
     circuit = qite_circuit(([placed], [theta]), n)
     psi = sample_haar_state(n, 7)
     out = apply_circuit(psi, circuit)
-    p = pauli_to_dense(PauliSum((PauliTerm(1.0, placed),)), n).matrix
+    p = kron_matrix(PauliSum((PauliTerm(1.0, placed),)), n)
     ref = scipy.linalg.expm(-1j * theta / 2 * p) @ psi.amps
     assert np.max(np.abs(out.amps - ref)) < 1e-10
     assert circuit.cnot_count == 2 * (len(placed) - 1)
@@ -88,7 +86,7 @@ def test_full_domain_fidelity(n, beta):
     lattice = LatticeSpec(1, (n,))
     h = build_heisenberg(lattice)
     psi = sample_haar_state(n, 13)
-    exact = expm_filter(to_dense(h, n), beta, psi.amps)
+    exact = expm_filter(kron_matrix(h, n), beta, psi.amps)
     out, _ = qite_one(QiteSpec(beta, n_steps=25, domain=n), h, psi, lattice)
     assert abs(np.vdot(out.amps, exact)) > 0.99
 
@@ -116,7 +114,7 @@ def test_replay_reproduces_state_2d_window():
 
 def test_fidelity_improves_with_steps(chain2):
     h = build_heisenberg(chain2)
-    dense = to_dense(h, 2)
+    m = kron_matrix(h, 2)
     fids = []
     for steps in (1, 4, 16):
         vals = []
@@ -124,7 +122,7 @@ def test_fidelity_improves_with_steps(chain2):
             psi = sample_haar_state(2, seed)
             out, _ = qite_one(QiteSpec(1.0, n_steps=steps, domain=2), h, psi)
             vals.append(abs(np.vdot(out.amps,
-                                    expm_filter(dense, 1.0, psi.amps))))
+                                    expm_filter(m, 1.0, psi.amps))))
         fids.append(np.mean(vals))
     assert fids[0] <= fids[1] + 1e-6 <= fids[2] + 2e-6
 
@@ -134,7 +132,7 @@ def test_fidelity_improves_with_domain():
     lattice = LatticeSpec(1, (n,))
     h = build_heisenberg(lattice)
     psi = sample_haar_state(n, 3)
-    exact = expm_filter(to_dense(h, n), 1.0, psi.amps)
+    exact = expm_filter(kron_matrix(h, n), 1.0, psi.amps)
     fids = []
     for d in (2, 3, 4):
         out, _ = qite_one(QiteSpec(1.0, n_steps=10, domain=d), h, psi, lattice)

@@ -15,6 +15,7 @@ from tpqsim import (
 )
 from tpqsim.random_state import (
     EULER_GAMMA,
+    _gate_choices,
     entangling_patterns,
     random_state,
     random_states,
@@ -96,6 +97,14 @@ def test_no_repeat_constraint_many_seeds(seed):
     for prev, cur in zip(blocks, blocks[1:]):
         for q in range(6):
             assert gate_id(prev[0][q]) != gate_id(cur[0][q])
+
+
+def test_gate_choices_are_one_byte_table():
+    # the draws of seed 7 on 3 qubits, in the order the seed's stream gives
+    choices = _gate_choices(7, 3, 5)
+    assert choices.dtype == np.int8 and choices.shape == (5, 3)
+    assert choices.tolist() == [[2, 1, 2], [1, 2, 1], [2, 0, 0], [0, 1, 2],
+                                [2, 0, 0]]
 
 
 def test_determinism():
