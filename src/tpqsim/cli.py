@@ -1,9 +1,11 @@
 """Experiment CLI: JSON config in, deterministic CSV out.
 
 Subcommands: sweep-beta, entropy-scan, dilation-scan, error-scan, resources.
-Each config key is declared once in `_TABLE`, with its kind and default, and
-each run checks its whole config and builds its specs before computing.  Every
-CSV starts with a comment line embedding the SHA-256 of the config as loaded.
+Each config key is declared once in `_TABLE`, with its kind and default.  A
+run reads and checks the keys it uses and builds its specs before computing,
+and rejects every section or key of its config that it did not read, since
+the run would silently ignore it.  Every CSV starts with a comment line
+embedding the SHA-256 of the config as loaded.
 Exit codes: 0 success, 1 configuration error (including an output file that
 cannot be written), 2 backend failure (including an allocation the machine
 refuses).
@@ -14,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import statistics
 import sys
 import time
 
@@ -114,7 +115,7 @@ _BETA_GRID = tuple(float(b) for b in np.round(np.arange(0.1, 2.01, 0.1), 10))
 _COUNT = _number(1, integer=True)
 
 # "section.key" -> (kind, default); the model and backend keys are the field
-# names of LatticeSpec and BackendSpec, which are built with **v[section]
+# names of LatticeSpec and BackendSpec, which are built from what is read
 _TABLE = {
     "model.dimension": (_COUNT, 1),  # LatticeSpec allows 1 or 2
     "model.extents": (_list(_COUNT), _REQUIRED),
@@ -157,12 +158,12 @@ _TABLE = {
     "resources.n_steps": (_COUNT, 10),
     "resources.domain": (_COUNT, None),  # None: min(N, 3)
 }
-# the backend keys that only one kind reads
-_KIND_KEYS = {"epsilon": "dilated", "n_steps": "qite", "domain": "qite"}
+# backend kind -> the backend keys that only it reads
+_KIND_KEYS = {"dilated": ("epsilon",), "qite": ("n_steps", "domain")}
 
 
 def load_config(path: str) -> dict:
-    """The JSON object at `path`; every section and key must be in `_TABLE`."""
+    """The JSON object at `path`, whose every section is an object."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -170,15 +171,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    sections = {name.split(".")[0] for name in _TABLE}
     for section, body in config.items():
-        if section not in sections:
-            raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"section {section!r} must be an object")
-        unknown = sorted(k for k in body if f"{section}.{k}" not in _TABLE)
-        if unknown:
-            raise ConfigError(f"unknown keys in {section!r}: {unknown}")
     return config
 
 
@@ -189,82 +184,69 @@ def config_hash(config: dict) -> str:
 
 
 class _Config:
-    """`with _Config(...) as (config, v):` loads and checks a config and the
-    given overrides into v[section][key]; the block builds the run's specs,
-    and a ValueError or TypeError raised there is a config error.
+    """`with _Config(...) as c:` loads a config whose `required` sections
+    must be present; `c.read(...)` checks the values the run reads, and the
+    block builds the run's specs from them.  A ValueError or TypeError raised
+    there is a config error, and so, when the block ends, is every section or
+    key of the config that the block did not read, since the run would
+    silently ignore it."""
 
-    `required` names the sections that must be present, `optional` the other
-    sections, or single "section.key" names, the subcommand reads; `output`
-    is always read.  Any other section or key is rejected, since it would be
-    silently ignored.
-    """
-
-    def __init__(self, config_path, required, optional, output, seed,
+    def __init__(self, config_path, required, output, seed,
                  realizations=None):
         self.config = load_config(config_path)
         for section in required:
             if section not in self.config:
                 raise ConfigError(f"missing config section {section!r}")
-        reads = {*required, *optional, "output"}
-        for section, body in self.config.items():
-            if section in reads:
-                continue
-            if not any(name.startswith(f"{section}.") for name in reads):
-                raise ConfigError(f"this subcommand does not read section "
-                                  f"{section!r}")
-            unread = sorted(k for k in body if f"{section}.{k}" not in reads)
-            if unread:
-                raise ConfigError(f"this subcommand does not read keys "
-                                  f"{unread} of {section!r}")
-        overrides = {"output.path": output, "random_circuit.seed": seed,
-                     "estimate.R": realizations}
-        self.values = {}
-        for name, (kind, default) in _TABLE.items():
-            section, key = name.split(".")
-            body = self.config.get(section, {})
-            typed = self.values.setdefault(section, {})
-            if overrides.get(name) is not None:
-                typed[key] = kind(overrides[name], name)
-            elif key in body:
-                typed[key] = kind(body[key], name)
-            elif default is not _REQUIRED:
-                typed[key] = default
-        if "path" not in self.values["output"]:
+        self._overrides = {"output.path": output, "random_circuit.seed": seed,
+                           "estimate.R": realizations}
+        self._read = set()
+        self.output = self.read("output").get("path")
+        if self.output is None:
             raise ConfigError("no output path: set output.path or pass --output")
 
+    def read(self, section: str, *keys: str) -> dict:
+        """key -> checked value, or default, of each of `keys` of `section`
+        (of its every `_TABLE` key when none is given), overrides applied; a
+        required key that is not set is left out."""
+        body = self.config.get(section, {})
+        keys = keys or [name.split(".")[1] for name in _TABLE
+                        if name.startswith(f"{section}.")]
+        values = {}
+        for key in keys:
+            name = f"{section}.{key}"
+            kind, default = _TABLE[name]
+            self._read.add(name)
+            if self._overrides.get(name) is not None:
+                values[key] = kind(self._overrides[name], name)
+            elif key in body:
+                values[key] = kind(body[key], name)
+            elif default is not _REQUIRED:
+                values[key] = default
+        return values
+
     def __enter__(self):
-        return self.config, self.values
+        return self
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, (TypeError, ValueError)):
             raise ConfigError(str(exc)) from exc
+        if exc is None:
+            sections = {name.split(".")[0] for name in self._read}
+            unread = [s for s in self.config if s not in sections]
+            unread += [f"{s}.{k}" for s in self.config if s in sections
+                       for k in self.config[s] if f"{s}.{k}" not in self._read]
+            if unread:
+                raise ConfigError(f"this subcommand does not read {unread}")
 
 
-def _check_kinds(config: dict, section: str, kinds) -> None:
-    """Reject a key of `section` that only a backend kind outside `kinds`
-    reads, since it would be silently ignored."""
-    unread = sorted(k for k in config.get(section, {})
-                    if k in _KIND_KEYS and _KIND_KEYS[k] not in kinds)
-    if unread:
-        raise ConfigError(f"backend kinds {list(kinds)} do not read keys "
-                          f"{unread} of {section!r}")
-
-
-def _chains(v: dict, sizes) -> list[LatticeSpec]:
-    """The 1D chains a size scan runs; it reads only the model's couplings."""
-    m = v["model"]
+def _chains(c: _Config, sizes) -> list[LatticeSpec]:
+    """The 1D chains a size scan runs; of the model, it uses only the
+    couplings, and accepts and ignores `extents`."""
+    m = c.read("model")
     if m["dimension"] != 1:
         raise ConfigError("size scans run 1D chains: model.dimension must be 1")
     return [LatticeSpec(1, (n,), m["Jx"], m["Jy"], m["Jz"], m["hx"])
             for n in sizes]
-
-
-def _circuits(v: dict, lattice: LatticeSpec, depth: int,
-              count: int) -> list[RandomCircuitSpec]:
-    """The random circuits of realizations 0..count-1."""
-    rc = v["random_circuit"]
-    return [RandomCircuitSpec(lattice, depth, rc["entangler"], seed)
-            for seed in realization_seeds(rc["seed"], count, lattice.n_sites)]
 
 
 def _fmt(x) -> str:
@@ -330,25 +312,25 @@ def _common_options(fn):
               help="Override estimate.R.")
 def sweep_beta(config_path, output, seed, realizations):
     """Thermal observable over a beta grid, averaged over R TPQ states."""
-    with _Config(config_path, ("model", "estimate"),
-                 ("random_circuit", "backend"), output, seed,
-                 realizations) as (config, v):
-        est_cfg, rc = v["estimate"], v["random_circuit"]
-        _check_kinds(config, "backend", [v["backend"]["kind"]])
-        lattice = LatticeSpec(**v["model"])
+    with _Config(config_path, ("model", "estimate"), output, seed,
+                 realizations) as c:
+        est_cfg, rc = c.read("estimate"), c.read("random_circuit")
+        kind = c.read("backend", "kind")["kind"]
+        backend = c.read("backend", "kind", *_KIND_KEYS.get(kind, ()))
+        lattice = LatticeSpec(**c.read("model"))
         spec = TpqRunSpec(
             lattice, est_cfg["betas"],
             observable=(magnetization_x(lattice) if est_cfg["observable"]
                         == "magnetization_x" else None),
             realizations=est_cfg["R"], depth=rc["depth"],
-            entangler=rc["entangler"], backend=BackendSpec(**v["backend"]),
+            entangler=rc["entangler"], backend=BackendSpec(**backend),
             base_seed=rc["seed"], shots=est_cfg["shots"])
     est = run_ensemble(spec)
     rows = [[beta, est.mean[i], est.uncertainty[i], est.ensemble_ref[i],
              est.squared_error[i], spec.backend.kind, lattice.n_sites,
              spec.depth, spec.realizations, spec.base_seed]
             for i, beta in enumerate(spec.betas)]
-    write_csv(v["output"]["path"], config,
+    write_csv(c.output, c.config,
               ["beta", "mean", "uncertainty", "ensemble_ref",
                "squared_error", "backend", "N", "d", "R", "seed"], rows)
 
@@ -357,19 +339,17 @@ def sweep_beta(config_path, output, seed, realizations):
 @_common_options
 def entropy_scan(config_path, output, seed):
     """Mean basis entropy of random-circuit states vs depth."""
-    with _Config(config_path, ("model", "entropy"), ("random_circuit",),
-                 output, seed) as (config, v):
-        lattice = LatticeSpec(**v["model"])
-        rc = v["random_circuit"]
-        seeds = realization_seeds(rc["seed"], v["entropy"]["seeds"],
-                                  lattice.n_sites)
+    with _Config(config_path, ("model", "entropy"), output, seed) as c:
+        lattice = LatticeSpec(**c.read("model"))
+        rc, scan = c.read("random_circuit"), c.read("entropy")
+        seeds = realization_seeds(rc["seed"], scan["seeds"], lattice.n_sites)
     ref = haar_entropy_reference(lattice.n_sites)
     rows = []
-    for d in v["entropy"]["depths"]:
+    for d in scan["depths"]:
         ent = state_entropy(random_states(lattice, d, rc["entangler"], seeds))
         rows.append([d, float(np.mean(ent)),
                      float(np.std(ent) / np.sqrt(len(ent))), ref])
-    write_csv(v["output"]["path"], config,
+    write_csv(c.output, c.config,
               ["depth", "mean_entropy", "stderr", "haar_reference"], rows)
 
 
@@ -377,12 +357,12 @@ def entropy_scan(config_path, output, seed):
 @_common_options
 def dilation_scan(config_path, output, seed):
     """Mean energy, success probability P0, and fidelity F vs epsilon."""
-    with _Config(config_path, ("model", "dilation"), ("random_circuit",),
-                 output, seed) as (config, v):
-        scan = v["dilation"]
-        lattice = LatticeSpec(**v["model"])
-        circuits = _circuits(v, lattice, v["random_circuit"]["depth"],
-                             scan["R"])
+    with _Config(config_path, ("model", "dilation"), output, seed) as c:
+        scan, rc = c.read("dilation"), c.read("random_circuit")
+        lattice = LatticeSpec(**c.read("model"))
+        circuits = [RandomCircuitSpec(lattice, rc["depth"], rc["entangler"], s)
+                    for s in realization_seeds(rc["seed"], scan["R"],
+                                               lattice.n_sites)]
     h_pauli = build_heisenberg(lattice)
     dense = to_dense(h_pauli, lattice.n_sites)
     exact = thermal_weights(dense, scan["beta"])
@@ -401,7 +381,7 @@ def dilation_scan(config_path, output, seed):
         mean_energy = float(np.average(energies, weights=p0s))
         rows.append([eps, mean_energy, float(np.mean(p0s)),
                      float(np.mean(fids)), ref])
-    write_csv(v["output"]["path"], config,
+    write_csv(c.output, c.config,
               ["epsilon", "mean_energy", "P0", "F", "ensemble_ref"], rows)
 
 
@@ -409,12 +389,12 @@ def dilation_scan(config_path, output, seed):
 @_common_options
 def error_scan(config_path, output, seed):
     """Single-TPQ squared-error scaling in N, plus the R-averaging comparison."""
-    with _Config(config_path, ("model", "error_scan"),
-                 ("random_circuit.seed",), output, seed) as (config, v):
-        scan, base_seed = v["error_scan"], v["random_circuit"]["seed"]
+    with _Config(config_path, ("model", "error_scan"), output, seed) as c:
+        scan = c.read("error_scan")
+        base_seed = c.read("random_circuit", "seed")["seed"]
         sizes, cmp_n = scan["sizes"], scan["compare_N"]
-        *chains, c = _chains(v, (*sizes, cmp_n))
-        comparisons = [(r, [TpqRunSpec(c, _BETA_GRID, realizations=r,
+        *chains, cmp_chain = _chains(c, (*sizes, cmp_n))
+        comparisons = [(r, [TpqRunSpec(cmp_chain, _BETA_GRID, realizations=r,
                                        base_seed=base_seed + s)
                             for s in range(scan["compare_seeds"])])
                        for r in scan["compare_R"]]
@@ -434,7 +414,7 @@ def error_scan(config_path, output, seed):
         errs = [float(np.mean(np.abs(est.mean - est.ensemble_ref)))
                 for est in map(run_ensemble, specs)]
         rows.append(["rcomp", "", cmp_n, r_cmp, float(np.mean(errs))])
-    write_csv(v["output"]["path"], config, ["scan", "d", "N", "R", "value"],
+    write_csv(c.output, c.config, ["scan", "d", "N", "R", "value"],
               rows, comments=comments)
 
 
@@ -448,7 +428,7 @@ def timed_builds(build, inputs):
         t0 = time.perf_counter()
         artifact = build(x)
         seconds.append(time.perf_counter() - t0)
-    return artifact, statistics.median(seconds)
+    return artifact, float(np.median(seconds))
 
 
 # kind -> (CNOTs, ancillas) of its artifact for n system qubits
@@ -464,14 +444,14 @@ _ARTIFACT_COUNTS = {
 @_common_options
 def resources(config_path, output, seed):
     """Per-backend CNOT counts, ancilla counts, and generation times."""
-    with _Config(config_path, ("model", "resources"),
-                 ("random_circuit.seed",), output, seed) as (config, v):
-        scan = v["resources"]
-        _check_kinds(config, "resources", scan["backends"])
-        chains = _chains(v, scan["sizes"])
-        qspec = QiteSpec(scan["beta"], n_steps=scan["n_steps"],
-                         domain=scan["domain"])
-        qspec.resolved_domain(min(scan["sizes"]))
+    with _Config(config_path, ("model", "resources"), output, seed) as c:
+        scan = c.read("resources", "sizes", "backends", "beta")
+        base_seed = c.read("random_circuit", "seed")["seed"]
+        chains = _chains(c, scan["sizes"])
+        if "qite" in scan["backends"]:
+            qspec = QiteSpec(scan["beta"],
+                             **c.read("resources", *_KIND_KEYS["qite"]))
+            qspec.resolved_domain(min(scan["sizes"]))
     rows = []
     for kind in scan["backends"]:
         for lattice in chains:
@@ -479,7 +459,7 @@ def resources(config_path, output, seed):
             h_pauli = build_heisenberg(lattice)
             if kind == "qite":
                 # each build evolves its own Haar state, sampled untimed
-                inputs = [sample_haar_state(n, v["random_circuit"]["seed"] + i)
+                inputs = [sample_haar_state(n, base_seed + i)
                           .amps[:, None] for i in range(3)]
 
                 def build(psi):
@@ -498,7 +478,7 @@ def resources(config_path, output, seed):
             artifact, seconds = timed_builds(build, inputs)
             rows.append([kind, n, *_ARTIFACT_COUNTS[kind](artifact, n),
                          seconds])
-    write_csv(v["output"]["path"], config,
+    write_csv(c.output, c.config,
               ["backend", "N", "cnot_count", "ancillas", "generation_seconds"],
               rows, comments=["generation_seconds are machine-relative "
                               "(median of 3 runs)"])

@@ -52,12 +52,14 @@ class PauliTerm:
     operators: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        ops = tuple(sorted((int(q), o.upper()) for q, o in dict(self.operators).items()))
-        for q, o in ops:
+        ops = tuple(sorted((int(q), o.upper()) for q, o in self.operators))
+        for i, (q, o) in enumerate(ops):
             if q < 0:
                 raise ValueError(f"negative qubit index {q}")
             if o not in _VALID_OPS:
                 raise ValueError(f"unknown Pauli letter {o!r}")
+            if i and q == ops[i - 1][0]:
+                raise ValueError(f"qubit {q} appears twice")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "coefficient", float(self.coefficient))
 

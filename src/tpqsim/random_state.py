@@ -77,19 +77,18 @@ def entangling_patterns(lattice: LatticeSpec) -> list[list[tuple[int, int]]]:
 
 def _gate_choices(seed: int, n: int, depth: int) -> np.ndarray:
     """Each block's GATE_SET index per qubit, drawn from the seed's stream,
-    as one (depth, n) int8 array."""
+    as one (depth, n) int8 array.
+
+    One call draws every block's index, in the order of one scalar draw per
+    block and qubit: uniform over the 3 gates in block 0, and after it over
+    the 2 gates that differ from the qubit's previous one, the draw k
+    standing for k + (k >= previous)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    previous = [-1] * n
-    blocks = np.empty((depth, n), dtype=np.int8)
-    for block in range(depth):
-        for q in range(n):
-            if previous[q] < 0:
-                previous[q] = int(rng.integers(3))
-            else:
-                # uniform over the two gates that differ from last block's
-                options = [g for g in range(3) if g != previous[q]]
-                previous[q] = options[int(rng.integers(2))]
-        blocks[block] = previous
+    highs = np.full((depth, n), 2)
+    highs[0] = 3
+    blocks = rng.integers(highs).astype(np.int8)
+    for block in range(1, depth):
+        blocks[block] += blocks[block] >= blocks[block - 1]
     return blocks
 
 

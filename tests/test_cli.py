@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpqsim
-from tpqsim.cli import config_hash, load_config, main, timed_builds
+from tpqsim import LatticeSpec, QiteSpec, RandomCircuitSpec, TpqRunSpec
+from tpqsim.cli import _TABLE, config_hash, load_config, main, timed_builds
 from tpqsim.errors import ConfigError
+from tpqsim.estimator import BackendSpec
 from tpqsim.pauli import to_dense
 
 
@@ -81,6 +84,17 @@ def test_unknown_section_rejected(runner, tmp_path):
     cfg = write_config(tmp_path, {"mystery": {}})
     result = runner.invoke(main, ["sweep-beta", cfg])
     assert result.exit_code == 1
+    # with every other section valid, the message names the unread section
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [3]},
+        "estimate": {"betas": [0.5]},
+        "mystery": {},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 1
+    assert "mystery" in result.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_missing_file_is_config_error(runner, tmp_path):
@@ -351,6 +365,34 @@ def test_config_hash_is_key_order_independent(tmp_path):
     assert config_hash(a) == config_hash(b)
 
 
+# (config key, spec class, field): each key's default restates the field's
+_SPEC_DEFAULTS = [
+    *[(f"model.{k}", LatticeSpec, k) for k in ("Jx", "Jy", "Jz", "hx")],
+    *[(f"backend.{k}", BackendSpec, k)
+      for k in ("kind", "epsilon", "n_steps", "domain")],
+    *[(f"random_circuit.{k}", RandomCircuitSpec, k)
+      for k in ("depth", "entangler", "seed")],
+    ("random_circuit.depth", TpqRunSpec, "depth"),
+    ("random_circuit.entangler", TpqRunSpec, "entangler"),
+    ("random_circuit.seed", TpqRunSpec, "base_seed"),
+    ("estimate.R", TpqRunSpec, "realizations"),
+    ("estimate.shots", TpqRunSpec, "shots"),
+    ("resources.n_steps", QiteSpec, "n_steps"),
+    ("resources.domain", QiteSpec, "domain"),
+]
+
+
+def test_table_defaults_equal_the_spec_defaults():
+    # a default written both in `_TABLE` and on a spec must agree, so that
+    # the CLI and the library run the same defaults
+    mismatched = []
+    for name, spec, field in _SPEC_DEFAULTS:
+        default = {f.name: f.default for f in dataclasses.fields(spec)}[field]
+        if _TABLE[name][1] != default:
+            mismatched.append((name, _TABLE[name][1], spec.__name__, default))
+    assert mismatched == []
+
+
 def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]")
@@ -359,13 +401,14 @@ def test_load_config_rejects_non_object(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; a fresh interpreter checks the CLI's
-    # whole import graph
+    # scipy is a test-only dependency, and statistics would load fractions
+    # and decimal for one median; a fresh interpreter checks the CLI's whole
+    # import graph
     src = str(Path(tpqsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, tpqsim.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m in ('scipy', 'statistics') or m.startswith('scipy.')))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -85,6 +85,16 @@ def test_heisenberg_term_count(chain3):
     assert len(build_heisenberg(chain3)) == 9  # 3 couplings * 2 pairs + 3 field terms
 
 
+@pytest.mark.parametrize("operators,qubit", [
+    (((0, "X"), (0, "Z")), 0),
+    (((1, "Y"), (0, "X"), (1, "Y")), 1),
+])
+def test_pauli_term_rejects_a_repeated_qubit(operators, qubit):
+    # a dict of the pairs would keep one letter per qubit and drop the rest
+    with pytest.raises(ValueError, match=f"qubit {qubit} appears twice"):
+        PauliTerm(1.0, operators)
+
+
 def test_to_dense_single_x():
     h = PauliSum((PauliTerm(1.0, ((0, "X"),)),))
     assert np.allclose(reassembled(to_dense(h, 1)), [[0, 1], [1, 0]])

@@ -250,8 +250,10 @@ def test_window_fit_matches_the_gram_solve(monkeypatch, n, window, state, reg,
         monkeypatch.setattr(qite, "_REG", reg)
     psi = (sample_haar_state(n, 3) if state == "haar"
            else product_state(n, 3)).amps
-    # the target of one term step on a bond inside the window
-    term = PauliSum((PauliTerm(1.0, ((window[0], "X"), (window[-1], "X"))),))
+    # the target of one term step on a bond inside the window (X on its one
+    # qubit when the window has one)
+    ends = sorted({window[0], window[-1]})
+    term = PauliSum((PauliTerm(1.0, tuple((q, "X") for q in ends)),))
     evolved = math.cosh(0.1) * psi - math.sinh(0.1) * apply_pauli_sum(psi, n, term)
     delta = evolved / np.linalg.norm(evolved) - psi
 

@@ -107,6 +107,30 @@ def test_gate_choices_are_one_byte_table():
                                 [2, 0, 0]]
 
 
+def scalar_gate_choices(seed, n, depth):
+    """The gate table drawn one scalar `rng.integers` per block and qubit."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    previous = [-1] * n
+    blocks = np.empty((depth, n), dtype=np.int8)
+    for block in range(depth):
+        for q in range(n):
+            if previous[q] < 0:
+                previous[q] = int(rng.integers(3))
+            else:
+                options = [g for g in range(3) if g != previous[q]]
+                previous[q] = options[int(rng.integers(2))]
+        blocks[block] = previous
+    return blocks
+
+
+@pytest.mark.parametrize("n,depth", [(1, 5), (2, 50), (9, 7), (10, 20)])
+def test_gate_choices_match_scalar_draws(n, depth):
+    for seed in range(300):
+        choices = _gate_choices(seed, n, depth)
+        assert choices.dtype == np.int8
+        assert np.array_equal(choices, scalar_gate_choices(seed, n, depth))
+
+
 def test_determinism():
     spec = RandomCircuitSpec(LatticeSpec(1, (4,)), depth=10, seed=99)
     c1, c2 = build_random_circuit(spec), build_random_circuit(spec)
