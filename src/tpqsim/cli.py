@@ -341,7 +341,9 @@ def entropy_scan(config_path, output, seed):
     """Mean basis entropy of random-circuit states vs depth."""
     with _Config(config_path, ("model", "entropy"), output, seed) as c:
         lattice = LatticeSpec(**c.read("model"))
-        rc, scan = c.read("random_circuit"), c.read("entropy")
+        # the depths come from `entropy`, so random_circuit.depth is unread
+        rc = c.read("random_circuit", "entangler", "seed")
+        scan = c.read("entropy")
         seeds = realization_seeds(rc["seed"], scan["seeds"], lattice.n_sites)
     ref = haar_entropy_reference(lattice.n_sites)
     rows = []
@@ -446,9 +448,9 @@ def resources(config_path, output, seed):
     """Per-backend CNOT counts, ancilla counts, and generation times."""
     with _Config(config_path, ("model", "resources"), output, seed) as c:
         scan = c.read("resources", "sizes", "backends", "beta")
-        base_seed = c.read("random_circuit", "seed")["seed"]
         chains = _chains(c, scan["sizes"])
-        if "qite" in scan["backends"]:
+        if "qite" in scan["backends"]:  # the seed of its input states
+            base_seed = c.read("random_circuit", "seed")["seed"]
             qspec = QiteSpec(scan["beta"],
                              **c.read("resources", *_KIND_KEYS["qite"]))
             qspec.resolved_domain(min(scan["sizes"]))

@@ -12,12 +12,14 @@ string outlives a call.
 
 A dense Hamiltonian is held as its symmetry blocks: a sum whose terms all
 commute with prod_i X_i (every XYZ + hx model) is built in the basis rotated
-by H^{(x)n}, as two parity sectors of size 2^(n-1); a sum invariant under the
-qubit-order reversal q -> n - 1 - q (every XYZ + hx chain or row-major grid)
-splits each sector again into reversal-even and reversal-odd blocks, so such
-a model is four blocks of about 2^(n-2), diagonalized separately.  States
-enter and leave the eigenbasis through one Walsh-Hadamard transform, one
-gather pair (a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full
+by H^{(x)n}, a swap of each string's flip and sign masks, as two parity
+sectors of size 2^(n-1); a sum invariant under the qubit-order reversal
+q -> n - 1 - q (every XYZ + hx chain or row-major grid) splits each sector
+again into reversal-even and reversal-odd blocks, so such a model is four
+blocks of about 2^(n-2), diagonalized separately; one fold, built from each
+sector's reversal pairs and palindromes, lays out their rows.  States enter
+and leave the eigenbasis through one Walsh-Hadamard transform, one gather
+pair (a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full
 2^n x 2^n matrices are assembled only where they are read.
 """
 
@@ -38,10 +40,9 @@ from .errors import DimensionOverflow, TpqsimError
 # path peaked at 7.4 blocks of a 12-site chain, against the 2 + 2 + 3 counted
 _EIGH_WORK_BLOCKS = 3
 
-# W P W for W = H^{(x)n}; a Y also flips the sign (W Y W = -Y)
-_HADAMARD_IMAGE = {"X": "Z", "Y": "Y", "Z": "X"}
-
 _VALID_OPS = frozenset("XYZ")
+
+_Group = list[tuple[float, int, int]]  # (coefficient, sign, #Y) per string
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,24 @@ def _masks(operators: tuple[tuple[int, str], ...],
     return flip, sign, n_y
 
 
-def _flip_groups(p: PauliSum, n: int) -> dict[int, list[tuple[float, int, int]]]:
+def _flip_groups(p: PauliSum, n: int, rotated: bool = False) -> dict[int, _Group]:
     """p's terms keyed by flip mask, each as (coefficient, sign, #Y), in
-    order of appearance: a group acts as one diagonal times one gather."""
-    groups: dict[int, list[tuple[float, int, int]]] = {}
+    order of appearance: a group acts as one diagonal times one gather.
+
+    When `rotated`, each term is taken as W P W for W = H^{(x)n}: X and Z
+    swap, so the flip and sign masks swap, and W Y W = -Y negates the
+    coefficient once per Y."""
+    groups: dict[int, _Group] = {}
     for term in p:
         flip, sign, n_y = _masks(term.operators, n)
-        groups.setdefault(flip, []).append((term.coefficient, sign, n_y))
+        coefficient = term.coefficient
+        if rotated:
+            flip, sign, coefficient = sign, flip, (-1) ** n_y * coefficient
+        groups.setdefault(flip, []).append((coefficient, sign, n_y))
     return groups
 
 
-def _diagonal(group: list[tuple[float, int, int]], rows: np.ndarray) -> np.ndarray:
+def _diagonal(group: _Group, rows: np.ndarray) -> np.ndarray:
     """d[k] = sum over the group of c (-i)^{#Y} (-1)^{popcount(rows[k] & sign)},
     summed in group order; real when every #Y is even."""
     d = np.zeros(len(rows), complex if any(y % 2 for *_, y in group) else float)
@@ -185,8 +193,7 @@ def _reversed_bits(x, n: int):
     return out
 
 
-def _reversal_invariant(groups: dict[int, list[tuple[float, int, int]]],
-                        n: int) -> bool:
+def _reversal_invariant(groups: dict[int, _Group], n: int) -> bool:
     """Whether the sum whose flip groups these are maps to itself under the
     qubit-order reversal q -> n - 1 - q, which reverses both masks of each
     string; coefficients must match exactly."""
@@ -198,40 +205,6 @@ def _reversal_invariant(groups: dict[int, list[tuple[float, int, int]]],
     return all(coefficients.get((_reversed_bits(flip, n),
                                  _reversed_bits(sign, n))) == c
                for (flip, sign), c in coefficients.items())
-
-
-def _block_sizes(n: int, rotated: bool, reflected: bool) -> list[int]:
-    """The rows of each block of `_fold`'s layout, known before it is built.
-
-    A sector (all 2^n indices, or the 2^(n-1) of one popcount parity when
-    rotated) with p palindromes, r(s) = s, splits into (size + p) / 2
-    reversal-even and (size - p) / 2 reversal-odd rows.  There are
-    2^ceil(n/2) palindromes: all of even popcount when n is even, and half of
-    each parity, set by the middle bit, when n is odd.
-    """
-    sectors = [1 << (n - 1)] * 2 if rotated else [1 << n]
-    if not reflected:
-        return sectors
-    pals = 1 << (n + 1) // 2
-    in_sector = [pals] if not rotated else [pals, 0] if n % 2 == 0 \
-        else [pals // 2] * 2
-    return [size for sector, p in zip(sectors, in_sector)
-            for size in ((sector + p) // 2, (sector - p) // 2) if size]
-
-
-def _pairs(rows: np.ndarray, cols: np.ndarray,
-           weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(i1, i2, w1, w2) such that (M a)[k] = w1[k] a[i1[k]] + w2[k] a[i2[k]]
-    for the square matrix M with entries M[rows, cols] = weights, one or two
-    in each row; a row with one entry repeats it with weight 0."""
-    order = np.lexsort((cols, rows))
-    rows, cols, weights = rows[order], cols[order], weights[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    i1, w1 = cols[first], weights[first]
-    i2, w2 = i1.copy(), np.zeros(len(i1))
-    i2[rows[~first]], w2[rows[~first]] = cols[~first], weights[~first]
-    return i1, i2, w1, w2
 
 
 def _block_rows(forward: tuple[np.ndarray, ...],
@@ -249,36 +222,41 @@ def _gather(pair: tuple[np.ndarray, ...], a: np.ndarray) -> np.ndarray:
 
 def _fold(n: int, rotated: bool, reflected: bool) -> tuple:
     """The orthogonal map F from the (rotated) computational basis onto the
-    blocks' bases, rows concatenated block by block in the order of
-    `_block_sizes`: F and F^T as gather pairs, and the first row of each
-    block followed by the end.
+    blocks' bases, rows concatenated block by block: F and F^T as gather
+    pairs, and the first row of each block followed by the end, so the
+    blocks' sizes are its differences.
 
     Each sector is split by the qubit-order reversal r when `reflected`: a
     pair s < r(s) gives the row (<s| + <r(s)|) / sqrt(2) of the sector's
     reversal-even block and (<s| - <r(s)|) / sqrt(2) of its reversal-odd
-    block, and a palindrome the row <s| of the even block, after the pairs.
-    Otherwise every index is a palindrome and each sector is one block.
+    block, and a palindrome s = r(s) the row <s| of the even block, after
+    the pairs, repeating s with weight 0.  F^T maps s and r(s) to (even
+    row, odd row) with weights (1, +-1) / sqrt(2), and a palindrome to its
+    one row with weights (1, 0).  Otherwise every index is a palindrome and
+    each sector is one block.
     """
     idx = np.arange(1 << n)
     mirror = _reversed_bits(idx, n) if reflected else idx
     parity = np.bitwise_count(idx) & 1
-    half = np.sqrt(0.5)
-    entries, bounds = [], [0]
+    forward, bounds = [], [0]
+    backward = [np.empty_like(idx), np.empty_like(idx),
+                np.empty(len(idx)), np.empty(len(idx))]
     for sector in [idx[parity == 0], idx[parity == 1]] if rotated else [idx]:
         reps = sector[sector < mirror[sector]]
         pals = sector[sector == mirror[sector]]
-        m, start = len(reps), bounds[-1]
-        even = start + np.arange(m + len(pals))
-        odd = even[-1] + 1 + np.arange(m)
-        entries += [(even[:m], reps, np.full(m, half)),
-                    (even[:m], mirror[reps], np.full(m, half)),
-                    (even[m:], pals, np.ones(len(pals))),
-                    (odd, reps, np.full(m, half)),
-                    (odd, mirror[reps], np.full(m, -half))]
-        mid = start + len(even)
-        bounds += [mid, mid + m] if m else [mid]
-    rows, cols, weights = map(np.concatenate, zip(*entries))
-    return (_pairs(rows, cols, weights), _pairs(cols, rows, weights),
+        m, p, start = len(reps), len(pals), bounds[-1]
+        images, w = mirror[reps], np.full(m, np.sqrt(0.5))
+        forward.append(tuple(map(np.concatenate, (
+            [reps, pals, reps], [images, pals, images],
+            [w, np.ones(p), w], [w, np.zeros(p), -w]))))
+        even, own, odd = np.split(start + np.arange(2 * m + p), [m, m + p])
+        for at, pair in ((reps, (even, odd, w, w)),
+                         (images, (even, odd, w, -w)),
+                         (pals, (own, own, 1.0, 0.0))):
+            for x, values in zip(backward, pair):
+                x[at] = values
+        bounds += [start + m + p, start + 2 * m + p] if m else [start + p]
+    return (tuple(map(np.concatenate, zip(*forward))), tuple(backward),
             tuple(bounds))
 
 
@@ -423,9 +401,7 @@ class DenseHermitian:
         |U_ak|^2 times the mean of d over a's reversal orbit,
         w1^2 d[i1] + w2^2 d[i2]: V is never assembled.
         """
-        if self.rotated:
-            a = PauliSum(tuple(map(_hadamard_rotated, a)))
-        groups = _flip_groups(a, self.n_qubits)
+        groups = _flip_groups(a, self.n_qubits, self.rotated)
         if any(groups):  # a nonzero flip mask
             return None
         i1, i2, w1, w2 = self.forward
@@ -438,14 +414,7 @@ class DenseHermitian:
         return diag
 
 
-def _hadamard_rotated(term: PauliTerm) -> PauliTerm:
-    """W P W for W = H^{(x)n}: X and Z swap, and each Y gives a sign."""
-    n_y = sum(o == "Y" for _, o in term.operators)
-    return PauliTerm((-1) ** n_y * term.coefficient,
-                     tuple((q, _HADAMARD_IMAGE[o]) for q, o in term.operators))
-
-
-def _block(groups: dict[int, list[tuple[float, int, int]]],
+def _block(groups: dict[int, _Group],
            rows: tuple[np.ndarray, ...], n: int, dtype) -> np.ndarray:
     """F_b H F_b^T for the block whose rows of F are `rows` = (i1, i2, w1, w2),
     by scatter-add from the flip groups of H (rotated when the blocks are).
@@ -475,22 +444,24 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
 
     A term commutes with prod_i X_i when it has an even number of Y and Z
     letters, as every XYZ + hx term does.  If all do, each term is rotated
-    by W = H^{(x)n} (X <-> Z, Y -> -Y), which keeps its Y count and maps
-    prod_i X_i to prod_i Z_i, so the rotated sum splits into its even- and
-    odd-popcount sectors of size 2^(n-1); any other sum is one 2^n sector,
-    unrotated.  When the sum is also invariant under the qubit-order
-    reversal q -> n - 1 - q, found from its strings, each sector splits into
-    its reversal-even and reversal-odd blocks (see `_fold`): four blocks of
-    about 2^(n-2) for every XYZ + hx chain or grid.  The full matrix is never
-    allocated.  A string with an even number of Y letters has phases +-1, so
-    a sum of such strings is built real, as float64, and any other sum
-    complex.  The terms sharing a flip mask fill one diagonal, scattered
-    once into each block: O(|terms| 2^n) plus the allocation.  Raises
-    TpqsimError, before building anything, when 2 sum |c|, which bounds the
-    spread of the spectrum, is not a finite float; IndexError when a term
-    touches a qubit >= n; and DimensionOverflow, before allocating, when
-    diagonalizing the blocks would take more than the machine's physical
-    memory.
+    by W = H^{(x)n}, a swap of its flip and sign masks (see `_flip_groups`)
+    that maps prod_i X_i to prod_i Z_i, so the rotated sum splits into its
+    even- and odd-popcount sectors of size 2^(n-1); any other sum is one 2^n
+    sector, unrotated.  When the sum is also invariant under the qubit-order
+    reversal q -> n - 1 - q, found from its masks, each sector splits into
+    its reversal-even and reversal-odd blocks (see `_fold`, whose bounds
+    give the block sizes): four blocks of about 2^(n-2) for every XYZ + hx
+    chain or grid.  The full matrix is never allocated.  A string with an
+    even number of Y letters has phases +-1, so a sum of such strings is
+    built real, as float64, and any other sum complex.  The terms sharing a
+    flip mask fill one diagonal, scattered once into each block:
+    O(|terms| 2^n) plus the allocation.  Raises TpqsimError, before building
+    anything, when 2 sum |c|, which bounds the spread of the spectrum, is
+    not a finite float; IndexError when a term touches a qubit >= n; and
+    DimensionOverflow, before allocating any block, when diagonalizing the
+    blocks would take more than the machine's physical memory: first by a
+    lower bound, four equal blocks, checked before the fold is built, then
+    by the fold's block sizes.
     """
     spread = 2 * sum(abs(t.coefficient) for t in p)
     if not math.isfinite(spread):
@@ -499,16 +470,20 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     real = all(sum(o == "Y" for _, o in t.operators) % 2 == 0 for t in p)
     rotated = n >= 1 and all(sum(o != "X" for _, o in t.operators) % 2 == 0
                              for t in p)
-    if rotated:
-        p = PauliSum(tuple(map(_hadamard_rotated, p)))
-    groups = _flip_groups(p, n)
+    groups = _flip_groups(p, n, rotated)
     reflected = _reversal_invariant(groups, n)
     dtype = np.dtype(float if real else complex)
-    sizes = _block_sizes(n, rotated, reflected)
-    _check_budget(dtype.itemsize * (2 * sum(s * s for s in sizes)
-                                    + _EIGH_WORK_BLOCKS * max(sizes)**2),
-                  f"diagonalizing H on n={n} qubits")
+
+    def check_budget(sizes):
+        _check_budget(dtype.itemsize * (2 * sum(s * s for s in sizes)
+                                        + _EIGH_WORK_BLOCKS * max(sizes)**2),
+                      f"diagonalizing H on n={n} qubits")
+
+    # at most four blocks share the 2^n rows, so four equal ones bound the
+    # need from below before the fold's O(2^n) index arrays exist
+    check_budget([(1 << n) // 4] * 4)
     forward, backward, bounds = _fold(n, rotated, reflected)
+    check_budget(np.diff(bounds))
     blocks = tuple(_block(groups, rows, n, dtype)
                    for rows in _block_rows(forward, bounds))
     return DenseHermitian(n, blocks, rotated, forward, backward, bounds)

@@ -248,6 +248,12 @@ _SCAN = {"sizes": [2, 3], "depths": [2], "R": 1, "compare_R": [1],
                                  "n_steps": 3}}),
     # numpy draws a binomial count as a C long
     ("sweep-beta", {"estimate": {**_ONE_BETA, "shots": 10**19}}),
+    # random_circuit keys that the run does not use: entropy-scan takes its
+    # depths from `entropy`, and only QITE's input states read the seed
+    ("entropy-scan", {"entropy": {"depths": [1], "seeds": 1},
+                      "random_circuit": {"depth": 7}}),
+    ("resources", {"resources": {"sizes": [2], "backends": ["fable"]},
+                   "random_circuit": {"seed": 3}}),
 ])
 def test_bad_values_are_config_errors(runner, tmp_path, subcommand, body):
     cfg = write_config(tmp_path, {
@@ -474,7 +480,8 @@ _TINY = [
     ("sweep-beta", {"model": _MODEL, "random_circuit": _CIRCUIT,
                     "backend": {"kind": "dilated", "epsilon": 0.1},
                     "estimate": _ESTIMATE}),
-    ("entropy-scan", {"model": _MODEL, "random_circuit": _CIRCUIT,
+    ("entropy-scan", {"model": _MODEL,
+                      "random_circuit": {"entangler": "cz", "seed": 0},
                       "entropy": {"depths": [1, 2], "seeds": 2}}),
     ("dilation-scan", {"model": _MODEL, "random_circuit": _CIRCUIT,
                        "dilation": {"beta": 0.5, "epsilons": [0.1], "R": 2}}),
@@ -575,7 +582,8 @@ def test_dense_model_beyond_memory_is_backend_failure(runner, tmp_path):
 ])
 def test_random_state_batch_beyond_memory_is_backend_failure(
         runner, tmp_path, monkeypatch, subcommand, body):
-    # 10^7 states on 10 sites take 164 GB: refused before any seed is drawn
+    # 10^7 states on 10 sites take 164 GB, and 1.6 TB at a run's peak of 10
+    # copies: refused before any seed is drawn
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}  # 8 GiB
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     seeds = []
@@ -588,29 +596,50 @@ def test_random_state_batch_beyond_memory_is_backend_failure(
     result = runner.invoke(main, [subcommand, cfg])
     assert result.exit_code == 2, result.output
     assert ("backend failure: a batch of 10000000 random states needs "
-            "163840000000 bytes") in result.output
+            "1638400000000 bytes") in result.output
+    assert seeds == [] and not (tmp_path / "x.csv").exists()
+
+
+def test_random_state_batch_peak_beyond_memory_is_backend_failure(
+        runner, tmp_path, monkeypatch):
+    # 1000 states on 10 sites take 16.4 MB, which fits in 64 MiB, but a run
+    # peaks at 10 copies of them: refused before any seed is drawn
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16 << 10}  # 64 MiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    seeds = []
+    monkeypatch.setattr(tpqsim.estimator, "realization_seed",
+                        lambda *key: seeds.append(key))
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [10]},
+        "estimate": {"betas": [0.5], "R": 1000},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["sweep-beta", cfg])
+    assert result.exit_code == 2, result.output
+    assert ("backend failure: a batch of 1000 random states needs "
+            "163840000 bytes") in result.output
     assert seeds == [] and not (tmp_path / "x.csv").exists()
 
 
 def test_gate_choices_beyond_memory_are_backend_failure(runner, tmp_path,
                                                         monkeypatch):
-    # 1000 states on 2 sites take 64 KB and fit in 128 KiB, but their gate
-    # choices at depth 100, one byte per seed, block and qubit, take 200 KB:
-    # refused before any is drawn
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
+    # 1000 states on 2 sites take 640 KB at a run's peak and fit in 1 MiB,
+    # but their gate choices at depth 1000, one byte per seed, block and
+    # qubit, take 2 MB: refused before any is drawn
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     draws = []
     monkeypatch.setattr(tpqsim.random_state, "_gate_choices",
                         lambda *args: draws.append(args))
     cfg = write_config(tmp_path, {
         "model": {"dimension": 1, "extents": [2]},
-        "entropy": {"depths": [100], "seeds": 1000},
+        "entropy": {"depths": [1000], "seeds": 1000},
         "output": {"path": str(tmp_path / "x.csv")},
     })
     result = runner.invoke(main, ["entropy-scan", cfg])
     assert result.exit_code == 2, result.output
     assert ("backend failure: the gate choices of 1000 random circuits needs "
-            "200000 bytes") in result.output
+            "2000000 bytes") in result.output
     assert draws == [] and not (tmp_path / "x.csv").exists()
 
 

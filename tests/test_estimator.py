@@ -21,6 +21,7 @@ from tpqsim import (
     squared_error_scan,
     to_dense,
 )
+from tpqsim.errors import ConfigError
 from tpqsim.estimator import (
     BackendSpec,
     filtered_batches,
@@ -130,6 +131,14 @@ def test_run_ensemble_single_realization(chain3):
     assert est.mean[0] == est.values[0, 0]
     assert est.uncertainty[0] == 0.0
     assert est.ensemble_ref.shape == (1,)
+
+
+@pytest.mark.parametrize("field", [{"depth": 0}, {"entangler": "swap"},
+                                   {"shots": -1}])
+def test_run_spec_rejects_a_bad_circuit_or_shot_count(chain3, field):
+    # refused when the spec is built, not once H is diagonalized
+    with pytest.raises(ConfigError):
+        TpqRunSpec(chain3, (0.5,), **field)
 
 
 def test_run_ensemble_deterministic(chain3):

@@ -15,7 +15,12 @@ from tpqsim import (
     nearest_neighbor_pairs,
     to_dense,
 )
-from tpqsim.pauli import _hadamard_rotated, apply_pauli_sum, walsh_hadamard
+from tpqsim.pauli import (
+    _diagonal,
+    _flip_groups,
+    apply_pauli_sum,
+    walsh_hadamard,
+)
 from tpqsim.random_state import sample_haar_state
 from tpqsim.statevector import expectations, sample_expectations
 
@@ -218,11 +223,16 @@ def test_eig_matches_scipy_evd_oracle(case):
     assert (vecs.dtype == np.float64) == (case == "chain")
 
 
-def test_dense_overflow_guard():
-    # 2^24 x 2^24 float64 is 2 PiB: refused before anything is allocated
+def test_dense_overflow_guard(monkeypatch):
+    # 2^24 x 2^24 float64 is 2 PiB: refused before anything is allocated,
+    # the fold's 2^24-entry index arrays included
     h = PauliSum((PauliTerm(1.0, ((0, "Z"),)),))
     from tpqsim import DimensionOverflow
 
+    def fold(*args):
+        raise AssertionError("the fold was built before the budget check")
+
+    monkeypatch.setattr(tpqsim.pauli, "_fold", fold)
     with pytest.raises(DimensionOverflow):
         to_dense(h, 24)
 
@@ -301,7 +311,11 @@ def reversal_matrix(n):
 @pytest.mark.parametrize("case", ["chain8", "chain5", "grid3x2", "grid3x3"])
 def test_rotated_h_is_block_diagonal(case):
     h, n, _ = BLOCK_CASES[case]
-    rotated = kron_matrix([_hadamard_rotated(t) for t in h], n)
+    # the symbolic rotation: the rotated flip groups' entries (j, j ^ flip)
+    idx = np.arange(2**n)
+    rotated = np.zeros((2**n, 2**n), dtype=complex)
+    for flip, group in _flip_groups(h, n, rotated=True).items():
+        rotated[idx, idx ^ flip] = _diagonal(group, idx)
     # independent of the symbolic rotation: conjugation by H^{(x)n}
     hadamard = kron_chain(n, {q: np.array([[1, 1], [1, -1]]) / np.sqrt(2)
                               for q in range(n)})
