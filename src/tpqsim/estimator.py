@@ -88,8 +88,9 @@ class TpqRunSpec:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
-        try:  # the random circuit's depth and entangler
-            RandomCircuitSpec(self.lattice, self.depth, self.entangler)
+        try:  # the random circuit's depth, entangler and seed
+            RandomCircuitSpec(self.lattice, self.depth, self.entangler,
+                              self.base_seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.shots < 0:
@@ -132,7 +133,7 @@ def realization_seed(base_seed: int, *key: int) -> int:
 
 # copies of the (2^N, R) complex batch of random states that its callers
 # hold at their peak, from tracemalloc at 10 sites and R = 1000 over 20 betas:
-# 9.3 (magnetization_x, or shots), 5.8 (dilated, FABLE), 5.3 (exact energy)
+# 8.2 (magnetization_x, or shots), 5.7 (dilated, FABLE), 5.2 (exact energy)
 # and 3.0 (entropy-scan); dilation-scan took 6.3 (8 sites, R = 4000)
 _STATE_BATCH_PEAK = 10
 
@@ -149,24 +150,20 @@ def realization_seeds(base_seed: int, count: int, n_sites: int) -> list[int]:
 
 def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
                          beta: float | np.ndarray) -> float | np.ndarray:
-    """Tr[e^{-beta H} A] / Tr[e^{-beta H}] with spectrum-shifted weights.
-
-    `a=None` means A = H, which needs only the eigenvalues.  `beta` is a
-    scalar (float result) or a 1-D sequence (one value per beta); any other
-    A's eigenbasis diagonal <v_k|A|v_k> is computed once per call: read off
-    the blocks when A is diagonal in their basis (`magnetization_x` when H
-    is rotated), and otherwise from the full eigenvectors, whose bytes
+    """Tr[e^{-beta H} A] / Tr[e^{-beta H}], weighted by the exact filter's
+    squared weights (`thermal_weights`, which raises ValueError for a
+    negative beta).  `a=None` means A = H, which needs only the eigenvalues.
+    `beta` is a scalar (float result) or a 1-D sequence (one per beta); any
+    other A's <v_k|A|v_k> is computed once per call: read off the blocks'
+    eigenvectors when A is diagonal in their basis (`magnetization_x` when
+    H is rotated), and otherwise from the full eigenvectors, whose bytes
     `apply_pauli_sum` checks first.
     """
-    beta = np.asarray(beta, dtype=float)
-    if np.any(beta < 0):
-        raise ValueError("beta must be >= 0")
-    vals = h.eigenvalues
+    w = thermal_weights(h, beta) ** 2
     if a is None:
-        diag = vals
+        diag = h.eigenvalues
     elif (diag := h.diagonal_in_eigenbasis(a)) is None:
         diag = expectations(h.eigenvectors, a)
-    w = np.exp(-np.multiply.outer(beta, vals - vals[0]))
     ref = w @ diag / w.sum(axis=-1)
     return float(ref) if ref.ndim == 0 else ref
 
@@ -221,15 +218,17 @@ def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
     values = np.empty((len(spec.betas), states.shape[1]))
     batches = filtered_batches(spec.backend, spec.betas, states, dense_h,
                                h_pauli, spec.lattice)
-    for bi, batch in enumerate(batches):
+    for bi in range(len(spec.betas)):
+        batch = next(batches)  # dropped below, before the next is built
         if spec.shots == 0:
             values[bi] = expectations(batch, observable)
-            continue
-        values[bi], err = sample_expectations(
-            batch, observable, spec.shots,
-            [realization_seed(spec.base_seed, r, 1 + bi)
-             for r in range(batch.shape[1])])
-        shot_var[bi] = np.sum(err**2)
+        else:
+            values[bi], err = sample_expectations(
+                batch, observable, spec.shots,
+                [realization_seed(spec.base_seed, r, 1 + bi)
+                 for r in range(batch.shape[1])])
+            shot_var[bi] = np.sum(err**2)
+        del batch
     return values, shot_var
 
 

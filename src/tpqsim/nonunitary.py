@@ -121,7 +121,7 @@ def dilated_omega(h: DenseHermitian, beta: float, epsilon: float) -> np.ndarray:
     weights = thermal_weights(h, beta)
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    _check_budget(7 * h.blocks[0].itemsize * h.dim**2,
+    _check_budget(7 * h.eigenpairs[0][1].itemsize * h.dim**2,
                   f"the dilated unitary on n={h.n_qubits} + 1 qubits")
     vecs = h.eigenvectors
     angles = epsilon * scaled_weights(h, weights)

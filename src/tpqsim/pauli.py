@@ -10,17 +10,17 @@ terms are grouped by flip mask, and each group acts as one diagonal times one
 gather, the diagonal built only while its group is applied; no table per
 string outlives a call.
 
-A dense Hamiltonian is held as its symmetry blocks: a sum whose terms all
-commute with prod_i X_i (every XYZ + hx model) is built in the basis rotated
-by H^{(x)n}, a swap of each string's flip and sign masks, as two parity
-sectors of size 2^(n-1); a sum invariant under the qubit-order reversal
-q -> n - 1 - q (every XYZ + hx chain or row-major grid) splits each sector
-again into reversal-even and reversal-odd blocks, so such a model is four
-blocks of about 2^(n-2), diagonalized separately; one fold, built from each
-sector's reversal pairs and palindromes, lays out their rows.  States enter
-and leave the eigenbasis through one Walsh-Hadamard transform, one gather
-pair (a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full
-2^n x 2^n matrices are assembled only where they are read.
+A dense Hamiltonian is held as the eigenpairs of its symmetry blocks, each
+diagonalized as it is built and then dropped: a sum whose terms all commute
+with prod_i X_i (every XYZ + hx model) is built in the basis rotated by
+H^{(x)n}, a swap of each string's flip and sign masks, as two parity sectors
+of size 2^(n-1); a sum invariant under the qubit-order reversal q -> n - 1 - q
+(every XYZ + hx chain or row-major grid) splits each sector again into
+reversal-even and reversal-odd blocks, four of about 2^(n-2), whose rows one
+fold lays out from each sector's reversal pairs and palindromes.  States enter
+and leave the eigenbasis through one Walsh-Hadamard transform, one gather pair
+(a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full 2^n x 2^n
+matrices are assembled only where they are read.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ import numpy as np
 
 from .errors import DimensionOverflow, TpqsimError
 
-# arrays of the largest block's size that diagonalizing it adds to the blocks
-# and the eigenvectors already held: eigh's working copy and the
-# ?syevd/?heevd workspace (2N^2 reals for an N x N block); the two-block
-# path peaked at 7.4 blocks of a 12-site chain, against the 2 + 2 + 3 counted
+# arrays of the largest block's size that diagonalizing it adds to that block
+# and the eigenvectors held: eigh's copy and ?syevd/?heevd workspace (2N^2
+# reals for N x N); in a fresh x86-64 process with OpenBLAS, diagonalizing a
+# 13-site chain grew the peak RSS by 260.2 MiB against the 260.1 MiB counted
+# (a 12-site chain by 77.1 against 66.0 MiB, fixed overheads included)
 _EIGH_WORK_BLOCKS = 3
 
 _VALID_OPS = frozenset("XYZ")
@@ -275,8 +276,7 @@ def _product(u: np.ndarray, amps: np.ndarray, adjoint: bool = False) -> np.ndarr
 
 @dataclass
 class DenseHermitian:
-    """A dense Hamiltonian as its symmetry blocks, with a lazily cached
-    spectral decomposition.
+    """A dense Hamiltonian as the eigenpairs of its symmetry blocks.
 
     When every term commutes with prod_i X_i, `to_dense` works in the basis
     rotated by W = H^{(x)n} (`rotated`), where prod_i X_i is the diagonal
@@ -288,20 +288,18 @@ class DenseHermitian:
     `forward` and `backward` hold the orthogonal map F onto the blocks'
     bases and F^T as gather pairs (i1, i2, w1, w2), (F a)[k] = w1[k]
     a[i1[k]] + w2[k] a[i2[k]], and `bounds` the first row of each block and
-    the end; `blocks` are the diagonal blocks of F (W) H (W) F^T.  A block
-    is float64 when every term is real (an even number of Y letters), so its
-    eigenvectors are real too, and complex128 otherwise.
-
-    Each block is diagonalized on its own (numpy's eigh, LAPACK's
-    divide-and-conquer ?syevd/?heevd on the lower triangle).  The filters
-    move batches of states in and out of the eigenbasis through the blocks
-    (`to_eigenbasis`, `from_eigenbasis`): one Walsh-Hadamard transform, one
-    gather pair of F or F^T and one product per block.  The full H is never
-    assembled, and its eigenvector matrix V (`eig`) only where it is read.
+    the end; `eigenpairs` holds each diagonal block of F (W) H (W) F^T as
+    (eigenvalues ascending, eigenvectors U) from numpy's eigh (LAPACK's
+    ?syevd/?heevd), the block itself dropped by `to_dense`.  U is float64
+    when every term is real (an even number of Y letters), else complex128.
+    The filters move batches of states in and out of the eigenbasis through
+    the U (`to_eigenbasis`, `from_eigenbasis`): one Walsh-Hadamard transform,
+    one gather pair of F or F^T and one product per block.  The full H is
+    never assembled, and its eigenvector matrix V (`eig`) only where read.
     """
 
     n_qubits: int
-    blocks: tuple[np.ndarray, ...]
+    eigenpairs: tuple[tuple[np.ndarray, np.ndarray], ...]
     rotated: bool
     forward: tuple[np.ndarray, ...]
     backward: tuple[np.ndarray, ...]
@@ -316,14 +314,10 @@ class DenseHermitian:
         return [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
 
     @cached_property
-    def _block_eig(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [np.linalg.eigh(block) for block in self.blocks]
-
-    @cached_property
     def _ranks(self) -> list[np.ndarray]:
         """Each block eigenvalue's position in the ascending spectrum, ties
         in block order."""
-        vals = np.concatenate([v for v, _ in self._block_eig])
+        vals = np.concatenate([v for v, _ in self.eigenpairs])
         ranks = np.empty(len(vals), dtype=np.intp)
         ranks[np.argsort(vals, kind="stable")] = np.arange(len(vals))
         return np.split(ranks, self.bounds[1:-1])
@@ -332,7 +326,7 @@ class DenseHermitian:
     def eigenvalues(self) -> np.ndarray:
         """The blocks' spectra merged in ascending order."""
         vals = np.empty(self.dim)
-        for rank, (block_vals, _) in zip(self._ranks, self._block_eig):
+        for rank, (block_vals, _) in zip(self._ranks, self.eigenpairs):
             vals[rank] = block_vals
         return vals
 
@@ -347,13 +341,13 @@ class DenseHermitian:
         DimensionOverflow, before allocating, when V alone would exceed the
         machine's physical memory.
         """
-        dtype = self.blocks[0].dtype
+        dtype = self.eigenpairs[0][1].dtype
         _check_budget(dtype.itemsize * self.dim**2,
                       f"the eigenvectors of H on n={self.n_qubits} qubits")
         vecs = np.zeros((self.dim, self.dim), dtype)
         rows = _block_rows(self.forward, self.bounds)
         for (i1, i2, w1, w2), rank, (_, u) in zip(rows, self._ranks,
-                                                  self._block_eig):
+                                                  self.eigenpairs):
             # a palindrome's row repeats i1 as i2 with weight 0: i1 goes last
             vecs[np.ix_(i2, rank)] = w2[:, None] * u
             vecs[np.ix_(i1, rank)] = w1[:, None] * u
@@ -375,7 +369,7 @@ class DenseHermitian:
         folded = _gather(self.forward, batch)
         coeffs = np.empty(batch.shape, dtype=complex)
         for rows, rank, (_, u) in zip(self._slices, self._ranks,
-                                      self._block_eig):
+                                      self.eigenpairs):
             coeffs[rank] = _product(u, folded[rows], adjoint=True)
         return coeffs
 
@@ -384,7 +378,7 @@ class DenseHermitian:
         `to_eigenbasis`."""
         folded = np.empty(coeffs.shape, dtype=complex)
         for rows, rank, (_, u) in zip(self._slices, self._ranks,
-                                      self._block_eig):
+                                      self.eigenpairs):
             folded[rows] = _product(u, coeffs[rank])
         amps = _gather(self.backward, folded)
         if self.rotated:
@@ -409,7 +403,7 @@ class DenseHermitian:
         orbit_mean = w1**2 * d[i1] + w2**2 * d[i2]
         diag = np.empty(self.dim)
         for rows, rank, (_, u) in zip(self._slices, self._ranks,
-                                      self._block_eig):
+                                      self.eigenpairs):
             diag[rank] = orbit_mean[rows] @ np.abs(u) ** 2
         return diag
 
@@ -440,28 +434,29 @@ def _block(groups: dict[int, _Group],
 
 
 def to_dense(p: PauliSum, n: int) -> DenseHermitian:
-    """Expand a PauliSum to its dense blocks, each allocated once.
+    """Diagonalize a PauliSum block by block, keeping only the eigenpairs.
 
     A term commutes with prod_i X_i when it has an even number of Y and Z
-    letters, as every XYZ + hx term does.  If all do, each term is rotated
-    by W = H^{(x)n}, a swap of its flip and sign masks (see `_flip_groups`)
-    that maps prod_i X_i to prod_i Z_i, so the rotated sum splits into its
-    even- and odd-popcount sectors of size 2^(n-1); any other sum is one 2^n
-    sector, unrotated.  When the sum is also invariant under the qubit-order
-    reversal q -> n - 1 - q, found from its masks, each sector splits into
-    its reversal-even and reversal-odd blocks (see `_fold`, whose bounds
-    give the block sizes): four blocks of about 2^(n-2) for every XYZ + hx
-    chain or grid.  The full matrix is never allocated.  A string with an
-    even number of Y letters has phases +-1, so a sum of such strings is
-    built real, as float64, and any other sum complex.  The terms sharing a
-    flip mask fill one diagonal, scattered once into each block:
-    O(|terms| 2^n) plus the allocation.  Raises TpqsimError, before building
-    anything, when 2 sum |c|, which bounds the spread of the spectrum, is
-    not a finite float; IndexError when a term touches a qubit >= n; and
-    DimensionOverflow, before allocating any block, when diagonalizing the
-    blocks would take more than the machine's physical memory: first by a
-    lower bound, four equal blocks, checked before the fold is built, then
-    by the fold's block sizes.
+    letters, as every XYZ + hx term does.  If all do, each term is rotated by
+    W = H^{(x)n}, a swap of its flip and sign masks (see `_flip_groups`) that
+    maps prod_i X_i to prod_i Z_i, so the rotated sum splits into its even-
+    and odd-popcount sectors of size 2^(n-1); any other sum is one 2^n sector,
+    unrotated.  When the sum is also invariant under the qubit-order reversal
+    q -> n - 1 - q, found from its masks, each sector splits into its
+    reversal-even and reversal-odd blocks (see `_fold`, whose bounds give the
+    block sizes): four blocks of about 2^(n-2) for every XYZ + hx chain or
+    grid.  A string with an even number of Y letters has phases +-1, so a sum
+    of such strings is built real, as float64, and any other sum complex.  The
+    terms sharing a flip mask fill one diagonal, scattered once into each
+    block: O(|terms| 2^n) plus the allocation, and each block is handed to
+    eigh as soon as it is built and dropped, so no two blocks are alive at
+    once and the full matrix never is.  Raises TpqsimError, before building
+    anything, when 2 sum |c|, which bounds the spread of the spectrum, is not
+    a finite float; IndexError when a term touches a qubit >= n; and
+    DimensionOverflow, before allocating any block, when the eigenvectors, one
+    block and its eigh workspace would take more than the machine's physical
+    memory: first by a lower bound, four equal blocks, checked before the fold
+    is built, then by the fold's block sizes.
     """
     spread = 2 * sum(abs(t.coefficient) for t in p)
     if not math.isfinite(spread):
@@ -475,8 +470,9 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     dtype = np.dtype(float if real else complex)
 
     def check_budget(sizes):
-        _check_budget(dtype.itemsize * (2 * sum(s * s for s in sizes)
-                                        + _EIGH_WORK_BLOCKS * max(sizes)**2),
+        largest = max(sizes)**2
+        _check_budget(dtype.itemsize * (sum(s * s for s in sizes)
+                                        + (1 + _EIGH_WORK_BLOCKS) * largest),
                       f"diagonalizing H on n={n} qubits")
 
     # at most four blocks share the 2^n rows, so four equal ones bound the
@@ -484,6 +480,6 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     check_budget([(1 << n) // 4] * 4)
     forward, backward, bounds = _fold(n, rotated, reflected)
     check_budget(np.diff(bounds))
-    blocks = tuple(_block(groups, rows, n, dtype)
-                   for rows in _block_rows(forward, bounds))
-    return DenseHermitian(n, blocks, rotated, forward, backward, bounds)
+    eigenpairs = tuple(np.linalg.eigh(_block(groups, rows, n, dtype))
+                       for rows in _block_rows(forward, bounds))
+    return DenseHermitian(n, eigenpairs, rotated, forward, backward, bounds)

@@ -55,6 +55,8 @@ class RandomCircuitSpec:
             raise ValueError("depth must be >= 1")
         if self.entangler not in ("cz", "cnot"):
             raise ValueError("entangler must be 'cz' or 'cnot'")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 def entangling_patterns(lattice: LatticeSpec) -> list[list[tuple[int, int]]]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ def fable_branch(circuit, psi):
     replayed = apply_circuit(StateVector(circuit.width, full), circuit)
     return postselect(replayed, range(psi.n, circuit.width),
                       [0] * (circuit.width - psi.n))
+
+
+def traced_peak(fn):
+    """fn() under tracemalloc, which sees numpy's buffers: (its result, the
+    bytes still held as it returns, the peak bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 @pytest.fixture

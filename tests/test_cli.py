@@ -731,8 +731,9 @@ def test_overflowing_hamiltonian_is_backend_failure(runner, tmp_path,
 ])
 def test_dense_artifact_beyond_its_budget_is_backend_failure(
         runner, tmp_path, monkeypatch, subcommand, body, refused):
-    # on a 6-site chain with 128 KiB of memory, the blocks (95 KiB with
-    # their eigh workspace) and V (32 KiB) fit; Omega does not
+    # on a 6-site chain with 128 KiB of memory, the blocks' eigenvectors
+    # (21 KiB with one block and its eigh workspace) and V (32 KiB) fit;
+    # Omega does not
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = write_config(tmp_path, {
@@ -748,7 +749,7 @@ def test_dense_artifact_beyond_its_budget_is_backend_failure(
 def test_magnetization_reference_needs_no_eigenvectors(runner, tmp_path,
                                                        monkeypatch):
     # with the same 128 KiB, applying the magnetization to all 64 columns of
-    # V would not fit; its reference is read off the blocks instead
+    # V would not fit; its reference is read off the blocks' eigenvectors
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = write_config(tmp_path, {

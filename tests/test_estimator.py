@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -37,7 +35,13 @@ from tpqsim.statevector import (
     sample_expectations,
 )
 
-from conftest import expm_filter, fable_branch, kron_matrix, qite_one
+from conftest import (
+    expm_filter,
+    fable_branch,
+    kron_matrix,
+    qite_one,
+    traced_peak,
+)
 
 
 @pytest.fixture
@@ -134,9 +138,11 @@ def test_run_ensemble_single_realization(chain3):
 
 
 @pytest.mark.parametrize("field", [{"depth": 0}, {"entangler": "swap"},
-                                   {"shots": -1}])
+                                   {"shots": -1}, {"base_seed": -1},
+                                   {"base_seed": 1.5}])
 def test_run_spec_rejects_a_bad_circuit_or_shot_count(chain3, field):
-    # refused when the spec is built, not once H is diagonalized
+    # refused when the spec is built, not once H is diagonalized (nor, for
+    # a seed, by numpy's SeedSequence in the run)
     with pytest.raises(ConfigError):
         TpqRunSpec(chain3, (0.5,), **field)
 
@@ -289,7 +295,7 @@ def test_exact_energy_run_changes_basis_once(chain3, monkeypatch):
                                      BackendSpec("qite", n_steps=2)])
 def test_energy_run_assembles_no_full_matrix(chain3, monkeypatch, backend):
     # the exact filter, the QITE measurement and the energy reference read
-    # the symmetry blocks only: neither V nor H is assembled at 2^n x 2^n
+    # the blocks' eigenpairs only: neither V nor H is assembled at 2^n x 2^n
     def forbidden(*args):
         raise AssertionError("assembled a full 2^n x 2^n matrix")
 
@@ -302,7 +308,7 @@ def test_energy_run_assembles_no_full_matrix(chain3, monkeypatch, backend):
 @pytest.mark.parametrize("extents", [(5,), (3, 2)])
 def test_magnetization_run_assembles_no_full_matrix(monkeypatch, extents):
     # X-only strings have flip mask 0 after the rotation: the reference reads
-    # <v_k|A|v_k> off the blocks, as the assembled V gives it
+    # <v_k|A|v_k> off the blocks' eigenvectors, as the assembled V gives it
     lattice = LatticeSpec(len(extents), extents)
     dense = to_dense(build_heisenberg(lattice), lattice.n_sites)
     mx = magnetization_x(lattice)
@@ -352,13 +358,25 @@ def test_circuit_energy_filter_allocates_no_dense_matrix(kind):
     states = np.stack([sample_haar_state(8, s).amps for s in range(3)], axis=1)
     spec = TpqRunSpec(lattice, (0.2, 0.5, 1.0, 2.0),
                       backend=BackendSpec(kind, epsilon=0.1))
-    tracemalloc.start()
-    try:
-        measure_filtered(spec, states, dense, h)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(lambda: measure_filtered(spec, states, dense, h))
     assert peak < 8 * 4**8 // 4
+
+
+def test_measured_batches_do_not_pile_up_over_betas():
+    # each beta's filtered (2^8, 400) batch is dropped before the next one is
+    # built, so three betas peak where one does (7.1 copies of the batch)
+    lattice = LatticeSpec(1, (8,))
+    h = build_heisenberg(lattice)
+    dense = to_dense(h, 8)
+    states = np.stack([sample_haar_state(8, s).amps for s in range(400)],
+                      axis=1)
+    copies = []
+    for betas in ((0.5,), (0.5, 1.0, 2.0)):
+        spec = TpqRunSpec(lattice, betas, observable=magnetization_x(lattice))
+        _, _, peak = traced_peak(
+            lambda: measure_filtered(spec, states, dense, h))
+        copies.append(peak / states.nbytes)
+    assert copies[1] < copies[0] + 0.25
 
 
 def test_qite_measurement_builds_no_gate(chain3, monkeypatch):

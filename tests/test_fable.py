@@ -30,7 +30,7 @@ from conftest import (
 
 
 def chain(n):
-    """A chain's Pauli sum and its dense blocks."""
+    """A chain's Pauli sum and its dense eigenbasis."""
     h = build_heisenberg(LatticeSpec(1, (n,)))
     return h, to_dense(h, n)
 

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from tpqsim import (
     to_dense,
 )
 from tpqsim.pauli import (
+    _block,
+    _block_rows,
     _diagonal,
     _flip_groups,
     apply_pauli_sum,
@@ -24,12 +25,12 @@ from tpqsim.pauli import (
 from tpqsim.random_state import sample_haar_state
 from tpqsim.statevector import expectations, sample_expectations
 
-from conftest import kron_chain, kron_matrix
+from conftest import kron_chain, kron_matrix, traced_peak
 
 
 def reassembled(dense):
-    """V diag(lambda) V^dagger from the dense eigenbasis: H as `to_dense`'s
-    blocks and their eigenvectors give it back."""
+    """V diag(lambda) V^dagger from the dense eigenbasis: H as the
+    eigenpairs of `to_dense`'s blocks give it back."""
     vals, vecs = dense.eig
     return (vecs * vals) @ vecs.conj().T
 
@@ -150,7 +151,7 @@ def test_dense_matches_kron_oracle(case):
     dense = to_dense(h, n)
     ref = kron_matrix(h, n)
     assert np.max(np.abs(reassembled(dense) - ref)) < 1e-12
-    assert (dense.blocks[0].dtype == complex) == np.any(ref.imag != 0)
+    assert (dense.eigenpairs[0][1].dtype == complex) == np.any(ref.imag != 0)
     vals_ref = np.linalg.eigvalsh(ref)
     assert np.max(np.abs(dense.eigenvalues - vals_ref)) < 1e-9
     # the matrix-free kernel, on one state and on a (2^n, 3) batch
@@ -179,12 +180,7 @@ def test_apply_pauli_sum_keeps_nothing_but_its_output():
     n = 14
     h = build_heisenberg(LatticeSpec(1, (n,)))
     amps = sample_haar_state(n, 0).amps
-    tracemalloc.start()
-    try:
-        out = apply_pauli_sum(amps, n, h)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, kept, peak = traced_peak(lambda: apply_pauli_sum(amps, n, h))
     assert kept < 1.5 * 16 * 2**n
     assert peak < 5 * 16 * 2**n
 
@@ -200,7 +196,7 @@ def test_spectral_reconstruction(chain3):
     h = PauliSum((PauliTerm(1.0, ((0, "Y"),)), PauliTerm(0.5, ((1, "Z"),))))
     dense = to_dense(h, 2)
     vals, vecs = dense.eig
-    assert dense.blocks[0].dtype == complex and np.iscomplexobj(vecs)
+    assert dense.eigenpairs[0][1].dtype == complex and np.iscomplexobj(vecs)
     recon = (vecs * vals) @ vecs.conj().T
     assert np.max(np.abs(recon - kron_matrix(h, 2))) < 1e-9
 
@@ -241,13 +237,8 @@ def test_to_dense_allocates_the_real_matrix_once():
     # tracemalloc sees numpy's buffers; the real 2^8 x 2^8 H is 512 KiB
     h = build_heisenberg(LatticeSpec(1, (8,)))
     to_dense(h, 8)  # an untraced first call; nothing is cached between calls
-    tracemalloc.start()
-    try:
-        dense = to_dense(h, 8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert dense.blocks[0].dtype == np.float64
+    dense, _, peak = traced_peak(lambda: to_dense(h, 8))
+    assert dense.eigenpairs[0][1].dtype == np.float64
     assert peak < 1.5 * 8 * 4**8
 
 
@@ -281,7 +272,7 @@ def test_blocked_eigenbasis_matches_kron_oracle(case):
     h, n, sectors = BLOCK_CASES[case]
     dense = to_dense(h, n)
     ref = kron_matrix(h, n)
-    assert len(dense.blocks) == sectors
+    assert len(dense.bounds) - 1 == sectors
     assert np.max(np.abs(reassembled(dense) - ref)) < 1e-12
     ref_vals = scipy.linalg.eigh(ref, eigvals_only=True)
     assert np.max(np.abs(dense.eigenvalues - ref_vals)) < 1e-12
@@ -344,8 +335,11 @@ def test_rotated_h_is_block_diagonal(case):
                 isometry = np.array(pairs + fixed).T
                 expected.append(isometry.T @ rotated @ isometry)
     dense = to_dense(h, n)
-    assert len(dense.blocks) == len(expected) == 4
-    for block, ref_block in zip(dense.blocks, expected):
+    rows = _block_rows(dense.forward, dense.bounds)
+    assert len(rows) == len(expected) == 4
+    groups = _flip_groups(h, n, rotated=True)
+    for block_rows, ref_block in zip(rows, expected):
+        block = _block(groups, block_rows, n, dense.eigenpairs[0][1].dtype)
         assert np.max(np.abs(block - ref_block)) < 1e-12
 
 
@@ -354,23 +348,37 @@ def test_a_ten_site_chain_is_four_quarter_blocks():
     # 2^(n-1) rows fails here
     n = 10
     dense = to_dense(build_heisenberg(LatticeSpec(1, (n,))), n)
-    sizes = [len(block) for block in dense.blocks]
+    sizes = np.diff(dense.bounds).tolist()
     assert sizes == [272, 240, 256, 256]
     assert max(sizes) <= 2**(n - 2) + 2**(n // 2)
 
 
+def diagonalized(h, n):
+    """`to_dense(h, n)` with its spectrum read."""
+    dense = to_dense(h, n)
+    dense.eigenvalues
+    return dense
+
+
 def test_to_dense_never_allocates_the_full_matrix():
-    # the four blocks of an 8-site chain, 72, 56, 64 and 64 rows, are a
-    # quarter of its 512 KiB H
+    # the four blocks of an 8-site chain, 72, 56, 64 and 64 rows, are each
+    # diagonalized as they are built: the eigenvectors and twice the largest
+    # block, 0.41 of its 512 KiB H, bound what is alive at once
     h = build_heisenberg(LatticeSpec(1, (8,)))
-    to_dense(h, 8)  # an untraced first call; nothing is cached between calls
-    tracemalloc.start()
-    try:
-        to_dense(h, 8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.35 * 8 * 4**8
+    diagonalized(h, 8)  # untraced first; nothing is cached between calls
+    dense, _, peak = traced_peak(lambda: diagonalized(h, 8))
+    sizes = np.diff(dense.bounds)
+    assert sizes.tolist() == [72, 56, 64, 64]
+    assert peak < 8 * (np.sum(sizes**2) + 2 * np.max(sizes)**2)
+
+
+def test_to_dense_keeps_no_block():
+    # a 10-site chain: the blocks' eigenvectors are a quarter of its 8 MiB H,
+    # and no block is kept beside them
+    h = build_heisenberg(LatticeSpec(1, (10,)))
+    diagonalized(h, 10)
+    _, kept, _ = traced_peak(lambda: diagonalized(h, 10))
+    assert kept < 0.30 * 8 * 4**10
 
 
 def fake_memory(monkeypatch, nbytes):
@@ -379,10 +387,9 @@ def fake_memory(monkeypatch, nbytes):
 
 
 def test_byte_budget_counts_the_blocks(monkeypatch):
-    # a 9-site chain: the blocks of 136, 120, 136 and 120 rows, their
-    # eigenvectors and one 136-row eigh workspace, 8 x (2 x 65,792 + 3 x
-    # 136^2) bytes (1.43 MiB), fit in 2 MiB, where the two parity blocks'
-    # 7 x 8 x 4^8 (3.5 MiB) would not
+    # a 9-site chain: the eigenvectors of the blocks of 136, 120, 136 and
+    # 120 rows, then one 136-row block with its eigh workspace, 8 x (65,792
+    # + 4 x 136^2) bytes (1.07 MiB), fit in 2 MiB but not in 1 MiB
     h = build_heisenberg(LatticeSpec(1, (9,)))
     fake_memory(monkeypatch, 2 << 20)
     dense = to_dense(h, 9)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,6 +30,7 @@ from conftest import (
     postselect,
     thermal_matrix,
     thermal_scale,
+    traced_peak,
 )
 
 
@@ -170,14 +169,8 @@ def test_omega_peak_fits_its_budget(n):
     # tracemalloc sees numpy's buffers: the eigenvectors V, assembled inside,
     # and Omega's build stay within the 7 matrices of H's size it budgets
     dense = to_dense(build_heisenberg(LatticeSpec(1, (n,))), n)
-    dense._block_eig  # diagonalize before tracing
-    tracemalloc.start()
-    try:
-        dilated_omega(dense, 0.5, 0.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 * dense.blocks[0].itemsize * dense.dim**2
+    _, _, peak = traced_peak(lambda: dilated_omega(dense, 0.5, 0.1))
+    assert peak < 7 * dense.eigenpairs[0][1].itemsize * dense.dim**2
 
 
 def omega_branch(h, beta, eps, psi):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,13 @@ import tpqsim.qite as qite
 from tpqsim.qite import _term_window
 from tpqsim.random_state import sample_haar_state
 
-from conftest import expm_filter, kron_matrix, qite_one, string_gathers
+from conftest import (
+    expm_filter,
+    kron_matrix,
+    qite_one,
+    string_gathers,
+    traced_peak,
+)
 
 
 @pytest.mark.parametrize("placed,theta", [
@@ -363,10 +368,6 @@ def test_fit_holds_no_array_per_window_string():
     lattice = LatticeSpec(1, (12,))
     h = build_heisenberg(lattice)
     states = haar_batch(12, range(2))
-    tracemalloc.start()
-    try:
-        qite_evolve(QiteSpec(0.5, n_steps=1, domain=3), h, states, lattice)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(lambda: qite_evolve(
+        QiteSpec(0.5, n_steps=1, domain=3), h, states, lattice))
     assert peak < 16 * states.nbytes

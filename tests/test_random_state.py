@@ -223,6 +223,13 @@ def test_rejects_bad_spec():
         RandomCircuitSpec(LatticeSpec(1, (3,)), entangler="iswap")
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_rejects_a_bad_seed(seed):
+    # refused when the spec is built, not by numpy's SeedSequence
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        RandomCircuitSpec(LatticeSpec(1, (3,)), seed=seed)
+
+
 @pytest.mark.parametrize("entangler", ["cz", "cnot"])
 @pytest.mark.parametrize("dimension,extents,depth,seeds", [
     (1, (6,), 9, [3, 17, 4, 99]),
