@@ -43,7 +43,7 @@ from .nonunitary import (
     thermal_weights,
 )
 from .pauli import to_dense
-from .qite import QiteSpec, qite_circuit, qite_evolve
+from .qite import QiteSpec, beta_groups, qite_circuit, qite_evolve
 from .random_state import (
     RandomCircuitSpec,
     haar_entropy_reference,
@@ -99,10 +99,12 @@ def _list(item, distinct=1):
 
 
 def _path(value, name):
-    """Kind: a non-empty string naming a file in an existing directory."""
+    """Kind: a non-empty string naming a file, not a directory, in an
+    existing directory."""
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
     try:
+        click.Path(dir_okay=False).convert(value, None, None)
         click.Path(exists=True, file_okay=False).convert(
             value.rpartition("/")[0] or ".", None, None)
     except click.BadParameter as exc:
@@ -451,7 +453,7 @@ def resources(config_path, output, seed):
         chains = _chains(c, scan["sizes"])
         if "qite" in scan["backends"]:  # the seed of its input states
             base_seed = c.read("random_circuit", "seed")["seed"]
-            qspec = QiteSpec(scan["beta"],
+            qspec = QiteSpec((scan["beta"],),
                              **c.read("resources", *_KIND_KEYS["qite"]))
             qspec.resolved_domain(min(scan["sizes"]))
     rows = []
@@ -460,7 +462,9 @@ def resources(config_path, output, seed):
             n = lattice.n_sites
             h_pauli = build_heisenberg(lattice)
             if kind == "qite":
-                # each build evolves its own Haar state, sampled untimed
+                # each build evolves its own Haar state, sampled untimed once
+                # one column's evolution is known to fit
+                beta_groups(qspec, h_pauli, n, 1)
                 inputs = [sample_haar_state(n, base_seed + i)
                           .amps[:, None] for i in range(3)]
 

@@ -7,13 +7,14 @@ scaled by its largest entry s, which is read off the eigenbasis diagonal.
 
 Every filter whose post-selected branch is a function of Q is diagonal in the
 eigenbasis V of H, which is real for the real-symmetric Hamiltonians built
-here, so each is one array of weights on H's spectrum, one row per beta:
-`thermal_weights` is the exact filter, and `scaled_weights` turns it into the
-eigenvalues q of Q/s, from which the dilation's branch is sin(eps q) and an
-exact FABLE encoding's q / 2^N.  They are simulated on a (2^n, R) batch of
-column states: the batch enters once as C = V^dagger Psi, each row of weights
-only rescales the rows of C, and a filtered batch leaves as V times the
-rescaled coefficients, or not at all when only its energy is wanted.  Both
+here, so each is one array of weights on H's spectrum, in the block order
+of `DenseHermitian`, one row per beta: `thermal_weights` is the exact
+filter, and `scaled_weights` turns it into the eigenvalues q of Q/s, from
+which the dilation's branch is sin(eps q) and an exact FABLE encoding's
+q / 2^N.  They are simulated on a (2^n, R) batch of column states: the batch
+enters once as C = V^dagger Psi, each row of weights only rescales the rows
+of C, and a filtered batch leaves as V times the rescaled coefficients, or
+not at all when only its energy is wanted.  Both
 transforms go through H's symmetry blocks (`DenseHermitian.to_eigenbasis` and
 `from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
 `apply_dilated` filters one state and also returns its post-selection
@@ -36,14 +37,14 @@ from .statevector import StateVector
 
 
 def thermal_weights(h: DenseHermitian, betas) -> np.ndarray:
-    """e^{-beta (lambda - lambda_min) / 2} on H's ascending spectrum, all in
-    (0, 1]: the exact filter, one row per beta of a 1-D `betas` (one row for
-    a scalar)."""
+    """e^{-beta (lambda - lambda_min) / 2} on H's spectrum in block order, all
+    in (0, 1]: the exact filter, one row per beta of a 1-D `betas` (one row
+    for a scalar)."""
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0):
         raise ValueError("beta must be >= 0")
     vals = h.eigenvalues
-    return np.exp(np.multiply.outer(-betas, vals - vals[0]) / 2.0)
+    return np.exp(np.multiply.outer(-betas, vals - vals.min()) / 2.0)
 
 
 def scaled_weights(h: DenseHermitian, weights: np.ndarray) -> np.ndarray:

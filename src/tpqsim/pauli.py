@@ -20,7 +20,10 @@ reversal-even and reversal-odd blocks, four of about 2^(n-2), whose rows one
 fold lays out from each sector's reversal pairs and palindromes.  States enter
 and leave the eigenbasis through one Walsh-Hadamard transform, one gather pair
 (a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full 2^n x 2^n
-matrices are assembled only where they are read.
+matrices are assembled only where they are read.  The eigenbasis is kept in
+block order, each block's eigenpairs after the previous block's, and is never
+sorted: what is read off it, sums over eigenstates and the ground energy as
+the spectrum's min, needs no order.
 """
 
 from __future__ import annotations
@@ -290,12 +293,16 @@ class DenseHermitian:
     a[i1[k]] + w2[k] a[i2[k]], and `bounds` the first row of each block and
     the end; `eigenpairs` holds each diagonal block of F (W) H (W) F^T as
     (eigenvalues ascending, eigenvectors U) from numpy's eigh (LAPACK's
-    ?syevd/?heevd), the block itself dropped by `to_dense`.  U is float64
-    when every term is real (an even number of Y letters), else complex128.
-    The filters move batches of states in and out of the eigenbasis through
-    the U (`to_eigenbasis`, `from_eigenbasis`): one Walsh-Hadamard transform,
-    one gather pair of F or F^T and one product per block.  The full H is
-    never assembled, and its eigenvector matrix V (`eig`) only where read.
+    ?syevd/?heevd), the block itself dropped by `to_dense`.  The eigenbasis
+    is in block order: eigenvalue k, column k of V and row k of the
+    coefficients belong to the block whose `bounds` slice holds k, so the
+    spectrum as a whole is not sorted and its ground energy is its min.
+    U is float64 when every term is real (an even number of Y letters),
+    else complex128.  The filters move batches of states in and out of the
+    eigenbasis through the U (`to_eigenbasis`, `from_eigenbasis`): one
+    Walsh-Hadamard transform, one gather pair of F or F^T and one product
+    per block.  The full H is never assembled, and its eigenvector matrix V
+    (`eig`) only where read.
     """
 
     n_qubits: int
@@ -314,43 +321,31 @@ class DenseHermitian:
         return [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
 
     @cached_property
-    def _ranks(self) -> list[np.ndarray]:
-        """Each block eigenvalue's position in the ascending spectrum, ties
-        in block order."""
-        vals = np.concatenate([v for v, _ in self.eigenpairs])
-        ranks = np.empty(len(vals), dtype=np.intp)
-        ranks[np.argsort(vals, kind="stable")] = np.arange(len(vals))
-        return np.split(ranks, self.bounds[1:-1])
-
-    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """The blocks' spectra merged in ascending order."""
-        vals = np.empty(self.dim)
-        for rank, (block_vals, _) in zip(self._ranks, self.eigenpairs):
-            vals[rank] = block_vals
-        return vals
+        """The blocks' spectra, block by block."""
+        return np.concatenate([vals for vals, _ in self.eigenpairs])
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, orthonormal eigenvector columns V).
+        """(eigenvalues, orthonormal eigenvector columns V), in block order.
 
         V = W F^T blockdiag(U) is assembled in place: each block's
-        eigenvectors U are scattered, weighted by its rows of F, into one
-        2^n x 2^n matrix, which one Walsh-Hadamard transform rotates back, in
-        O(n 4^n) and with no other temporary of its size.  Raises
-        DimensionOverflow, before allocating, when V alone would exceed the
-        machine's physical memory.
+        eigenvectors U are scattered, weighted by its rows of F, into its
+        columns of one 2^n x 2^n matrix, which one Walsh-Hadamard transform
+        rotates back, in O(n 4^n) and with no other temporary of its size.
+        Raises DimensionOverflow, before allocating, when V alone would
+        exceed the machine's physical memory.
         """
         dtype = self.eigenpairs[0][1].dtype
         _check_budget(dtype.itemsize * self.dim**2,
                       f"the eigenvectors of H on n={self.n_qubits} qubits")
         vecs = np.zeros((self.dim, self.dim), dtype)
         rows = _block_rows(self.forward, self.bounds)
-        for (i1, i2, w1, w2), rank, (_, u) in zip(rows, self._ranks,
+        for (i1, i2, w1, w2), cols, (_, u) in zip(rows, self._slices,
                                                   self.eigenpairs):
             # a palindrome's row repeats i1 as i2 with weight 0: i1 goes last
-            vecs[np.ix_(i2, rank)] = w2[:, None] * u
-            vecs[np.ix_(i1, rank)] = w1[:, None] * u
+            vecs[i2, cols] = w2[:, None] * u
+            vecs[i1, cols] = w1[:, None] * u
         if self.rotated:
             walsh_hadamard(vecs)
         return self.eigenvalues, vecs
@@ -361,35 +356,32 @@ class DenseHermitian:
 
     def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
         """C = V^dagger amps for a (2^n, m) batch of column states, rows in
-        ascending-eigenvalue order: one Walsh-Hadamard transform of the
-        batch, one gather pair of F, then one product per block."""
+        block order: one Walsh-Hadamard transform of the batch, one gather
+        pair of F, then one product per block, in place."""
         batch = np.array(amps, dtype=complex)
         if self.rotated:
             walsh_hadamard(batch)
-        folded = _gather(self.forward, batch)
-        coeffs = np.empty(batch.shape, dtype=complex)
-        for rows, rank, (_, u) in zip(self._slices, self._ranks,
-                                      self.eigenpairs):
-            coeffs[rank] = _product(u, folded[rows], adjoint=True)
+        coeffs = _gather(self.forward, batch)
+        for rows, (_, u) in zip(self._slices, self.eigenpairs):
+            coeffs[rows] = _product(u, coeffs[rows], adjoint=True)
         return coeffs
 
     def from_eigenbasis(self, coeffs: np.ndarray) -> np.ndarray:
         """V C for (2^n, m) eigenbasis coefficients: the inverse of
         `to_eigenbasis`."""
         folded = np.empty(coeffs.shape, dtype=complex)
-        for rows, rank, (_, u) in zip(self._slices, self._ranks,
-                                      self.eigenpairs):
-            folded[rows] = _product(u, coeffs[rank])
+        for rows, (_, u) in zip(self._slices, self.eigenpairs):
+            folded[rows] = _product(u, coeffs[rows])
         amps = _gather(self.backward, folded)
         if self.rotated:
             walsh_hadamard(amps)
         return amps
 
     def diagonal_in_eigenbasis(self, a: PauliSum) -> np.ndarray | None:
-        """<v_k|A|v_k> for every eigenvector, in ascending-eigenvalue order,
-        when every term of A has flip mask 0 in the blocks' basis (X-only
-        strings, such as the transverse magnetization, when H is rotated);
-        None for any other A.
+        """<v_k|A|v_k> for every eigenvector, in block order, when every term
+        of A has flip mask 0 in the blocks' basis (X-only strings, such as
+        the transverse magnetization, when H is rotated); None for any
+        other A.
 
         A's diagonal d there is read per block, as the sum over its rows a of
         |U_ak|^2 times the mean of d over a's reversal orbit,
@@ -402,9 +394,8 @@ class DenseHermitian:
         d = _diagonal(groups.get(0, []), np.arange(self.dim))
         orbit_mean = w1**2 * d[i1] + w2**2 * d[i2]
         diag = np.empty(self.dim)
-        for rows, rank, (_, u) in zip(self._slices, self._ranks,
-                                      self.eigenpairs):
-            diag[rank] = orbit_mean[rows] @ np.abs(u) ** 2
+        for rows, (_, u) in zip(self._slices, self.eigenpairs):
+            diag[rows] = orbit_mean[rows] @ np.abs(u) ** 2
         return diag
 
 

@@ -37,12 +37,20 @@ def kron_matrix(terms, n):
     return ref
 
 
+def ascending(dense):
+    """The eigenbasis indices of a DenseHermitian by ascending eigenvalue,
+    ties in block order: its eigenbasis is kept block by block, unsorted, so
+    [0] names a ground state and [-1] a top state."""
+    return np.argsort(dense.eigenvalues, kind="stable")
+
+
 def thermal_scale(h, beta):
     """s such that e^{-beta H / 2} = s * scaled_filter(h, beta): the shifted
     filter's weight on the ground state is 1, so Q/s has 1/s there."""
-    lam_min = float(h.eigenvalues[0])
+    ground = ascending(h)[0]
     scaled = scaled_weights(h, thermal_weights(h, beta))
-    return math.exp(-beta * lam_min / 2.0) / scaled[0]
+    lam_min = float(h.eigenvalues[ground])
+    return math.exp(-beta * lam_min / 2.0) / scaled[ground]
 
 
 def thermal_matrix(h, beta):

@@ -435,11 +435,32 @@ def test_bad_overrides_are_config_errors(runner, tmp_path, args):
 
 
 def test_unwritable_output_is_config_error(runner, tmp_path):
+    # a file name longer than any file system allows passes the checks on
+    # the path and fails only when the CSV is written
     cfg = sweep_config(tmp_path)
-    result = runner.invoke(main, ["sweep-beta", cfg, "-o", str(tmp_path)])
+    result = runner.invoke(main, ["sweep-beta", cfg,
+                                  "-o", str(tmp_path / ("x" * 300))])
     assert result.exit_code == 1
     assert "config error: cannot write output:" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("via_option", [False, True])
+def test_output_directory_is_refused_before_compute(runner, tmp_path,
+                                                    monkeypatch, via_option):
+    # an existing directory has an existing parent; writing to it used to
+    # fail only after the whole run
+    calls, run = [], tpqsim.cli.run_ensemble
+    monkeypatch.setattr("tpqsim.cli.run_ensemble",
+                        lambda *args: calls.append(args) or run(*args))
+    (tmp_path / "outdir").mkdir()
+    cfg = sweep_config(tmp_path, out_name="outdir")
+    args = ["-o", str(tmp_path / "outdir") + "/"] if via_option else []
+    result = runner.invoke(main, ["sweep-beta", cfg, *args])
+    assert result.exit_code == 1, result.output
+    assert "config error: output.path: " in result.output
+    assert "is a directory" in result.output
+    assert calls == [] and list((tmp_path / "outdir").iterdir()) == []
 
 
 @pytest.mark.parametrize("subcommand,body", [
@@ -782,6 +803,30 @@ def test_qite_fit_beyond_its_budget_is_backend_failure(runner, tmp_path,
     assert ("backend failure: the QITE fit on a 10-qubit window"
             in result.output)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_resources_qite_beyond_its_budget_samples_no_input(runner, tmp_path,
+                                                           monkeypatch):
+    # one byte short of one column's evolution: refused before any of the
+    # three input states is drawn
+    h = tpqsim.build_heisenberg(tpqsim.LatticeSpec(1, (4,)))
+    pages = {"SC_PAGE_SIZE": 1,
+             "SC_PHYS_PAGES": tpqsim.qite._evolve_bytes(4, 2, 1, len(h)) - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    calls, sample = [], tpqsim.cli.sample_haar_state
+    monkeypatch.setattr("tpqsim.cli.sample_haar_state",
+                        lambda *args: calls.append(args) or sample(*args))
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [4]},
+        "resources": {"sizes": [4], "backends": ["qite"], "n_steps": 1,
+                      "domain": 2},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["resources", cfg])
+    assert result.exit_code == 2, result.output
+    assert ("backend failure: the QITE fit on a 2-qubit window"
+            in result.output)
+    assert calls == [] and not (tmp_path / "x.csv").exists()
 
 
 def qite_sweep_bytes(columns):

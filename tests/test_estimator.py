@@ -36,6 +36,7 @@ from tpqsim.statevector import (
 )
 
 from conftest import (
+    ascending,
     expm_filter,
     fable_branch,
     kron_matrix,
@@ -60,7 +61,7 @@ def test_ensemble_beta_zero_is_normalized_trace(dense2, chain2):
 def test_ensemble_large_beta_is_ground_state(dense2, chain2):
     h = build_heisenberg(chain2)
     assert ensemble_expectation(dense2, h, 50.0) == pytest.approx(
-        dense2.eigenvalues[0], abs=1e-8)
+        dense2.eigenvalues[ascending(dense2)[0]], abs=1e-8)
 
 
 def test_ensemble_against_direct_matrix_oracle(dense2, chain2):
@@ -317,7 +318,7 @@ def test_magnetization_run_assembles_no_full_matrix(monkeypatch, extents):
     via_v = expectations(vecs, mx)
     assert np.max(np.abs(dense.diagonal_in_eigenbasis(mx) - via_v)) < 1e-12
     betas = (0.0, 0.2, 1.0, 3.0)
-    w = np.exp(-np.multiply.outer(betas, vals - vals[0]))
+    w = np.exp(-np.multiply.outer(betas, vals - vals.min()))
     ref = w @ via_v / w.sum(axis=1)
 
     def forbidden(*args):
@@ -406,7 +407,8 @@ def test_batched_filters_raise_zero_probability(chain2, backend, beta,
     h = build_heisenberg(chain2)
     dense = to_dense(h, 2)
     states = np.stack([sample_haar_state(2, 1).amps,
-                       dense.eigenvectors[:, -1].astype(complex)], axis=1)
+                       dense.eigenvectors[:, ascending(dense)[-1]]
+                       .astype(complex)], axis=1)
     spec = TpqRunSpec(chain2, (0.5, beta), backend=backend,
                       observable=magnetization_x(chain2) if magnetization
                       else None)

@@ -25,6 +25,7 @@ from tpqsim.statevector import StateVector
 from tpqsim.random_state import sample_haar_state
 
 from conftest import (
+    ascending,
     expm_filter,
     kron_matrix,
     postselect,
@@ -125,7 +126,7 @@ def test_large_beta_projects_onto_ground_state(chain3):
     h = to_dense(build_heisenberg(chain3), 3)
     psi = sample_haar_state(3, 4)
     out = exact_run_filter(h, 50.0, psi)
-    ground = h.eigenvectors[:, 0]
+    ground = h.eigenvectors[:, ascending(h)[0]]
     assert abs(np.vdot(ground, out)) ** 2 > 0.999
 
 

@@ -25,7 +25,7 @@ from tpqsim.statevector import _apply_gate, gate_matrix
 from tpqsim.circuit import Gate
 from tpqsim.random_state import sample_haar_state
 
-from conftest import circuit_unitary, kron_chain, postselect
+from conftest import ascending, circuit_unitary, kron_chain, postselect
 
 
 def test_h_on_zero():
@@ -161,17 +161,18 @@ def test_expectation_basics():
 def test_ground_state_energy_matches_diagonalization(chain2):
     h = build_heisenberg(chain2)
     dense = to_dense(h, 2)
-    ground = dense.eigenvectors[:, 0]
-    assert expectations(ground, h) == pytest.approx(dense.eigenvalues[0],
-                                                    abs=1e-10)
+    ground = ascending(dense)[0]
+    assert expectations(dense.eigenvectors[:, ground], h) == pytest.approx(
+        dense.eigenvalues[ground], abs=1e-10)
 
 
 def test_expectation_within_spectral_range(chain3):
     h = build_heisenberg(chain3)
     dense = to_dense(h, 3)
+    lo, hi = dense.eigenvalues[ascending(dense)[[0, -1]]]
     for seed in range(10):
         val = expectations(sample_haar_state(3, seed).amps, h)
-        assert dense.eigenvalues[0] - 1e-10 <= val <= dense.eigenvalues[-1] + 1e-10
+        assert lo - 1e-10 <= val <= hi + 1e-10
 
 
 def test_postselect_product_state():
