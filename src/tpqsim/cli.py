@@ -32,17 +32,18 @@ from .estimator import (
     realization_seeds,
     squared_error_scan,
 )
-from .fable import fable_encode
+from .fable import check_fable_fits, fable_encode
 from .lattice import LatticeSpec, build_heisenberg, magnetization_x
 from .nonunitary import (
     apply_dilated,
+    check_omega_fits,
     dilated_cnot_count,
     dilated_omega,
     scaled_filter,
     scaled_weights,
     thermal_weights,
 )
-from .pauli import to_dense
+from .pauli import dense_dtype, to_dense
 from .qite import QiteSpec, beta_groups, qite_circuit, qite_evolve
 from .random_state import (
     RandomCircuitSpec,
@@ -473,7 +474,13 @@ def resources(config_path, output, seed):
                                                  lattice)[1]
                     return qite_circuit((labels, thetas[0]), n)
             else:
-                # each build starts from the Pauli sum: no shared eigenbasis
+                # refused before any diagonalization when the artifact does
+                # not fit; each build starts from the Pauli sum: no shared
+                # eigenbasis
+                if kind == "dilated":
+                    check_omega_fits(n, dense_dtype(h_pauli))
+                else:
+                    check_fable_fits(n)
                 inputs = [h_pauli] * 3
 
                 def build(h):

@@ -10,17 +10,18 @@ filters are all diagonal in H's eigenbasis, each one (n_beta, 2^n) array of
 weights on H's spectrum built once per run (`_in_eigenbasis`; a run's FABLE
 encoding is exact, so its branch is (Q/s) psi / 2^N): they move the batch
 into that basis once per run, through H's symmetry blocks (parity and
-qubit-order reversal), and only rescale its rows per beta.  The energy is then read off in that basis
-for all betas at once, and its reference from the eigenvalues alone, so an
-exact energy run never assembles the 2^n x 2^n eigenvectors; nor does the
-reference of an observable diagonal in the blocks' basis, such as
-`magnetization_x`.  Any other observable, or a finite shot budget, takes one
-back-transform per beta.  No FABLE circuit is synthesized here.  QITE fits
-state-dependent rotations: a sweep evolves its states once, tiled once per
-beta into one (2^n, R n_beta) batch in which each column has its own beta and
-its own fits; when that batch's evolution exceeds physical memory, the betas
-are split into the fewest groups that fit (`qite.beta_groups`).  The exact
-canonical ensemble value Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense
+qubit-order reversal), and only rescale its rows per beta.  The energy is
+then read off in that basis for all betas at once, and its reference from
+the eigenvalues alone.  No run assembles the 2^n x 2^n eigenvectors V: the
+dilated and FABLE scale, and the reference of an observable not diagonal in
+the blocks' basis, read V a slab of columns at a time.  Any other
+observable, or a finite shot budget, takes one back-transform per beta.  No
+FABLE circuit is synthesized here.  QITE fits state-dependent rotations: a
+sweep evolves its states once, tiled once per beta into one (2^n, R n_beta)
+batch in which each column has its own beta and its own fits; when that
+batch's evolution exceeds physical memory, the betas are split into the
+fewest groups that fit (`qite.beta_groups`).  The exact canonical ensemble
+value Tr[e^{-beta H} A] / Tr[e^{-beta H}] from the dense
 eigenbasis is attached as a reference.
 
 Reproducibility: realization r uses the circuit seed drawn from
@@ -156,14 +157,15 @@ def ensemble_expectation(h: DenseHermitian, a: PauliSum | None,
     `beta` is a scalar (float result) or a 1-D sequence (one per beta); any
     other A's <v_k|A|v_k> is computed once per call: read off the blocks'
     eigenvectors when A is diagonal in their basis (`magnetization_x` when
-    H is rotated), and otherwise from the full eigenvectors, whose bytes
-    `apply_pauli_sum` checks first.
+    H is rotated), and otherwise by `expectations` on each slab of V's
+    columns (`DenseHermitian.slabs`), whose bytes `apply_pauli_sum` checks.
     """
     w = thermal_weights(h, beta) ** 2
     if a is None:
         diag = h.eigenvalues
     elif (diag := h.diagonal_in_eigenbasis(a)) is None:
-        diag = expectations(h.eigenvectors, a)
+        diag = np.concatenate([expectations(slab, a)
+                               for _, slab in h.slabs()])
     ref = w @ diag / w.sum(axis=-1)
     return float(ref) if ref.ndim == 0 else ref
 

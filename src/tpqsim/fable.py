@@ -79,6 +79,13 @@ def fable_circuit(phi: np.ndarray, n: int, prune: bool = False) -> Circuit:
     return circuit
 
 
+def check_fable_fits(n: int) -> None:
+    """Raise DimensionOverflow when the unpruned FABLE circuit of a 2^n x 2^n
+    matrix, 2 * 4^n + 3n gates, would exceed physical memory."""
+    _check_budget(_GATE_BYTES * (2 * 4**n + 3 * n),
+                  f"the FABLE circuit on n={n} qubits")
+
+
 def fable_encode(a: np.ndarray, compression_tol: float = 0.0) -> Circuit:
     """Synthesize the block-encoding circuit of the real matrix `a`, of side
     2^N for some N >= 1, with subnormalization 2^N.
@@ -87,9 +94,9 @@ def fable_encode(a: np.ndarray, compression_tol: float = 0.0) -> Circuit:
     prunes those at or below the tolerance (approximate encoding); the
     default keeps the circuit exact.  Raises ValueError for a matrix with a
     nonzero imaginary part, or not square with a side that is a power of two;
-    DimensionOverflow, before synthesizing, when the unpruned circuit's
-    2 * 4^N + 3N gates would exceed the machine's physical memory; and
-    EntryOutOfRange when an entry leaves [-1, 1] or is nan.
+    DimensionOverflow, before synthesizing, when the unpruned circuit does
+    not fit (`check_fable_fits`); and EntryOutOfRange when an entry leaves
+    [-1, 1] or is nan.
     """
     a = np.asarray(a)
     side = a.shape[0] if a.ndim == 2 else 0
@@ -99,8 +106,7 @@ def fable_encode(a: np.ndarray, compression_tol: float = 0.0) -> Circuit:
     if np.iscomplexobj(a) and np.any(a.imag):
         raise ValueError("FABLE encodes a real matrix")
     n = side.bit_length() - 1
-    _check_budget(_GATE_BYTES * (2 * 4**n + 3 * n),
-                  f"the FABLE circuit on n={n} qubits")
+    check_fable_fits(n)
     a = np.asarray(a.real, dtype=float)
     if not np.all(np.abs(a) <= 1.0 + 1e-12):  # a nan entry fails too
         raise EntryOutOfRange("matrix entries must lie in [-1, 1]")

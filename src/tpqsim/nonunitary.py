@@ -18,11 +18,13 @@ not at all when only its energy is wanted.  Both
 transforms go through H's symmetry blocks (`DenseHermitian.to_eigenbasis` and
 `from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
 `apply_dilated` filters one state and also returns its post-selection
-probability and fidelity.  The full V is assembled only for the scale s of
-Q/s, which the dilated and FABLE filters need; the dilated unitary Omega is
-built only by `dilated_omega`, the unitarity oracle and the artifact whose
-synthesis the `resources` subcommand times, and the dense Q/s only by
-`scaled_filter`, the matrix that `resources` block-encodes.
+probability and fidelity.  The scale s of Q/s, which the dilated and FABLE
+filters need, is read from V a slab of columns at a time; the full V is
+assembled only with the dense artifacts that are 4^n themselves: the
+dilated unitary Omega, built only by `dilated_omega`, the unitarity oracle
+and the artifact whose synthesis the `resources` subcommand times, and the
+dense Q/s, built only by `scaled_filter`, the matrix that `resources`
+block-encodes.
 """
 
 from __future__ import annotations
@@ -52,12 +54,17 @@ def scaled_weights(h: DenseHermitian, weights: np.ndarray) -> np.ndarray:
     w_k: for the exact filter's rows, the eigenvalues of Q/s.
 
     The shifted Q = V diag(w) V^dagger is positive definite, so |Q_ij| <=
-    sqrt(Q_ii Q_jj) and its largest entry s is its largest diagonal one,
-    summed in O(4^n) per row without a 2^n x 2^n temporary.
+    sqrt(Q_ii Q_jj) and its largest entry s is its largest diagonal one.
+    Every row's diagonal is summed at once, slab by slab of V's columns
+    (`DenseHermitian.slabs`): each slab is squared in place and multiplied
+    by its columns of the rows, in one product, so V is never whole.
     """
-    vecs = h.eigenvectors
-    scales = [np.max(np.einsum("ik,ik,k->i", vecs, vecs.conj(), w).real)
-              for w in np.reshape(weights, (-1, h.dim))]
+    rows = np.reshape(weights, (-1, h.dim))
+    diagonals = np.zeros((h.dim, len(rows)))
+    for cols, slab in h.slabs():
+        probs = np.abs(slab) if np.iscomplexobj(slab) else slab
+        diagonals += np.square(probs, out=probs) @ rows[:, cols].T
+    scales = diagonals.max(axis=0)
     return weights / np.reshape(scales, np.shape(weights)[:-1] + (1,))
 
 
@@ -109,6 +116,15 @@ def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
     return (w2 * h.eigenvalues) @ probs / sq_norms
 
 
+def check_omega_fits(n: int, dtype: np.dtype) -> None:
+    """Raise DimensionOverflow when `dilated_omega` on n system qubits, with
+    H's eigenvectors of `dtype`, would exceed physical memory: V and what
+    builds Omega take at most 6.6 matrices of H's size at 7 and 8 sites,
+    Omega being 4."""
+    _check_budget(7 * np.dtype(dtype).itemsize * 4**n,
+                  f"the dilated unitary on n={n} + 1 qubits")
+
+
 def dilated_omega(h: DenseHermitian, beta: float, epsilon: float) -> np.ndarray:
     """exp(i eps [[0, -iQ'], [iQ', 0]]) = [[cos(eps Q'), sin(eps Q')],
     [-sin(eps Q'), cos(eps Q')]] for Q' = Q/s, with the ancilla as the most
@@ -116,14 +132,12 @@ def dilated_omega(h: DenseHermitian, beta: float, epsilon: float) -> np.ndarray:
 
     Each block is computed into its quadrant of the preallocated Omega.
     Raises ValueError unless epsilon > 0, and DimensionOverflow, before
-    allocating, when V and what builds Omega (at most 6.6 matrices of H's
-    size at 7 and 8 sites, Omega being 4) exceed physical memory.
+    allocating, when Omega does not fit (`check_omega_fits`).
     """
     weights = thermal_weights(h, beta)
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    _check_budget(7 * h.eigenpairs[0][1].itemsize * h.dim**2,
-                  f"the dilated unitary on n={h.n_qubits} + 1 qubits")
+    check_omega_fits(h.n_qubits, h.eigenpairs[0][1].dtype)
     vecs = h.eigenvectors
     angles = epsilon * scaled_weights(h, weights)
     omega = np.empty((2 * h.dim, 2 * h.dim), vecs.dtype)

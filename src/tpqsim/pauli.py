@@ -19,8 +19,9 @@ of size 2^(n-1); a sum invariant under the qubit-order reversal q -> n - 1 - q
 reversal-even and reversal-odd blocks, four of about 2^(n-2), whose rows one
 fold lays out from each sector's reversal pairs and palindromes.  States enter
 and leave the eigenbasis through one Walsh-Hadamard transform, one gather pair
-(a[s] +- a[r(s)]) / sqrt(2) and one product per block; the full 2^n x 2^n
-matrices are assembled only where they are read.  The eigenbasis is kept in
+(a[s] +- a[r(s)]) / sqrt(2) and one product per block; the eigenvector
+matrix is read a slab of columns at a time, and a full 2^n x 2^n matrix is
+assembled only where one is the result.  The eigenbasis is kept in
 block order, each block's eigenpairs after the previous block's, and is never
 sorted: what is read off it, sums over eigenstates and the ground energy as
 the spectrum's min, needs no order.
@@ -301,8 +302,9 @@ class DenseHermitian:
     else complex128.  The filters move batches of states in and out of the
     eigenbasis through the U (`to_eigenbasis`, `from_eigenbasis`): one
     Walsh-Hadamard transform, one gather pair of F or F^T and one product
-    per block.  The full H is never assembled, and its eigenvector matrix V
-    (`eig`) only where read.
+    per block.  The full H is never assembled; its eigenvector matrix V is
+    read in narrow slabs of columns (`slabs`), and assembled whole (`eig`)
+    only for the dense artifacts that are 4^n themselves.
     """
 
     n_qubits: int
@@ -325,29 +327,48 @@ class DenseHermitian:
         """The blocks' spectra, block by block."""
         return np.concatenate([vals for vals, _ in self.eigenpairs])
 
+    def slabs(self):
+        """Yield (cols, V[:, cols]) for slices `cols` that cover the columns
+        of V = W F^T blockdiag(U) in order, each within one block: its U
+        columns scattered through the block's rows of F into a zeroed
+        (2^n, width) array, rotated back by one Walsh-Hadamard transform.
+
+        A slab is 2^n / 32 columns wide: with the transform's ufunc buffers
+        (up to about 1.5 slabs on a narrow strided array) it stays near a
+        tenth of V, inside the block and eigh workspace that `to_dense`
+        counted and freed, four of the largest of at most four blocks, so
+        4^n / 4 entries or more.  It is at least 8 wide, because each slab
+        costs about 4n numpy calls: below 8 sites, where 8 columns are a
+        few KiB, this keeps the slabs few.
+        """
+        dtype = self.eigenpairs[0][1].dtype
+        width = max(8, self.dim // 32)
+        rows = _block_rows(self.forward, self.bounds)
+        for (i1, i2, w1, w2), block, (_, u) in zip(rows, self._slices,
+                                                   self.eigenpairs):
+            for lo in range(0, u.shape[1], width):
+                part = u[:, lo:lo + width]
+                slab = np.zeros((self.dim, part.shape[1]), dtype)
+                # a palindrome's row repeats i1 as i2 with weight 0: i1 last
+                slab[i2] = w2[:, None] * part
+                slab[i1] = w1[:, None] * part
+                if self.rotated:
+                    walsh_hadamard(slab)
+                start = block.start + lo
+                yield slice(start, start + part.shape[1]), slab
+
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, orthonormal eigenvector columns V), in block order.
-
-        V = W F^T blockdiag(U) is assembled in place: each block's
-        eigenvectors U are scattered, weighted by its rows of F, into its
-        columns of one 2^n x 2^n matrix, which one Walsh-Hadamard transform
-        rotates back, in O(n 4^n) and with no other temporary of its size.
-        Raises DimensionOverflow, before allocating, when V alone would
-        exceed the machine's physical memory.
+        """(eigenvalues, orthonormal eigenvector columns V), in block order,
+        V filled from `slabs`.  Raises DimensionOverflow, before allocating,
+        when V alone would exceed the machine's physical memory.
         """
         dtype = self.eigenpairs[0][1].dtype
         _check_budget(dtype.itemsize * self.dim**2,
                       f"the eigenvectors of H on n={self.n_qubits} qubits")
-        vecs = np.zeros((self.dim, self.dim), dtype)
-        rows = _block_rows(self.forward, self.bounds)
-        for (i1, i2, w1, w2), cols, (_, u) in zip(rows, self._slices,
-                                                  self.eigenpairs):
-            # a palindrome's row repeats i1 as i2 with weight 0: i1 goes last
-            vecs[i2, cols] = w2[:, None] * u
-            vecs[i1, cols] = w1[:, None] * u
-        if self.rotated:
-            walsh_hadamard(vecs)
+        vecs = np.empty((self.dim, self.dim), dtype)
+        for cols, slab in self.slabs():
+            vecs[:, cols] = slab
         return self.eigenvalues, vecs
 
     @property
@@ -424,6 +445,14 @@ def _block(groups: dict[int, _Group],
     return block
 
 
+def dense_dtype(p: PauliSum) -> np.dtype:
+    """The dtype of the blocks and eigenvectors `to_dense` builds for p:
+    float64 when every string has an even number of Y letters, whose phases
+    are +-1, else complex128."""
+    real = all(sum(o == "Y" for _, o in t.operators) % 2 == 0 for t in p)
+    return np.dtype(float if real else complex)
+
+
 def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     """Diagonalize a PauliSum block by block, keeping only the eigenpairs.
 
@@ -436,8 +465,8 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     q -> n - 1 - q, found from its masks, each sector splits into its
     reversal-even and reversal-odd blocks (see `_fold`, whose bounds give the
     block sizes): four blocks of about 2^(n-2) for every XYZ + hx chain or
-    grid.  A string with an even number of Y letters has phases +-1, so a sum
-    of such strings is built real, as float64, and any other sum complex.  The
+    grid.  A sum of strings with an even number of Y letters is built real,
+    as float64, and any other sum complex (`dense_dtype`).  The
     terms sharing a flip mask fill one diagonal, scattered once into each
     block: O(|terms| 2^n) plus the allocation, and each block is handed to
     eigh as soon as it is built and dropped, so no two blocks are alive at
@@ -453,12 +482,11 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     if not math.isfinite(spread):
         raise TpqsimError(f"the Hamiltonian's spectrum may spread over "
                           f"2 sum |c| = {spread}, which overflows float64")
-    real = all(sum(o == "Y" for _, o in t.operators) % 2 == 0 for t in p)
     rotated = n >= 1 and all(sum(o != "X" for _, o in t.operators) % 2 == 0
                              for t in p)
     groups = _flip_groups(p, n, rotated)
     reflected = _reversal_invariant(groups, n)
-    dtype = np.dtype(float if real else complex)
+    dtype = dense_dtype(p)
 
     def check_budget(sizes):
         largest = max(sizes)**2

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -5,9 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tpqsim import LatticeSpec, ZeroProbability, qite_evolve
+from tpqsim import (
+    LatticeSpec,
+    PauliSum,
+    PauliTerm,
+    ZeroProbability,
+    build_heisenberg,
+    qite_evolve,
+)
 from tpqsim.nonunitary import scaled_filter, scaled_weights, thermal_weights
-from tpqsim.pauli import _diagonal, _masks
+from tpqsim.pauli import DenseHermitian, _diagonal, _masks
 from tpqsim.statevector import StateVector, _apply_gate, apply_circuit
 
 # kron helpers for independent dense oracles (qubit 0 = least significant,
@@ -51,6 +59,86 @@ def thermal_scale(h, beta):
     scaled = scaled_weights(h, thermal_weights(h, beta))
     lam_min = float(h.eigenvalues[ground])
     return math.exp(-beta * lam_min / 2.0) / scaled[ground]
+
+
+def random_pauli_sum(n, count, seed):
+    """X0 Y1 Z2, whose single Y makes the sum complex, plus `count` random
+    strings of 1 to 5 letters drawn from X, Y and Z."""
+    rng = np.random.default_rng(seed)
+    terms = [PauliTerm(0.3, ((0, "X"), (1, "Y"), (2, "Z")))]
+    for _ in range(count):
+        k = int(rng.integers(1, min(n, 5) + 1))
+        qubits = rng.choice(n, size=k, replace=False).tolist()
+        letters = rng.choice(list("XYZ"), size=k).tolist()
+        terms.append(PauliTerm(rng.normal(), tuple(zip(qubits, letters))))
+    return PauliSum(tuple(terms))
+
+
+def even_y(h):
+    return PauliSum(tuple(t for t in h
+                          if sum(o == "Y" for _, o in t.operators) % 2 == 0))
+
+
+# 20 strings on 3 qubits share flip masks; the even-Y sum is real
+RANDOM_SUMS = {"random3": (random_pauli_sum(3, 20, 1), 3),
+               "random5": (random_pauli_sum(5, 12, 0), 5),
+               "random5_even_y": (even_y(random_pauli_sum(5, 12, 0)), 5)}
+
+
+BLOCK_CASES = {
+    # every XYZ + hx chain or grid: two parity sectors, each split by the
+    # qubit-order reversal (a chain's mirror, a grid's 180-degree rotation)
+    "chain8": (build_heisenberg(LatticeSpec(1, (8,))), 8, 4),
+    "chain5": (build_heisenberg(LatticeSpec(1, (5,))), 5, 4),
+    "grid3x2": (build_heisenberg(LatticeSpec(2, (3, 2))), 6, 4),
+    "grid3x3": (build_heisenberg(LatticeSpec(2, (3, 3))), 9, 4),
+    # a uniform Z field keeps the reversal but anticommutes with prod_i X_i:
+    # two real blocks, unrotated
+    "uniform_z": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
+                           + tuple(PauliTerm(0.7, ((q, "Z"),))
+                                   for q in range(4))), 4, 2),
+    # mirrored Z fields of unequal strength break the reversal too
+    "z_unequal": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
+                           + (PauliTerm(0.7, ((0, "Z"),)),
+                              PauliTerm(0.75, ((3, "Z"),)))), 4, 1),
+    # a Z field on one site breaks both: one real sector, unrotated
+    "z_field": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
+                         + (PauliTerm(0.7, ((2, "Z"),)),)), 4, 1),
+    # a single Y: one complex sector
+    "single_y": (PauliSum((PauliTerm(1.0, ((0, "Y"),)),
+                           PauliTerm(0.5, ((1, "Z"),)))), 2, 1),
+}
+
+
+# chains of 2 to 10 sites, three grids, and every path of the blocks: real
+# or complex, rotated or not, split by the reversal or one sector
+SLAB_CASES = {
+    **{f"chain{n}": (build_heisenberg(LatticeSpec(1, (n,))), n)
+       for n in range(2, 11)},
+    **{f"grid{a}x{b}": (build_heisenberg(LatticeSpec(2, (a, b))), a * b)
+       for a, b in ((2, 2), (2, 3), (3, 3))},
+    **RANDOM_SUMS,
+    **{case: (h, n) for case, (h, n, _) in BLOCK_CASES.items()},
+}
+
+
+def scale_oracle(h, weights):
+    """The scale s = max_i sum_k |V_ik|^2 w_k of each row w of `weights`,
+    from the full eigenvectors V, one three-operand einsum per row: the
+    oracle of `scaled_weights`, which reads V a slab at a time."""
+    vecs = h.eigenvectors
+    return np.array([np.max(np.einsum("ik,ik,k->i", vecs, vecs.conj(), w).real)
+                     for w in np.reshape(weights, (-1, h.dim))])
+
+
+def forbid_full_eigenvectors(monkeypatch):
+    """Make reading `DenseHermitian.eig`, and so `eigenvectors`, raise."""
+    def forbidden(self):
+        raise AssertionError("the full eigenvectors V were assembled")
+
+    guard = functools.cached_property(forbidden)
+    guard.__set_name__(DenseHermitian, "eig")
+    monkeypatch.setattr(DenseHermitian, "eig", guard)
 
 
 def thermal_matrix(h, beta):

@@ -6,6 +6,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from tpqsim.cli import _TABLE, config_hash, load_config, main, timed_builds
 from tpqsim.errors import ConfigError
 from tpqsim.estimator import BackendSpec
 from tpqsim.pauli import to_dense
+
+from conftest import forbid_full_eigenvectors
 
 
 @pytest.fixture
@@ -765,6 +768,56 @@ def test_dense_artifact_beyond_its_budget_is_backend_failure(
     assert result.exit_code == 2, result.output
     assert f"backend failure: {refused}" in result.output
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("backend,pages,refused", [
+    ("dilated", 2048, "the dilated unitary on n=9 + 1 qubits needs 14680064"),
+    ("fable", 768, "the FABLE circuit on n=9 qubits needs 88084920"),
+])
+def test_resources_refuses_an_unfit_artifact_before_diagonalizing(
+        runner, tmp_path, monkeypatch, backend, pages, refused):
+    # 8 MiB (dilated) or 3 MiB (FABLE) fit a 9-site chain's blocks, not its
+    # artifact: refused before the first eigh
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args: calls.append(args) or eigh(*args))
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [9]},
+        "resources": {"sizes": [9], "backends": [backend]},
+        "output": {"path": str(tmp_path / "x.csv")},
+    })
+    result = runner.invoke(main, ["resources", cfg])
+    assert result.exit_code == 2, result.output
+    assert f"backend failure: {refused} bytes" in result.output
+    assert calls == [] and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,body", [
+    ("sweep-beta", {"backend": {"kind": "dilated", "epsilon": 0.1},
+                    "estimate": {"betas": [0.5, 1.0], "R": 3}}),
+    ("sweep-beta", {"backend": {"kind": "fable"},
+                    "estimate": {"betas": [0.5, 1.0], "R": 3}}),
+    ("dilation-scan", {"model": {"dimension": 2, "extents": [2, 3]},
+                       "dilation": {"epsilons": [0.1, 0.5], "R": 3}}),
+])
+def test_no_run_path_assembles_the_eigenvectors(runner, tmp_path,
+                                                monkeypatch, subcommand, body):
+    # the dilated and FABLE scale is read from slabs of V's columns
+    outputs = []
+    for guarded in (False, True):
+        if guarded:
+            forbid_full_eigenvectors(monkeypatch)
+        out = tmp_path / f"{guarded}.csv"
+        cfg = write_config(tmp_path, {
+            "model": {"dimension": 1, "extents": [5]},
+            "output": {"path": str(out)}, **body,
+        })
+        result = runner.invoke(main, [subcommand, cfg])
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_text().split("\n", 1)[1])
+    assert outputs[0] == outputs[1]
 
 
 def test_magnetization_reference_needs_no_eigenvectors(runner, tmp_path,

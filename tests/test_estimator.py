@@ -7,6 +7,8 @@ from tpqsim import (
     DenseHermitian,
     Gate,
     LatticeSpec,
+    PauliSum,
+    PauliTerm,
     QiteSpec,
     RandomCircuitSpec,
     TpqRunSpec,
@@ -36,9 +38,12 @@ from tpqsim.statevector import (
 )
 
 from conftest import (
+    BLOCK_CASES,
+    SLAB_CASES,
     ascending,
     expm_filter,
     fable_branch,
+    forbid_full_eigenvectors,
     kron_matrix,
     qite_one,
     traced_peak,
@@ -96,6 +101,35 @@ def test_ensemble_array_beta_matches_scalar_calls(chain3):
         for b, value in zip(betas, batch):
             assert value == pytest.approx(ensemble_expectation(h, a, b),
                                           abs=1e-12)
+
+
+def off_block_observable(n):
+    """Z_0 + X_0 Y_{n-1}: its strings flip bits in the computational and
+    in the rotated basis, so it is never diagonal in the blocks' basis."""
+    return PauliSum((PauliTerm(0.7, ((0, "Z"),)),
+                     PauliTerm(0.4, ((0, "X"), (n - 1, "Y")))))
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_ensemble_reference_from_slabs_matches_the_full_eigenvectors(case):
+    h_pauli, n = SLAB_CASES[case]
+    h = to_dense(h_pauli, n)
+    a, betas = off_block_observable(n), np.array([0.0, 0.5, 2.0])
+    assert h.diagonal_in_eigenbasis(a) is None
+    w = thermal_weights(h, betas) ** 2
+    ref = w @ expectations(h.eigenvectors, a) / w.sum(axis=-1)
+    np.testing.assert_allclose(ensemble_expectation(h, a, betas), ref,
+                               rtol=1e-12, atol=1e-13)
+
+
+def test_ensemble_reference_reads_no_full_eigenvectors(monkeypatch):
+    h_pauli, n, _ = BLOCK_CASES["z_field"]
+    h = to_dense(h_pauli, n)
+    a, betas = off_block_observable(n), [0.0, 0.5, 2.0]
+    expected = ensemble_expectation(h, a, betas)
+    forbid_full_eigenvectors(monkeypatch)
+    assert np.array_equal(ensemble_expectation(to_dense(h_pauli, n), a, betas),
+                          expected)
 
 
 def filter_one(kind, beta, psi, dense, h, lattice=None, **kwargs):
@@ -355,7 +389,6 @@ def test_circuit_energy_filter_allocates_no_dense_matrix(kind):
     lattice = LatticeSpec(1, (8,))
     h = build_heisenberg(lattice)
     dense = to_dense(h, 8)
-    dense.eigenvectors  # diagonalize before tracing
     states = np.stack([sample_haar_state(8, s).amps for s in range(3)], axis=1)
     spec = TpqRunSpec(lattice, (0.2, 0.5, 1.0, 2.0),
                       backend=BackendSpec(kind, epsilon=0.1))

@@ -25,7 +25,14 @@ from tpqsim.pauli import (
 from tpqsim.random_state import sample_haar_state
 from tpqsim.statevector import expectations, sample_expectations
 
-from conftest import ascending, kron_chain, kron_matrix, traced_peak
+from conftest import (
+    BLOCK_CASES,
+    RANDOM_SUMS,
+    ascending,
+    kron_chain,
+    kron_matrix,
+    traced_peak,
+)
 
 
 def reassembled(dense):
@@ -118,30 +125,6 @@ def test_dense_heisenberg_traceless_real_symmetric(chain2):
     assert np.max(np.abs(m - m.T)) < 1e-12
 
 
-def random_pauli_sum(n, count, seed):
-    """X0 Y1 Z2, whose single Y makes the sum complex, plus `count` random
-    strings of 1 to 5 letters drawn from X, Y and Z."""
-    rng = np.random.default_rng(seed)
-    terms = [PauliTerm(0.3, ((0, "X"), (1, "Y"), (2, "Z")))]
-    for _ in range(count):
-        k = int(rng.integers(1, min(n, 5) + 1))
-        qubits = rng.choice(n, size=k, replace=False).tolist()
-        letters = rng.choice(list("XYZ"), size=k).tolist()
-        terms.append(PauliTerm(rng.normal(), tuple(zip(qubits, letters))))
-    return PauliSum(tuple(terms))
-
-
-def even_y(h):
-    return PauliSum(tuple(t for t in h
-                          if sum(o == "Y" for _, o in t.operators) % 2 == 0))
-
-
-# 20 strings on 3 qubits share flip masks; the even-Y sum is real
-RANDOM_SUMS = {"random3": (random_pauli_sum(3, 20, 1), 3),
-               "random5": (random_pauli_sum(5, 12, 0), 5),
-               "random5_even_y": (even_y(random_pauli_sum(5, 12, 0)), 5)}
-
-
 @pytest.mark.parametrize("case", [2, 4, 6, *RANDOM_SUMS])
 def test_dense_matches_kron_oracle(case):
     if isinstance(case, int):
@@ -232,31 +215,6 @@ def test_dense_overflow_guard(monkeypatch):
     monkeypatch.setattr(tpqsim.pauli, "_fold", fold)
     with pytest.raises(DimensionOverflow):
         to_dense(h, 24)
-
-
-BLOCK_CASES = {
-    # every XYZ + hx chain or grid: two parity sectors, each split by the
-    # qubit-order reversal (a chain's mirror, a grid's 180-degree rotation)
-    "chain8": (build_heisenberg(LatticeSpec(1, (8,))), 8, 4),
-    "chain5": (build_heisenberg(LatticeSpec(1, (5,))), 5, 4),
-    "grid3x2": (build_heisenberg(LatticeSpec(2, (3, 2))), 6, 4),
-    "grid3x3": (build_heisenberg(LatticeSpec(2, (3, 3))), 9, 4),
-    # a uniform Z field keeps the reversal but anticommutes with prod_i X_i:
-    # two real blocks, unrotated
-    "uniform_z": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
-                           + tuple(PauliTerm(0.7, ((q, "Z"),))
-                                   for q in range(4))), 4, 2),
-    # mirrored Z fields of unequal strength break the reversal too
-    "z_unequal": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
-                           + (PauliTerm(0.7, ((0, "Z"),)),
-                              PauliTerm(0.75, ((3, "Z"),)))), 4, 1),
-    # a Z field on one site breaks both: one real sector, unrotated
-    "z_field": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
-                         + (PauliTerm(0.7, ((2, "Z"),)),)), 4, 1),
-    # a single Y: one complex sector
-    "single_y": (PauliSum((PauliTerm(1.0, ((0, "Y"),)),
-                           PauliTerm(0.5, ((1, "Z"),)))), 2, 1),
-}
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))

@@ -25,10 +25,12 @@ from tpqsim.statevector import StateVector
 from tpqsim.random_state import sample_haar_state
 
 from conftest import (
+    SLAB_CASES,
     ascending,
     expm_filter,
     kron_matrix,
     postselect,
+    scale_oracle,
     thermal_matrix,
     thermal_scale,
     traced_peak,
@@ -120,6 +122,16 @@ def test_scale_is_the_largest_entry_of_q(h_pauli, n, beta):
     ref = np.max(np.abs(scipy.linalg.expm(-beta * kron_matrix(h_pauli, n)
                                           / 2.0)))
     assert thermal_scale(h, beta) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_scale_from_slabs_matches_the_full_eigenvectors(case):
+    h_pauli, n = SLAB_CASES[case]
+    h = to_dense(h_pauli, n)
+    weights = thermal_weights(h, [0.0, 0.5, 2.0, 40.0])
+    np.testing.assert_allclose(scaled_weights(h, weights),
+                               weights / scale_oracle(h, weights)[:, None],
+                               rtol=1e-13, atol=0)
 
 
 def test_large_beta_projects_onto_ground_state(chain3):
