@@ -46,7 +46,11 @@ def thermal_weights(h: DenseHermitian, betas) -> np.ndarray:
     if np.any(betas < 0):
         raise ValueError("beta must be >= 0")
     vals = h.eigenvalues
-    return np.exp(np.multiply.outer(-betas, vals - vals.min()) / 2.0)
+    # a huge beta overflows the exponent to -inf off the ground space, whose
+    # weight e^-inf = 0 is already the limit, so the overflow is not an error
+    with np.errstate(over="ignore"):
+        exponents = np.multiply.outer(-betas, vals - vals.min())
+    return np.exp(exponents / 2.0)
 
 
 def scaled_weights(h: DenseHermitian, weights: np.ndarray) -> np.ndarray:
@@ -137,7 +141,7 @@ def dilated_omega(h: DenseHermitian, beta: float, epsilon: float) -> np.ndarray:
     weights = thermal_weights(h, beta)
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    check_omega_fits(h.n_qubits, h.eigenpairs[0][1].dtype)
+    check_omega_fits(h.n_qubits, h.dtype)
     vecs = h.eigenvectors
     angles = epsilon * scaled_weights(h, weights)
     omega = np.empty((2 * h.dim, 2 * h.dim), vecs.dtype)

@@ -16,15 +16,17 @@ with prod_i X_i (every XYZ + hx model) is built in the basis rotated by
 H^{(x)n}, a swap of each string's flip and sign masks, as two parity sectors
 of size 2^(n-1); a sum invariant under the qubit-order reversal q -> n - 1 - q
 (every XYZ + hx chain or row-major grid) splits each sector again into
-reversal-even and reversal-odd blocks, four of about 2^(n-2), whose rows one
-fold lays out from each sector's reversal pairs and palindromes.  States enter
-and leave the eigenbasis through one Walsh-Hadamard transform, one gather pair
-(a[s] +- a[r(s)]) / sqrt(2) and one product per block; the eigenvector
-matrix is read a slab of columns at a time, and a full 2^n x 2^n matrix is
-assembled only where one is the result.  The eigenbasis is kept in
-block order, each block's eigenpairs after the previous block's, and is never
-sorted: what is read off it, sums over eigenstates and the ground energy as
-the spectrum's min, needs no order.
+reversal-even and reversal-odd blocks, four of about 2^(n-2), each laid out
+from its sector's reversal pairs and palindromes.  Each block is one record,
+its rows (a[s] +- a[r(s)]) / sqrt(2) of the fold, its columns of the
+eigenbasis and its eigenpairs.  States enter the eigenbasis through one
+Walsh-Hadamard transform and, per block, a gather of its rows and one
+product, and leave it through one product and one scatter per block and the
+transform; the eigenvector matrix is read a slab of columns at a time, and
+a full 2^n x 2^n matrix is assembled only where one is the result.  The
+eigenbasis is kept in block order, each block's eigenpairs after the
+previous block's, and is never sorted: what is read off it, sums over
+eigenstates and the ground energy as the spectrum's min, needs no order.
 """
 
 from __future__ import annotations
@@ -212,57 +214,43 @@ def _reversal_invariant(groups: dict[int, _Group], n: int) -> bool:
                for (flip, sign), c in coefficients.items())
 
 
-def _block_rows(forward: tuple[np.ndarray, ...],
-                bounds: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
-    """Each block's rows of F, as (i1, i2, w1, w2)."""
-    return [tuple(x[lo:hi] for x in forward)
-            for lo, hi in zip(bounds, bounds[1:])]
+def _scatter(out: np.ndarray, rows: tuple, x: np.ndarray) -> np.ndarray:
+    """out += F_b^T x along axis 0, for the block whose rows of F are `rows`
+    = (i1, i2, w1, w2); returns `out`.  A pair's two blocks each add their
+    share to s and r(s), and a palindrome's row adds x through i1 and 0
+    through i2."""
+    i1, i2, w1, w2 = rows
+    out[i2] += w2[:, None] * x
+    out[i1] += w1[:, None] * x
+    return out
 
 
-def _gather(pair: tuple[np.ndarray, ...], a: np.ndarray) -> np.ndarray:
-    """w1 a[i1] + w2 a[i2] along axis 0 of a (2^n, m) batch."""
-    i1, i2, w1, w2 = pair
-    return w1[:, None] * a[i1] + w2[:, None] * a[i2]
-
-
-def _fold(n: int, rotated: bool, reflected: bool) -> tuple:
-    """The orthogonal map F from the (rotated) computational basis onto the
-    blocks' bases, rows concatenated block by block: F and F^T as gather
-    pairs, and the first row of each block followed by the end, so the
-    blocks' sizes are its differences.
+def _fold(n: int, rotated: bool, reflected: bool) -> list[tuple]:
+    """Each block's rows of the orthogonal map F from the (rotated)
+    computational basis onto the blocks' bases, as (i1, i2, w1, w2): row k
+    is w1[k] <i1[k]| + w2[k] <i2[k]|.
 
     Each sector is split by the qubit-order reversal r when `reflected`: a
     pair s < r(s) gives the row (<s| + <r(s)|) / sqrt(2) of the sector's
     reversal-even block and (<s| - <r(s)|) / sqrt(2) of its reversal-odd
     block, and a palindrome s = r(s) the row <s| of the even block, after
-    the pairs, repeating s with weight 0.  F^T maps s and r(s) to (even
-    row, odd row) with weights (1, +-1) / sqrt(2), and a palindrome to its
-    one row with weights (1, 0).  Otherwise every index is a palindrome and
-    each sector is one block.
+    the pairs, repeating s with weight 0.  Otherwise every index is a
+    palindrome and each sector is one block.
     """
     idx = np.arange(1 << n)
     mirror = _reversed_bits(idx, n) if reflected else idx
     parity = np.bitwise_count(idx) & 1
-    forward, bounds = [], [0]
-    backward = [np.empty_like(idx), np.empty_like(idx),
-                np.empty(len(idx)), np.empty(len(idx))]
+    blocks = []
     for sector in [idx[parity == 0], idx[parity == 1]] if rotated else [idx]:
         reps = sector[sector < mirror[sector]]
         pals = sector[sector == mirror[sector]]
-        m, p, start = len(reps), len(pals), bounds[-1]
-        images, w = mirror[reps], np.full(m, np.sqrt(0.5))
-        forward.append(tuple(map(np.concatenate, (
-            [reps, pals, reps], [images, pals, images],
-            [w, np.ones(p), w], [w, np.zeros(p), -w]))))
-        even, own, odd = np.split(start + np.arange(2 * m + p), [m, m + p])
-        for at, pair in ((reps, (even, odd, w, w)),
-                         (images, (even, odd, w, -w)),
-                         (pals, (own, own, 1.0, 0.0))):
-            for x, values in zip(backward, pair):
-                x[at] = values
-        bounds += [start + m + p, start + 2 * m + p] if m else [start + p]
-    return (tuple(map(np.concatenate, zip(*forward))), tuple(backward),
-            tuple(bounds))
+        images, w = mirror[reps], np.full(len(reps), np.sqrt(0.5))
+        blocks.append(tuple(map(np.concatenate, (
+            [reps, pals], [images, pals],
+            [w, np.ones(len(pals))], [w, np.zeros(len(pals))]))))
+        if len(reps):
+            blocks.append((reps, images, w, -w))
+    return blocks
 
 
 def _product(u: np.ndarray, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -289,43 +277,41 @@ class DenseHermitian:
     qubit-order reversal r (the mirror of a chain, the 180-degree rotation
     of a row-major grid), which keeps popcount and commutes with W, each
     sector splits again into its reversal-even and reversal-odd blocks.
-    `forward` and `backward` hold the orthogonal map F onto the blocks'
-    bases and F^T as gather pairs (i1, i2, w1, w2), (F a)[k] = w1[k]
-    a[i1[k]] + w2[k] a[i2[k]], and `bounds` the first row of each block and
-    the end; `eigenpairs` holds each diagonal block of F (W) H (W) F^T as
-    (eigenvalues ascending, eigenvectors U) from numpy's eigh (LAPACK's
-    ?syevd/?heevd), the block itself dropped by `to_dense`.  The eigenbasis
-    is in block order: eigenvalue k, column k of V and row k of the
-    coefficients belong to the block whose `bounds` slice holds k, so the
-    spectrum as a whole is not sorted and its ground energy is its min.
-    U is float64 when every term is real (an even number of Y letters),
-    else complex128.  The filters move batches of states in and out of the
-    eigenbasis through the U (`to_eigenbasis`, `from_eigenbasis`): one
-    Walsh-Hadamard transform, one gather pair of F or F^T and one product
-    per block.  The full H is never assembled; its eigenvector matrix V is
-    read in narrow slabs of columns (`slabs`), and assembled whole (`eig`)
-    only for the dense artifacts that are 4^n themselves.
+    `blocks` holds one record per block, (rows, cols, eigenvalues, U):
+    `rows` = (i1, i2, w1, w2) are the block's rows of the orthogonal map F
+    onto the blocks' bases (see `_fold`), `cols` is the block's slice of the
+    eigenbasis, and (eigenvalues ascending, U) are the eigenpairs of the
+    block F_b (W) H (W) F_b^T from numpy's eigh (LAPACK's ?syevd/?heevd),
+    the block itself dropped by `to_dense`.  The eigenbasis is in block
+    order: eigenvalue k, column k of V and row k of the coefficients belong
+    to the block whose `cols` hold k, so the spectrum as a whole is not
+    sorted and its ground energy is its min.  U is float64 when every term
+    is real (an even number of Y letters), else complex128.  The filters
+    move batches of states in and out of the eigenbasis
+    (`to_eigenbasis`, `from_eigenbasis`) through one Walsh-Hadamard
+    transform and, per block, its rows of F or their scatter F_b^T and one
+    product with U.  The full H is never assembled; its eigenvector matrix V
+    is read in narrow slabs of columns (`slabs`), and assembled whole
+    (`eig`) only for the dense artifacts that are 4^n themselves.
     """
 
     n_qubits: int
-    eigenpairs: tuple[tuple[np.ndarray, np.ndarray], ...]
     rotated: bool
-    forward: tuple[np.ndarray, ...]
-    backward: tuple[np.ndarray, ...]
-    bounds: tuple[int, ...]
+    blocks: tuple[tuple, ...]
 
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
 
     @property
-    def _slices(self) -> list[slice]:
-        return [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
+    def dtype(self) -> np.dtype:
+        """The eigenvectors' dtype, float64 or complex128 (`dense_dtype`)."""
+        return self.blocks[0][3].dtype
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """The blocks' spectra, block by block."""
-        return np.concatenate([vals for vals, _ in self.eigenpairs])
+        return np.concatenate([vals for _, _, vals, _ in self.blocks])
 
     def slabs(self):
         """Yield (cols, V[:, cols]) for slices `cols` that cover the columns
@@ -341,20 +327,15 @@ class DenseHermitian:
         costs about 4n numpy calls: below 8 sites, where 8 columns are a
         few KiB, this keeps the slabs few.
         """
-        dtype = self.eigenpairs[0][1].dtype
         width = max(8, self.dim // 32)
-        rows = _block_rows(self.forward, self.bounds)
-        for (i1, i2, w1, w2), block, (_, u) in zip(rows, self._slices,
-                                                   self.eigenpairs):
+        for rows, cols, _, u in self.blocks:
             for lo in range(0, u.shape[1], width):
                 part = u[:, lo:lo + width]
-                slab = np.zeros((self.dim, part.shape[1]), dtype)
-                # a palindrome's row repeats i1 as i2 with weight 0: i1 last
-                slab[i2] = w2[:, None] * part
-                slab[i1] = w1[:, None] * part
+                slab = _scatter(np.zeros((self.dim, part.shape[1]),
+                                         self.dtype), rows, part)
                 if self.rotated:
                     walsh_hadamard(slab)
-                start = block.start + lo
+                start = cols.start + lo
                 yield slice(start, start + part.shape[1]), slab
 
     @cached_property
@@ -363,10 +344,9 @@ class DenseHermitian:
         V filled from `slabs`.  Raises DimensionOverflow, before allocating,
         when V alone would exceed the machine's physical memory.
         """
-        dtype = self.eigenpairs[0][1].dtype
-        _check_budget(dtype.itemsize * self.dim**2,
+        _check_budget(self.dtype.itemsize * self.dim**2,
                       f"the eigenvectors of H on n={self.n_qubits} qubits")
-        vecs = np.empty((self.dim, self.dim), dtype)
+        vecs = np.empty((self.dim, self.dim), self.dtype)
         for cols, slab in self.slabs():
             vecs[:, cols] = slab
         return self.eigenvalues, vecs
@@ -377,23 +357,24 @@ class DenseHermitian:
 
     def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
         """C = V^dagger amps for a (2^n, m) batch of column states, rows in
-        block order: one Walsh-Hadamard transform of the batch, one gather
-        pair of F, then one product per block, in place."""
+        block order: one Walsh-Hadamard transform of the batch, then per
+        block its rows of F and one product."""
         batch = np.array(amps, dtype=complex)
         if self.rotated:
             walsh_hadamard(batch)
-        coeffs = _gather(self.forward, batch)
-        for rows, (_, u) in zip(self._slices, self.eigenpairs):
-            coeffs[rows] = _product(u, coeffs[rows], adjoint=True)
+        coeffs = np.empty(batch.shape, dtype=complex)
+        for (i1, i2, w1, w2), cols, _, u in self.blocks:
+            folded = w1[:, None] * batch[i1] + w2[:, None] * batch[i2]
+            coeffs[cols] = _product(u, folded, adjoint=True)
         return coeffs
 
     def from_eigenbasis(self, coeffs: np.ndarray) -> np.ndarray:
         """V C for (2^n, m) eigenbasis coefficients: the inverse of
-        `to_eigenbasis`."""
-        folded = np.empty(coeffs.shape, dtype=complex)
-        for rows, (_, u) in zip(self._slices, self.eigenpairs):
-            folded[rows] = _product(u, coeffs[rows])
-        amps = _gather(self.backward, folded)
+        `to_eigenbasis`, each block's product scattered through its rows of
+        F into one zeroed batch, then one Walsh-Hadamard transform."""
+        amps = np.zeros(coeffs.shape, dtype=complex)
+        for rows, cols, _, u in self.blocks:
+            _scatter(amps, rows, _product(u, coeffs[cols]))
         if self.rotated:
             walsh_hadamard(amps)
         return amps
@@ -411,12 +392,10 @@ class DenseHermitian:
         groups = _flip_groups(a, self.n_qubits, self.rotated)
         if any(groups):  # a nonzero flip mask
             return None
-        i1, i2, w1, w2 = self.forward
         d = _diagonal(groups.get(0, []), np.arange(self.dim))
-        orbit_mean = w1**2 * d[i1] + w2**2 * d[i2]
         diag = np.empty(self.dim)
-        for rows, (_, u) in zip(self._slices, self.eigenpairs):
-            diag[rows] = orbit_mean[rows] @ np.abs(u) ** 2
+        for (i1, i2, w1, w2), cols, _, u in self.blocks:
+            diag[cols] = (w1**2 * d[i1] + w2**2 * d[i2]) @ np.abs(u) ** 2
         return diag
 
 
@@ -463,7 +442,7 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     and odd-popcount sectors of size 2^(n-1); any other sum is one 2^n sector,
     unrotated.  When the sum is also invariant under the qubit-order reversal
     q -> n - 1 - q, found from its masks, each sector splits into its
-    reversal-even and reversal-odd blocks (see `_fold`, whose bounds give the
+    reversal-even and reversal-odd blocks (see `_fold`, whose rows give the
     block sizes): four blocks of about 2^(n-2) for every XYZ + hx chain or
     grid.  A sum of strings with an even number of Y letters is built real,
     as float64, and any other sum complex (`dense_dtype`).  The
@@ -476,7 +455,8 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     DimensionOverflow, before allocating any block, when the eigenvectors, one
     block and its eigh workspace would take more than the machine's physical
     memory: first by a lower bound, four equal blocks, checked before the fold
-    is built, then by the fold's block sizes.
+    is built, then by the fold's block sizes.  Each block's record is built
+    as it is diagonalized, its `cols` running on from the previous block's.
     """
     spread = 2 * sum(abs(t.coefficient) for t in p)
     if not math.isfinite(spread):
@@ -497,8 +477,11 @@ def to_dense(p: PauliSum, n: int) -> DenseHermitian:
     # at most four blocks share the 2^n rows, so four equal ones bound the
     # need from below before the fold's O(2^n) index arrays exist
     check_budget([(1 << n) // 4] * 4)
-    forward, backward, bounds = _fold(n, rotated, reflected)
-    check_budget(np.diff(bounds))
-    eigenpairs = tuple(np.linalg.eigh(_block(groups, rows, n, dtype))
-                       for rows in _block_rows(forward, bounds))
-    return DenseHermitian(n, eigenpairs, rotated, forward, backward, bounds)
+    folds = _fold(n, rotated, reflected)
+    check_budget([len(rows[0]) for rows in folds])
+    blocks, start = [], 0
+    for rows in folds:
+        vals, u = np.linalg.eigh(_block(groups, rows, n, dtype))
+        blocks.append((rows, slice(start, start + len(vals)), vals, u))
+        start += len(vals)
+    return DenseHermitian(n, rotated, tuple(blocks))

@@ -180,7 +180,7 @@ def beta_groups(sweep: QiteSpec, h: PauliSum, n: int, r: int) -> int:
     beta's does not."""
     d = sweep.resolved_domain(n)
     n_betas = len(sweep.beta)
-    term_steps = sweep.n_steps * len(h)
+    term_steps = sweep.n_steps * sum(t.weight > 0 for t in h)
 
     def nbytes(groups):
         return _evolve_bytes(n, d, r * -(-n_betas // groups), term_steps)
@@ -214,10 +214,12 @@ def qite_evolve(spec: QiteSpec, h: PauliSum, states: np.ndarray,
     `labels` of window strings P, shared by every column, and an
     (R, len(labels)) float64 array `thetas`, 0 where a rotation was pruned;
     `qite_circuit((labels, thetas[k]), n)` emits column k's gates.  A column
-    at beta = 0 is returned as it is, with a row of zeros.
-    Raises DimensionOverflow, before allocating, when the evolution exceeds
-    physical memory.
+    at beta = 0 is returned as it is, with a row of zeros.  An identity
+    term c I only scales the state, which the normalization undoes, so it
+    is dropped.  Raises DimensionOverflow, before allocating, when the
+    evolution exceeds physical memory.
     """
+    h = PauliSum(tuple(t for t in h if t.weight))
     dim, r = states.shape
     n = dim.bit_length() - 1
     betas = np.broadcast_to(np.asarray(spec.beta, dtype=float), (r,))

@@ -104,6 +104,12 @@ BLOCK_CASES = {
     # a Z field on one site breaks both: one real sector, unrotated
     "z_field": (PauliSum(build_heisenberg(LatticeSpec(1, (4,))).terms
                          + (PauliTerm(0.7, ((2, "Z"),)),)), 4, 1),
+    # Y_i Z_{i+1} + Z_i Y_{i+1} keeps both symmetries and is imaginary: four
+    # complex blocks
+    "yz_chain5": (PauliSum(build_heisenberg(LatticeSpec(1, (5,))).terms
+                           + tuple(PauliTerm(0.8, ((i, a), (i + 1, b)))
+                                   for i in range(4)
+                                   for a, b in ("YZ", "ZY"))), 5, 4),
     # a single Y: one complex sector
     "single_y": (PauliSum((PauliTerm(1.0, ((0, "Y"),)),
                            PauliTerm(0.5, ((1, "Z"),)))), 2, 1),

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpqsim
-from tpqsim import LatticeSpec, QiteSpec, RandomCircuitSpec, TpqRunSpec
+from tpqsim import (
+    LatticeSpec,
+    QiteSpec,
+    RandomCircuitSpec,
+    TpqRunSpec,
+    build_heisenberg,
+)
 from tpqsim.cli import _TABLE, config_hash, load_config, main, timed_builds
 from tpqsim.errors import ConfigError
 from tpqsim.estimator import BackendSpec
@@ -409,18 +415,52 @@ def test_load_config_rejects_non_object(tmp_path):
         load_config(str(path))
 
 
+def fresh_interpreter(*args, **kwargs):
+    """Run `python args` in a new process that imports this tpqsim."""
+    src = str(Path(tpqsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency, and statistics would load fractions
     # and decimal for one median; a fresh interpreter checks the CLI's whole
     # import graph
-    src = str(Path(tpqsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, tpqsim.cli; print(sorted(m for m in sys.modules "
             "if m in ('scipy', 'statistics') or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
+    result = fresh_interpreter("-c", code, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("subcommand,body,columns", [
+    *[("sweep-beta", {"random_circuit": {"seed": 1},
+                      "backend": {"kind": kind},
+                      "estimate": {"betas": [1e308], "R": 2}},
+       ("mean", "ensemble_ref")) for kind in ("exact", "dilated", "fable")],
+    ("dilation-scan", {"random_circuit": {"seed": 1},
+                       "dilation": {"beta": 1e308, "epsilons": [0.1],
+                                    "R": 2}}, ("mean_energy", "ensemble_ref")),
+    ("resources", {"resources": {"sizes": [2], "backends": ["dilated"],
+                                 "beta": 1e308}}, ()),
+])
+def test_a_huge_beta_runs_to_the_ground_energy(tmp_path, subcommand, body,
+                                               columns):
+    # the thermal weights' exponent overflows to -inf off the ground space,
+    # silently: stderr stays empty
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [3]},
+        "output": {"path": str(out)}, **body})
+    result = fresh_interpreter("-m", "tpqsim.cli", subcommand, cfg)
+    assert result.returncode == 0 and result.stderr == ""
+    header, row = out.read_text().splitlines()[-2:]
+    values = dict(zip(header.split(","), row.split(",")))
+    ground = to_dense(build_heisenberg(LatticeSpec(1, (3,))),
+                      3).eigenvalues.min()
+    for column in columns:
+        assert float(values[column]) == pytest.approx(ground, abs=1e-10)
 
 
 @pytest.mark.parametrize("args", [

@@ -16,7 +16,6 @@ from tpqsim import (
 )
 from tpqsim.pauli import (
     _block,
-    _block_rows,
     _diagonal,
     _flip_groups,
     apply_pauli_sum,
@@ -40,6 +39,11 @@ def reassembled(dense):
     eigenpairs of `to_dense`'s blocks give it back."""
     vals, vecs = dense.eig
     return (vecs * vals) @ vecs.conj().T
+
+
+def block_sizes(dense):
+    """The number of eigenpairs in each of `dense`'s blocks."""
+    return np.array([len(vals) for _, _, vals, _ in dense.blocks])
 
 
 def brute_force_grid_edges(rows, cols):
@@ -134,7 +138,7 @@ def test_dense_matches_kron_oracle(case):
     dense = to_dense(h, n)
     ref = kron_matrix(h, n)
     assert np.max(np.abs(reassembled(dense) - ref)) < 1e-12
-    assert (dense.eigenpairs[0][1].dtype == complex) == np.any(ref.imag != 0)
+    assert (dense.dtype == complex) == np.any(ref.imag != 0)
     vals_ref = np.linalg.eigvalsh(ref)
     sorted_vals = dense.eigenvalues[ascending(dense)]
     assert np.max(np.abs(sorted_vals - vals_ref)) < 1e-9
@@ -180,7 +184,7 @@ def test_spectral_reconstruction(chain3):
     h = PauliSum((PauliTerm(1.0, ((0, "Y"),)), PauliTerm(0.5, ((1, "Z"),))))
     dense = to_dense(h, 2)
     vals, vecs = dense.eig
-    assert dense.eigenpairs[0][1].dtype == complex and np.iscomplexobj(vecs)
+    assert dense.dtype == complex and np.iscomplexobj(vecs)
     recon = (vecs * vals) @ vecs.conj().T
     assert np.max(np.abs(recon - kron_matrix(h, 2))) < 1e-9
 
@@ -222,7 +226,7 @@ def test_blocked_eigenbasis_matches_kron_oracle(case):
     h, n, sectors = BLOCK_CASES[case]
     dense = to_dense(h, n)
     ref = kron_matrix(h, n)
-    assert len(dense.bounds) - 1 == sectors
+    assert len(dense.blocks) == sectors
     assert np.max(np.abs(reassembled(dense) - ref)) < 1e-12
     ref_vals = scipy.linalg.eigh(ref, eigvals_only=True)
     sorted_vals = dense.eigenvalues[ascending(dense)]
@@ -286,11 +290,11 @@ def test_rotated_h_is_block_diagonal(case):
                 isometry = np.array(pairs + fixed).T
                 expected.append(isometry.T @ rotated @ isometry)
     dense = to_dense(h, n)
-    rows = _block_rows(dense.forward, dense.bounds)
+    rows = [block_rows for block_rows, *_ in dense.blocks]
     assert len(rows) == len(expected) == 4
     groups = _flip_groups(h, n, rotated=True)
     for block_rows, ref_block in zip(rows, expected):
-        block = _block(groups, block_rows, n, dense.eigenpairs[0][1].dtype)
+        block = _block(groups, block_rows, n, dense.dtype)
         assert np.max(np.abs(block - ref_block)) < 1e-12
 
 
@@ -299,7 +303,7 @@ def test_a_ten_site_chain_is_four_quarter_blocks():
     # 2^(n-1) rows fails here
     n = 10
     dense = to_dense(build_heisenberg(LatticeSpec(1, (n,))), n)
-    sizes = np.diff(dense.bounds).tolist()
+    sizes = block_sizes(dense).tolist()
     assert sizes == [272, 240, 256, 256]
     assert max(sizes) <= 2**(n - 2) + 2**(n // 2)
 
@@ -318,7 +322,7 @@ def test_to_dense_never_allocates_the_full_matrix():
     h = build_heisenberg(LatticeSpec(1, (8,)))
     diagonalized(h, 8)  # untraced first; nothing is cached between calls
     dense, _, peak = traced_peak(lambda: diagonalized(h, 8))
-    sizes = np.diff(dense.bounds)
+    sizes = block_sizes(dense)
     assert sizes.tolist() == [72, 56, 64, 64]
     assert peak < 8 * (np.sum(sizes**2) + 2 * np.max(sizes)**2)
 

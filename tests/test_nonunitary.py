@@ -142,6 +142,15 @@ def test_large_beta_projects_onto_ground_state(chain3):
     assert abs(np.vdot(ground, out)) ** 2 > 0.999
 
 
+def test_a_huge_beta_weighs_only_the_ground_space(chain3):
+    # beta (lambda - lambda_min) overflows to inf off the ground space, where
+    # the weight's limit is 0; pytest turns an overflow warning into an error
+    h = to_dense(build_heisenberg(chain3), 3)
+    weights = thermal_weights(h, 1e308)
+    ground = h.eigenvalues == h.eigenvalues.min()
+    assert np.array_equal(weights, np.where(ground, 1.0, 0.0))
+
+
 def test_scale_invariance_of_the_exact_filter(h2):
     # rescaling Q cannot change the normalized output: the eigenvalues of
     # Q/s with s rescaled filter psi to the exact filter's state
@@ -183,7 +192,7 @@ def test_omega_peak_fits_its_budget(n):
     # and Omega's build stay within the 7 matrices of H's size it budgets
     dense = to_dense(build_heisenberg(LatticeSpec(1, (n,))), n)
     _, _, peak = traced_peak(lambda: dilated_omega(dense, 0.5, 0.1))
-    assert peak < 7 * dense.eigenpairs[0][1].itemsize * dense.dim**2
+    assert peak < 7 * dense.dtype.itemsize * dense.dim**2
 
 
 def omega_branch(h, beta, eps, psi):

@@ -297,6 +297,33 @@ def test_one_step_at_large_beta_stays_finite():
         assert np.max(np.abs(replay.amps - out[:, k])) < 1e-9
 
 
+def test_an_identity_term_is_dropped(monkeypatch):
+    # c I only scales the state, which each step's normalization undoes
+    zz = PauliSum((PauliTerm(1.0, ((0, "Z"), (1, "Z"))),))
+    shifted = PauliSum((PauliTerm(0.5, ()),) + zz.terms)
+    states = haar_batch(3, range(2))
+    spec = QiteSpec(0.7, n_steps=2)
+    out, (labels, thetas) = qite_evolve(spec, zz, states)
+    shifted_out, (shifted_labels, shifted_thetas) = qite_evolve(
+        spec, shifted, states)
+    assert np.array_equal(shifted_out, out)
+    assert shifted_labels == labels
+    assert np.array_equal(shifted_thetas, thetas)
+    # a sum of identity terms returns its input, with no rotations
+    same, (none, empty) = qite_evolve(spec, PauliSum(shifted.terms[:1]),
+                                      states)
+    assert np.array_equal(same, states)
+    assert none == [] and empty.shape == (2, 0)
+    # and the memory estimate counts the same term steps
+    counted = []
+    monkeypatch.setattr(qite, "_evolve_bytes",
+                        lambda *args: counted.append(args) or 0)
+    sweep = QiteSpec((0.7, 1.4), n_steps=2)
+    assert qite.beta_groups(sweep, zz, 3, 2) == \
+        qite.beta_groups(sweep, shifted, 3, 2)
+    assert counted[:len(counted) // 2] == counted[len(counted) // 2:]
+
+
 def haar_batch(n, seeds):
     return np.stack([sample_haar_state(n, s).amps for s in seeds], axis=1)
 
