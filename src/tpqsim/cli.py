@@ -53,7 +53,6 @@ from .random_state import (
     sample_haar_state,
     state_entropy,
 )
-from .statevector import expectations
 
 _BIG = sys.float_info.max
 
@@ -190,9 +189,9 @@ class _Config:
     """`with _Config(...) as c:` loads a config whose `required` sections
     must be present; `c.read(...)` checks the values the run reads, and the
     block builds the run's specs from them.  A ValueError or TypeError raised
-    there is a config error, and so, when the block ends, is every section or
-    key of the config that the block did not read, since the run would
-    silently ignore it."""
+    there is a config error, and so, when the block ends, is every section,
+    key or override of the config that the block did not read, since the run
+    would silently ignore it."""
 
     def __init__(self, config_path, required, output, seed,
                  realizations=None):
@@ -238,6 +237,8 @@ class _Config:
             unread = [s for s in self.config if s not in sections]
             unread += [f"{s}.{k}" for s in self.config if s in sections
                        for k in self.config[s] if f"{s}.{k}" not in self._read]
+            unread += [name for name, value in self._overrides.items()
+                       if value is not None and name not in self._read]
             if unread:
                 raise ConfigError(f"this subcommand does not read {unread}")
 
@@ -368,8 +369,7 @@ def dilation_scan(config_path, output, seed):
         circuits = [RandomCircuitSpec(lattice, rc["depth"], rc["entangler"], s)
                     for s in realization_seeds(rc["seed"], scan["R"],
                                                lattice.n_sites)]
-    h_pauli = build_heisenberg(lattice)
-    dense = to_dense(h_pauli, lattice.n_sites)
+    dense = to_dense(build_heisenberg(lattice), lattice.n_sites)
     exact = thermal_weights(dense, scan["beta"])
     scaled = scaled_weights(dense, exact)
     ref = ensemble_expectation(dense, None, scan["beta"])
@@ -377,10 +377,8 @@ def dilation_scan(config_path, output, seed):
     rows = []
     for eps in scan["epsilons"]:
         branch = np.sin(eps * scaled)
-        outs, p0s, fids = zip(*(apply_dilated(dense, psi, branch, exact)
-                                for psi in states))
-        energies = expectations(np.stack([out.amps for out in outs], axis=1),
-                                h_pauli)
+        energies, p0s, fids = zip(*(apply_dilated(dense, psi, branch, exact)
+                                    for psi in states))
         # successful post-selections occur in proportion to P0, so the
         # measured-energy average weights each realization by it
         mean_energy = float(np.average(energies, weights=p0s))

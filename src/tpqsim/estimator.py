@@ -215,7 +215,7 @@ def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
     if (spec.observable is None and spec.shots == 0
             and spec.backend.kind != "qite"):
         return filter_energies(dense_h, *_in_eigenbasis(
-            spec.backend, spec.betas, states, dense_h)), shot_var
+            spec.backend, spec.betas, states, dense_h))[0], shot_var
     observable = spec.observable if spec.observable is not None else h_pauli
     values = np.empty((len(spec.betas), states.shape[1]))
     batches = filtered_batches(spec.backend, spec.betas, states, dense_h,

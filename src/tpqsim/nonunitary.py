@@ -14,17 +14,17 @@ which the dilation's branch is sin(eps q) and an exact FABLE encoding's
 q / 2^N.  They are simulated on a (2^n, R) batch of column states: the batch
 enters once as C = V^dagger Psi, each row of weights only rescales the rows
 of C, and a filtered batch leaves as V times the rescaled coefficients, or
-not at all when only its energy is wanted.  Both
-transforms go through H's symmetry blocks (`DenseHermitian.to_eigenbasis` and
-`from_eigenbasis`), so the exact filter builds no 2^n x 2^n matrix.
-`apply_dilated` filters one state and also returns its post-selection
-probability and fidelity.  The scale s of Q/s, which the dilated and FABLE
-filters need, is read from V a slab of columns at a time; the full V is
-assembled only with the dense artifacts that are 4^n themselves: the
-dilated unitary Omega, built only by `dilated_omega`, the unitarity oracle
-and the artifact whose synthesis the `resources` subcommand times, and the
-dense Q/s, built only by `scaled_filter`, the matrix that `resources`
-block-encodes.
+not at all when only its energy is wanted.  Both transforms go through H's
+symmetry blocks (`DenseHermitian.to_eigenbasis` and `from_eigenbasis`), so
+the exact filter builds no 2^n x 2^n matrix.  `apply_dilated` reads one
+state's dilated energy, post-selection probability and fidelity off its
+coefficients, and forms no filtered state.  The scale s of Q/s, which the
+dilated and FABLE filters need, is read from V a slab of columns at a
+time; the full V is assembled only with the dense artifacts that are 4^n
+themselves: the dilated unitary Omega, built only by `dilated_omega`, the
+unitarity oracle and the artifact whose synthesis the `resources`
+subcommand times, and the dense Q/s, built only by `scaled_filter`, the
+matrix that `resources` block-encodes.
 """
 
 from __future__ import annotations
@@ -73,10 +73,11 @@ def scaled_weights(h: DenseHermitian, weights: np.ndarray) -> np.ndarray:
 
 
 def scaled_filter(h: DenseHermitian, beta: float) -> np.ndarray:
-    """The dense Q/s, max-abs entry 1; real symmetric for the real-symmetric
-    Hamiltonians used here."""
+    """The dense Q/s, real symmetric for the real-symmetric Hamiltonians used
+    here: Q is positive definite, so its max-abs entry s is on its diagonal."""
     vecs = h.eigenvectors
-    return (vecs * scaled_weights(h, thermal_weights(h, beta))) @ vecs.conj().T
+    q = (vecs * thermal_weights(h, beta)) @ vecs.conj().T
+    return q / q.diagonal().real.max()
 
 
 # below these squared norms a filtered state is lost: ||Q psi|| under 1e-14
@@ -106,9 +107,10 @@ def filter_states(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
 
 
 def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
-                    floor: float) -> np.ndarray:
+                    floor: float) -> tuple[np.ndarray, np.ndarray]:
     """<H> of the normalized V (w * c) for each row w of `weights` and each
-    column c of the (2^n, R) coefficients, as a (rows, R) array.
+    column c of the (2^n, R) coefficients, and its squared norm
+    ||w * c||^2, as two (rows, R) arrays.
 
     <H> = sum_k lambda_k w_k^2 |c_k|^2 / sum_k w_k^2 |c_k|^2 never leaves the
     eigenbasis.  Raises ZeroProbability when a denominator is below `floor`.
@@ -117,7 +119,7 @@ def filter_energies(h: DenseHermitian, weights: np.ndarray, coeffs: np.ndarray,
     w2 = weights**2
     sq_norms = w2 @ probs
     check_norms(sq_norms, floor)
-    return (w2 * h.eigenvalues) @ probs / sq_norms
+    return (w2 * h.eigenvalues) @ probs / sq_norms, sq_norms
 
 
 def check_omega_fits(n: int, dtype: np.dtype) -> None:
@@ -154,26 +156,25 @@ def dilated_omega(h: DenseHermitian, beta: float, epsilon: float) -> np.ndarray:
 
 
 def apply_dilated(h: DenseHermitian, psi: StateVector, branch: np.ndarray,
-                  exact: np.ndarray) -> tuple[StateVector, float, float]:
-    """Dilated application of Q to one state: returns (post-selected state,
-    P0, fidelity F).
+                  exact: np.ndarray) -> tuple[float, float, float]:
+    """Dilated application of Q to one state: the (energy, P0, fidelity F)
+    of its post-selected state.
 
     The ancilla starts in |1>, Omega is applied, and the ancilla is
-    post-selected in |0>; the surviving branch is b = sin(eps Q') psi, which
-    is diagonal in H's eigenbasis, so Omega itself is never built: `branch`
+    post-selected in |0>; the surviving branch b = sin(eps Q') psi is
+    diagonal in H's eigenbasis, so neither Omega nor b is built: `branch`
     holds sin(eps q) for the eigenvalues q of Q' and `exact` the exact
-    filter's weights.  P0 is ||b||^2 and F the overlap magnitude with the
-    exact filtered state, in [0, 1].
-    Raises ZeroProbability when P0 underflows.
+    filter's weights e.  With p_k = |c_k|^2 of psi's coefficients c,
+    `filter_energies` gives the energy and P0 = sum_k b_k^2 p_k, and F =
+    |sum_k b_k e_k p_k| / sqrt(P0 sum_k e_k^2 p_k) is the overlap magnitude
+    with the exact filtered state.  Raises ZeroProbability when P0 underflows.
     """
     coeffs = h.to_eigenbasis(psi.amps[:, None])
-    states, p0 = filter_states(h, branch, coeffs, P0_FLOOR)
-    p0 = float(p0[0])
-    filtered = branch * coeffs[:, 0]
-    ideal = exact * coeffs[:, 0]
-    fid = abs(np.vdot(filtered, ideal)) / (math.sqrt(p0) * np.linalg.norm(ideal))
+    [[energy]], [[p0]] = filter_energies(h, branch[None], coeffs, P0_FLOOR)
+    probs = np.abs(coeffs[:, 0]) ** 2
+    fid = abs((branch * exact) @ probs) / math.sqrt(p0 * (exact**2 @ probs))
     # Cauchy-Schwarz bounds F by 1; round-off must not push it past
-    return StateVector(psi.n, states[:, 0]), p0, min(1.0, float(fid))
+    return float(energy), float(p0), min(1.0, float(fid))
 
 
 def dilated_cnot_count(n_system: int) -> int:

@@ -319,9 +319,10 @@ def _window_unitary(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _pauli_traces(paulis: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Re Tr(P_J X) for each string J and each X of an (R, D, D) stack."""
-    return (mats.reshape(len(mats), -1)
-            @ paulis.reshape(len(paulis), -1).conj().T).real
+    """Re Tr(P_J X) for each string J and each X of an (R, D, D) stack; as
+    Re(X . conj P) = Re(conj X . P), the fixed strings are not conjugated."""
+    return (mats.reshape(len(mats), -1).conj()
+            @ paulis.reshape(len(paulis), -1).T).real
 
 
 def _fit(paulis: np.ndarray, m: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -14,7 +14,12 @@ from tpqsim import (
     build_heisenberg,
     qite_evolve,
 )
-from tpqsim.nonunitary import scaled_filter, scaled_weights, thermal_weights
+from tpqsim.nonunitary import (
+    dilated_omega,
+    scaled_filter,
+    scaled_weights,
+    thermal_weights,
+)
 from tpqsim.pauli import DenseHermitian, _diagonal, _masks
 from tpqsim.statevector import StateVector, _apply_gate, apply_circuit
 
@@ -214,6 +219,14 @@ def postselect(psi, ancilla_qubits, outcome_bits):
     if p < 1e-14:
         raise ZeroProbability(f"outcome probability {p:.3e} underflows")
     return StateVector(len(keep), picked / math.sqrt(p)), p
+
+
+def omega_branch(h, beta, eps, psi):
+    """Post-selected state and P0 from the dense Omega on [0; psi]: the
+    oracle of the dilated filter."""
+    augmented = np.concatenate([np.zeros_like(psi.amps), psi.amps])
+    full = StateVector(psi.n + 1, dilated_omega(h, beta, eps) @ augmented)
+    return postselect(full, [psi.n], [0])
 
 
 def fable_branch(circuit, psi):

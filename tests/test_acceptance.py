@@ -48,14 +48,14 @@ from tpqsim.nonunitary import (
     thermal_weights,
 )
 from tpqsim.random_state import random_state, sample_haar_state
-from tpqsim.statevector import StateVector, expectations
+from tpqsim.statevector import expectations
 
 from conftest import (
     circuit_unitary,
     expm_filter,
     fable_branch,
     kron_matrix,
-    postselect,
+    omega_branch,
     qite_one,
 )
 
@@ -159,16 +159,20 @@ def test_dilation_fidelity_success_and_energy():
     states = [random_state(RandomCircuitSpec(lattice, depth=20,
                                              seed=realization_seed(0, r)))
               for r in range(400)]
+    m = kron_matrix(h, 5)
     eps_grid = np.logspace(-3, 0, 10)
     mean_f, mean_p0, weighted_e = [], [], []
     for eps in eps_grid:
         branch = np.sin(eps * scaled_weights(dense, exact))
-        es, p0s, fids = [], [], []
-        for psi in states:
-            out, p0, fid = apply_dilated(dense, psi, branch, exact)
-            es.append(float(expectations(out.amps, h)))
-            p0s.append(p0)
-            fids.append(fid)
+        es, p0s, fids = zip(*(apply_dilated(dense, psi, branch, exact)
+                              for psi in states))
+        # the first states' readouts against the dense Omega's post-selection
+        for psi, e, p0, fid in zip(states[:3], es, p0s, fids):
+            out, ref_p0 = omega_branch(dense, beta, eps, psi)
+            assert abs(p0 - ref_p0) < 1e-10
+            assert abs(e - expectations(out.amps, h)) < 1e-10
+            assert abs(fid - abs(np.vdot(out.amps, expm_filter(
+                m, beta, psi.amps)))) < 1e-10
         mean_f.append(float(np.mean(fids)))
         mean_p0.append(float(np.mean(p0s)))
         weighted_e.append(float(np.average(es, weights=p0s)))
@@ -259,12 +263,13 @@ def test_invariants(tmp_path):
 
     # closed-form post-selected branch against the dense Omega
     branch = np.sin(0.2 * scaled_weights(dense, exact_w))
-    out, p0, fid = apply_dilated(dense, psi, branch, exact_w)
-    augmented = np.concatenate([np.zeros_like(psi.amps), psi.amps])
-    ref, ref_p0 = postselect(
-        StateVector(4, dilated_omega(dense, 1.0, 0.2) @ augmented), [3], [0])
+    energy, p0, fid = apply_dilated(dense, psi, branch, exact_w)
+    ref, ref_p0 = omega_branch(dense, 1.0, 0.2, psi)
     assert abs(p0 - ref_p0) < 1e-10
-    assert np.max(np.abs(out.amps - ref.amps)) < 1e-10
+    assert abs(energy - expectations(ref.amps, h)) < 1e-10
+    out = next(filtered_batches(BackendSpec("dilated", epsilon=0.2), (1.0,),
+                                psi.amps[:, None], dense, h))
+    assert np.max(np.abs(out[:, 0] - ref.amps)) < 1e-10
     exact = expm_filter(kron_matrix(h, 3), 1.0, psi.amps)
     assert abs(fid - abs(np.vdot(ref.amps, exact))) < 1e-10
 
@@ -277,15 +282,11 @@ def test_invariants(tmp_path):
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
 
     # beta = 0 reduces every backend to the identity
-    for kind in ("exact", "fable"):
-        out0 = next(filtered_batches(BackendSpec(kind), (0.0,),
-                                     psi.amps[:, None], dense, h))
+    for backend in (BackendSpec("exact"), BackendSpec("dilated", epsilon=0.5),
+                    BackendSpec("fable")):
+        out0 = next(filtered_batches(backend, (0.0,), psi.amps[:, None],
+                                     dense, h))
         assert np.max(np.abs(out0[:, 0] - psi.amps)) < 1e-10
-    exact0 = thermal_weights(dense, 0.0)
-    out0, _, _ = apply_dilated(dense, psi,
-                               np.sin(0.5 * scaled_weights(dense, exact0)),
-                               exact0)
-    assert np.max(np.abs(out0.amps - psi.amps)) < 1e-10
     outf, _ = fable_branch(fable_encode(scaled_filter(dense, 0.0)), psi)
     assert np.max(np.abs(outf.amps - psi.amps)) < 1e-10
     outq, rotations = qite_one(QiteSpec(0.0), h, psi, lattice)

@@ -364,6 +364,21 @@ def test_resources_times_independent_builds(runner, tmp_path, monkeypatch):
     assert calls == [2] * 6
 
 
+def test_an_override_of_an_unread_key_is_a_config_error(runner, tmp_path):
+    # without qite, resources prepares no random state: --seed would be
+    # ignored, as random_circuit.seed written in the config would be
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 1, "extents": [2]},
+        "resources": {"sizes": [2], "backends": ["dilated"]},
+        "output": {"path": str(tmp_path / "res.csv")},
+    })
+    result = runner.invoke(main, ["resources", cfg, "--seed", "5"])
+    assert result.exit_code == 1
+    assert ("config error: this subcommand does not read "
+            "['random_circuit.seed']") in result.output
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_resources_unknown_backend(runner, tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"dimension": 1, "extents": [2]},
@@ -857,6 +872,31 @@ def test_no_run_path_assembles_the_eigenvectors(runner, tmp_path,
         result = runner.invoke(main, [subcommand, cfg])
         assert result.exit_code == 0, result.output
         outputs.append(out.read_text().split("\n", 1)[1])
+    assert outputs[0] == outputs[1]
+
+
+def test_dilation_scan_forms_no_filtered_state(runner, tmp_path, monkeypatch):
+    # E, P0 and F are read off each state's eigenbasis coefficients: nothing
+    # leaves the eigenbasis, and no Pauli sum is applied to a state
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a filtered state was formed")
+
+    cfg = write_config(tmp_path, {
+        "model": {"dimension": 2, "extents": [2, 3]},
+        "dilation": {"epsilons": [0.1, 0.5], "R": 3},
+    })
+    outputs = []
+    for guarded in (False, True):
+        if guarded:
+            for target in ("tpqsim.pauli.DenseHermitian.from_eigenbasis",
+                           "tpqsim.nonunitary.filter_states",
+                           "tpqsim.pauli.apply_pauli_sum",
+                           "tpqsim.statevector.apply_pauli_sum"):
+                monkeypatch.setattr(target, forbidden)
+        out = tmp_path / f"{guarded}.csv"
+        result = runner.invoke(main, ["dilation-scan", cfg, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
 

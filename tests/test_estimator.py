@@ -13,7 +13,6 @@ from tpqsim import (
     RandomCircuitSpec,
     TpqRunSpec,
     ZeroProbability,
-    apply_dilated,
     build_heisenberg,
     ensemble_expectation,
     fable_encode,
@@ -29,7 +28,7 @@ from tpqsim.estimator import (
     realization_seed,
 )
 from tpqsim.lattice import magnetization_x
-from tpqsim.nonunitary import scaled_filter, scaled_weights, thermal_weights
+from tpqsim.nonunitary import scaled_filter, thermal_weights
 from tpqsim.random_state import random_state, sample_haar_state
 from tpqsim.statevector import (
     StateVector,
@@ -45,6 +44,7 @@ from conftest import (
     fable_branch,
     forbid_full_eigenvectors,
     kron_matrix,
+    omega_branch,
     qite_one,
     traced_peak,
 )
@@ -242,7 +242,8 @@ def test_averaging_reduces_error(chain3):
 def per_state_run(spec):
     """run_ensemble's values and shot stderr, one (state, beta) pair at a
     time through the filters' oracles and the single-state measurements: the
-    dense expm for the exact filter and the replayed circuit for FABLE."""
+    dense expm for the exact filter, the dense Omega for the dilated one and
+    the replayed circuit for FABLE."""
     lattice, backend = spec.lattice, spec.backend
     h = build_heisenberg(lattice)
     dense = to_dense(h, lattice.n_sites)
@@ -258,9 +259,7 @@ def per_state_run(spec):
             if backend.kind == "exact":
                 out = StateVector(psi.n, expm_filter(m, beta, psi.amps))
             elif backend.kind == "dilated":
-                exact = thermal_weights(dense, beta)
-                branch = np.sin(backend.epsilon * scaled_weights(dense, exact))
-                out = apply_dilated(dense, psi, branch, exact)[0]
+                out = omega_branch(dense, beta, backend.epsilon, psi)[0]
             elif backend.kind == "fable":
                 out = fable_branch(fable_encode(scaled_filter(dense, beta)),
                                    psi)[0]

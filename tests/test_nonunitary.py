@@ -21,15 +21,15 @@ from tpqsim.nonunitary import (
     scaled_weights,
     thermal_weights,
 )
-from tpqsim.statevector import StateVector
 from tpqsim.random_state import sample_haar_state
+from tpqsim.statevector import expectations
 
 from conftest import (
     SLAB_CASES,
     ascending,
     expm_filter,
     kron_matrix,
-    postselect,
+    omega_branch,
     scale_oracle,
     thermal_matrix,
     thermal_scale,
@@ -47,10 +47,9 @@ def m2(chain2):
     return kron_matrix(build_heisenberg(chain2), 2)
 
 
-def exact_run_filter(h, beta, psi):
-    """The exact filter as a run applies it, on the one-column batch of psi."""
-    batches = filtered_batches(BackendSpec("exact"), (beta,),
-                               psi.amps[:, None], h, None)
+def run_filter(h, beta, psi, backend=BackendSpec("exact")):
+    """A filter as a run applies it, on the one-column batch of psi."""
+    batches = filtered_batches(backend, (beta,), psi.amps[:, None], h, None)
     return next(batches)[:, 0]
 
 
@@ -64,7 +63,7 @@ def dilation(h, beta, eps):
 def test_beta_zero_is_identity(h2):
     assert np.allclose(thermal_matrix(h2, 0.0), np.eye(4))
     psi = sample_haar_state(2, 0)
-    assert np.max(np.abs(exact_run_filter(h2, 0.0, psi) - psi.amps)) < 1e-12
+    assert np.max(np.abs(run_filter(h2, 0.0, psi) - psi.amps)) < 1e-12
 
 
 def test_diagonal_hamiltonian():
@@ -137,7 +136,7 @@ def test_scale_from_slabs_matches_the_full_eigenvectors(case):
 def test_large_beta_projects_onto_ground_state(chain3):
     h = to_dense(build_heisenberg(chain3), 3)
     psi = sample_haar_state(3, 4)
-    out = exact_run_filter(h, 50.0, psi)
+    out = run_filter(h, 50.0, psi)
     ground = h.eigenvectors[:, ascending(h)[0]]
     assert abs(np.vdot(ground, out)) ** 2 > 0.999
 
@@ -155,7 +154,7 @@ def test_scale_invariance_of_the_exact_filter(h2):
     # rescaling Q cannot change the normalized output: the eigenvalues of
     # Q/s with s rescaled filter psi to the exact filter's state
     psi = sample_haar_state(2, 9)
-    out = exact_run_filter(h2, 1.0, psi)
+    out = run_filter(h2, 1.0, psi)
     rescaled = scaled_weights(h2, thermal_weights(h2, 1.0)) / 37.5
     out2, _ = filter_states(h2, rescaled, h2.to_eigenbasis(psi.amps[:, None]),
                             NORM_FLOOR)
@@ -195,22 +194,19 @@ def test_omega_peak_fits_its_budget(n):
     assert peak < 7 * dense.dtype.itemsize * dense.dim**2
 
 
-def omega_branch(h, beta, eps, psi):
-    """Post-selected state and P0 from the dense Omega on [0; psi]."""
-    augmented = np.concatenate([np.zeros_like(psi.amps), psi.amps])
-    full = StateVector(psi.n + 1, dilated_omega(h, beta, eps) @ augmented)
-    return postselect(full, [psi.n], [0])
-
-
-def test_apply_dilated_closed_form_oracle(h2, m2):
+def test_apply_dilated_closed_form_oracle(h2, m2, chain2):
     psi = sample_haar_state(2, 3)
     exact = expm_filter(m2, 1.0, psi.amps)
+    h_pauli = build_heisenberg(chain2)
     # at eps = 4.0 sin(eps q) changes sign across the scaled spectrum
     for eps in (0.25, 0.3, 2.0, 4.0):
-        out, p0, fid = apply_dilated(h2, psi, *dilation(h2, 1.0, eps))
+        energy, p0, fid = apply_dilated(h2, psi, *dilation(h2, 1.0, eps))
         ref, ref_p0 = omega_branch(h2, 1.0, eps, psi)
         assert p0 == pytest.approx(ref_p0, abs=1e-10)
-        assert np.max(np.abs(out.amps - ref.amps)) < 1e-10
+        assert energy == pytest.approx(expectations(ref.amps, h_pauli),
+                                       abs=1e-10)
+        out = run_filter(h2, 1.0, psi, BackendSpec("dilated", epsilon=eps))
+        assert np.max(np.abs(out - ref.amps)) < 1e-10
         assert fid == pytest.approx(abs(np.vdot(ref.amps, exact)), abs=1e-10)
         assert 0.0 < fid <= 1.0
 
@@ -231,11 +227,15 @@ def test_apply_dilated_fidelity_at_most_one(h2):
         assert fid <= 1.0
 
 
-def test_dilated_identity_q_half_pi(h2):
+def test_dilated_identity_q_half_pi(h2, chain2):
     psi = sample_haar_state(2, 8)
-    out, p0, fid = apply_dilated(h2, psi, *dilation(h2, 0.0, np.pi / 2))
+    energy, p0, fid = apply_dilated(h2, psi, *dilation(h2, 0.0, np.pi / 2))
     assert p0 == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(out.amps - psi.amps)) < 1e-10
+    ref, _ = omega_branch(h2, 0.0, np.pi / 2, psi)
+    assert energy == pytest.approx(
+        expectations(ref.amps, build_heisenberg(chain2)), abs=1e-10)
+    out = run_filter(h2, 0.0, psi, BackendSpec("dilated", epsilon=np.pi / 2))
+    assert np.max(np.abs(out - psi.amps)) < 1e-10
     assert fid == pytest.approx(1.0, abs=1e-10)
 
 
@@ -265,12 +265,12 @@ def test_expectation_agreement_exact_vs_dilated():
     h_pauli = build_heisenberg(lattice)
     h = to_dense(h_pauli, 4)
     psi = sample_haar_state(4, 21)
-    from tpqsim import expectations
-
     e_exact = expectations(expm_filter(kron_matrix(h_pauli, 4), 2.0,
                                        psi.amps), h_pauli)
-    out, _, _ = apply_dilated(h, psi, *dilation(h, 2.0, 1e-3))
-    e_dilated = expectations(out.amps, h_pauli)
+    e_dilated, _, _ = apply_dilated(h, psi, *dilation(h, 2.0, 1e-3))
+    ref, _ = omega_branch(h, 2.0, 1e-3, psi)
+    assert e_dilated == pytest.approx(expectations(ref.amps, h_pauli),
+                                      abs=1e-10)
     assert abs(e_dilated - e_exact) / abs(e_exact) < 1e-4
 
 
@@ -287,9 +287,14 @@ def test_complex_basis_filters_match_oracles():
     assert np.iscomplexobj(h.eigenvectors)
     psi = sample_haar_state(2, 5)
     q_psi = scipy.linalg.expm(-0.5 * kron_matrix(SINGLE_Y, 2)) @ psi.amps
-    out = exact_run_filter(h, 1.0, psi)
+    out = run_filter(h, 1.0, psi)
     assert np.max(np.abs(out - q_psi / np.linalg.norm(q_psi))) < 1e-10
-    branch, p0, _ = apply_dilated(h, psi, *dilation(h, 1.0, 0.6))
+    energy, p0, fid = apply_dilated(h, psi, *dilation(h, 1.0, 0.6))
     ref, ref_p0 = omega_branch(h, 1.0, 0.6, psi)
     assert p0 == pytest.approx(ref_p0, abs=1e-10)
-    assert np.max(np.abs(branch.amps - ref.amps)) < 1e-10
+    assert energy == pytest.approx(expectations(ref.amps, SINGLE_Y),
+                                   abs=1e-10)
+    assert fid == pytest.approx(
+        abs(np.vdot(ref.amps, q_psi / np.linalg.norm(q_psi))), abs=1e-10)
+    branch = run_filter(h, 1.0, psi, BackendSpec("dilated", epsilon=0.6))
+    assert np.max(np.abs(branch - ref.amps)) < 1e-10
