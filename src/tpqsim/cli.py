@@ -29,6 +29,7 @@ from .estimator import (
     TpqRunSpec,
     ensemble_expectation,
     run_ensemble,
+    run_ensembles,
     realization_seeds,
     squared_error_scan,
 )
@@ -397,14 +398,15 @@ def error_scan(config_path, output, seed):
         base_seed = c.read("random_circuit", "seed")["seed"]
         sizes, cmp_n = scan["sizes"], scan["compare_N"]
         *chains, cmp_chain = _chains(c, (*sizes, cmp_n))
-        comparisons = [(r, [TpqRunSpec(cmp_chain, _BETA_GRID, realizations=r,
-                                       base_seed=base_seed + s)
-                            for s in range(scan["compare_seeds"])])
-                       for r in scan["compare_R"]]
+        comparisons = [TpqRunSpec(cmp_chain, _BETA_GRID, realizations=r,
+                                  base_seed=base_seed + s)
+                       for r in scan["compare_R"]
+                       for s in range(scan["compare_seeds"])]
     rows = []
     comments = []
-    for d in scan["depths"]:
-        dsq = squared_error_scan(chains, d, scan["beta"], scan["R"], base_seed)
+    scans = squared_error_scan(chains, scan["depths"], scan["beta"], scan["R"],
+                               base_seed)
+    for d, dsq in zip(scan["depths"], scans):
         for n in sizes:
             if not dsq[n] > 0:
                 raise TpqsimError(f"D^2 is {dsq[n]} at depth {d} and size "
@@ -413,10 +415,11 @@ def error_scan(config_path, output, seed):
         slope = np.polyfit(sizes, np.log(np.array([dsq[n] for n in sizes])), 1)[0]
         comments.append(f"trend_d{d}_slope={slope:.6g} "
                         f"monotone_down={str(slope < 0).lower()}")
-    for r_cmp, specs in comparisons:
-        errs = [float(np.mean(np.abs(est.mean - est.ensemble_ref)))
-                for est in map(run_ensemble, specs)]
-        rows.append(["rcomp", "", cmp_n, r_cmp, float(np.mean(errs))])
+    errs = np.reshape([np.mean(np.abs(est.mean - est.ensemble_ref))
+                       for est in run_ensembles(comparisons)],
+                      (len(scan["compare_R"]), -1))
+    for r_cmp, r_errs in zip(scan["compare_R"], errs):
+        rows.append(["rcomp", "", cmp_n, r_cmp, float(np.mean(r_errs))])
     write_csv(c.output, c.config, ["scan", "d", "N", "R", "value"],
               rows, comments=comments)
 

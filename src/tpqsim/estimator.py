@@ -134,8 +134,8 @@ def realization_seed(base_seed: int, *key: int) -> int:
 
 # copies of the (2^N, R) complex batch of random states that its callers
 # hold at their peak, from tracemalloc at 10 sites and R = 1000 over 20 betas:
-# 8.2 (magnetization_x, or shots), 5.7 (dilated, FABLE), 5.2 (exact energy)
-# and 3.0 (entropy-scan); dilation-scan took 6.3 (8 sites, R = 4000)
+# 6.2 (magnetization_x, or shots), 4.2 (exact energy, dilated, FABLE) and
+# 2.5 (entropy-scan); dilation-scan took 1.1 (8 sites, R = 4000)
 _STATE_BATCH_PEAK = 10
 
 
@@ -234,35 +234,48 @@ def measure_filtered(spec: TpqRunSpec, states: np.ndarray,
     return values, shot_var
 
 
-def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
-    """The full pipeline: R random states, filtered and measured per beta."""
-    lattice = spec.lattice
-    seeds = realization_seeds(spec.base_seed, spec.realizations,
-                              lattice.n_sites)
+def run_ensembles(specs: list[TpqRunSpec]) -> list[TpqEstimate]:
+    """The full pipeline of each spec, all on one lattice and one eigenbasis:
+    R random states, filtered and measured per beta.  Every spec's batch is
+    checked to fit physical memory before H is diagonalized."""
+    seeds = [realization_seeds(spec.base_seed, spec.realizations,
+                               spec.lattice.n_sites) for spec in specs]
+    lattice = specs[0].lattice
     h_pauli = build_heisenberg(lattice)
     dense_h = to_dense(h_pauli, lattice.n_sites)
-    states = random_states(lattice, spec.depth, spec.entangler, seeds)
-    values, shot_var = measure_filtered(spec, states, dense_h, h_pauli)
-    ref = ensemble_expectation(dense_h, spec.observable, spec.betas)
-    shot_stderr = None
-    if spec.shots > 0:
-        shot_stderr = np.sqrt(shot_var) / spec.realizations
-    return TpqEstimate(spec.betas, values, ensemble_ref=ref,
-                       shot_stderr=shot_stderr)
+    estimates = []
+    for spec, spec_seeds in zip(specs, seeds):
+        states = random_states(lattice, spec.depth, spec.entangler, spec_seeds)
+        values, shot_var = measure_filtered(spec, states, dense_h, h_pauli)
+        ref = ensemble_expectation(dense_h, spec.observable, spec.betas)
+        shot_stderr = None
+        if spec.shots > 0:
+            shot_stderr = np.sqrt(shot_var) / spec.realizations
+        estimates.append(TpqEstimate(spec.betas, values, ensemble_ref=ref,
+                                     shot_stderr=shot_stderr))
+    return estimates
 
 
-def squared_error_scan(chains, depth: int, beta: float, realizations: int,
-                       base_seed: int = 0) -> dict[int, float]:
-    """Mean squared single-TPQ energy deviation per lattice, keyed by size.
+def run_ensemble(spec: TpqRunSpec) -> TpqEstimate:
+    """The full pipeline: R random states, filtered and measured per beta."""
+    return run_ensembles([spec])[0]
+
+
+def squared_error_scan(chains, depths, beta: float, realizations: int,
+                       base_seed: int = 0) -> list[dict[int, float]]:
+    """Mean squared single-TPQ energy deviation per lattice, keyed by size,
+    one dict per depth of `depths`.
 
     D(H)^2 = mean over realizations of (<H>_TPQ - <H>_ens)^2 with the exact
-    backend, one value per lattice of `chains`.
+    backend, one value per depth and lattice of `chains`; each lattice is
+    diagonalized once for all depths.
     """
-    out = {}
+    out = [{} for _ in depths]
     for lattice in chains:
-        est = run_ensemble(TpqRunSpec(lattice, (beta,),
-                                      realizations=realizations, depth=depth,
-                                      base_seed=base_seed))
-        deviations = est.values[0] - est.ensemble_ref[0]
-        out[lattice.n_sites] = float(np.mean(deviations**2))
+        estimates = run_ensembles([
+            TpqRunSpec(lattice, (beta,), realizations=realizations, depth=d,
+                       base_seed=base_seed) for d in depths])
+        for dsq, est in zip(out, estimates):
+            deviations = est.values[0] - est.ensemble_ref[0]
+            dsq[lattice.n_sites] = float(np.mean(deviations**2))
     return out

@@ -20,13 +20,14 @@ reversal-even and reversal-odd blocks, four of about 2^(n-2), each laid out
 from its sector's reversal pairs and palindromes.  Each block is one record,
 its rows (a[s] +- a[r(s)]) / sqrt(2) of the fold, its columns of the
 eigenbasis and its eigenpairs.  States enter the eigenbasis through one
-Walsh-Hadamard transform and, per block, a gather of its rows and one
-product, and leave it through one product and one scatter per block and the
-transform; the eigenvector matrix is read a slab of columns at a time, and
-a full 2^n x 2^n matrix is assembled only where one is the result.  The
-eigenbasis is kept in block order, each block's eigenpairs after the
-previous block's, and is never sorted: what is read off it, sums over
-eigenstates and the ground energy as the spectrum's min, needs no order.
+Walsh-Hadamard transform, one product per five index bits, and, per block,
+a gather of its rows and one product, and leave it through one product and
+one scatter per block and the transform; the eigenvector matrix is read a
+slab of columns at a time, and a full 2^n x 2^n matrix is assembled only
+where one is the result.  The eigenbasis is kept in block order, each
+block's eigenpairs after the previous block's, and is never sorted: what is
+read off it, sums over eigenstates and the ground energy as the spectrum's
+min, needs no order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -156,24 +157,41 @@ def apply_pauli_sum(amps: np.ndarray, n: int, p: PauliSum) -> np.ndarray:
     return out
 
 
-def walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """H^{(x)n} a, in place along axis 0 of a (2^n, ...) array or view;
-    returns `a`.
+# index bits taken by one product of the Walsh-Hadamard transform: its
+# 32 x 32 Sylvester matrix (8 KiB) stays in cache, and an n-bit transform
+# passes over the array ceil(n / 5) times instead of n
+_WHT_BITS = 5
 
-    Each stage maps the pairs (x, y) to (x + y, x - y) with no temporary, as
-    x += y and then y = x - 2y; one scaling by 2^{-n/2} at the end makes the
-    transform orthogonal (and its own inverse).
+
+@lru_cache(maxsize=None)
+def _sylvester(k: int) -> np.ndarray:
+    """H^{(x)k}, the 2^k Sylvester-Hadamard matrix scaled by 2^{-k/2}, whose
+    entry (i, j) is the sign (-1)^popcount(i & j) (read-only)."""
+    idx = np.arange(1 << k)
+    scale = 2.0 ** (-k / 2)
+    s = np.where(np.bitwise_count(idx[:, None] & idx) & 1, -scale, scale)
+    s.flags.writeable = False
+    return s
+
+
+def walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """H^{(x)n} a, in place along axis 0 of a C-contiguous (2^n, ...) array;
+    returns `a`.  The transform is orthogonal and its own inverse.
+
+    The n index bits are taken _WHT_BITS at a time from the lowest: for
+    bits lo .. lo + k - 1 the array is viewed as (2^(n-lo-k), 2^k, rest)
+    and multiplied by the scaled 2^k Sylvester matrix in one product,
+    written back over the view (numpy buffers the input of the overlapping
+    product, one copy of the array).  Complex entries are multiplied as
+    pairs of reals.
     """
-    dim = len(a)
-    h = 1
-    while h < dim:
-        pairs = a.reshape((dim // (2 * h), 2, h) + a.shape[1:], copy=False)
-        x, y = pairs[:, 0], pairs[:, 1]
-        x += y
-        y *= -2.0
-        y += x
-        h *= 2
-    a *= dim**-0.5
+    v = a.view(float) if np.iscomplexobj(a) else a
+    dim, lo = len(a), 0
+    while 1 << lo < dim:
+        k = min(_WHT_BITS, dim.bit_length() - 1 - lo)
+        view = v.reshape(dim >> (lo + k), 1 << k, -1, copy=False)
+        np.matmul(_sylvester(k), view, out=view)
+        lo += k
     return a
 
 
@@ -319,13 +337,15 @@ class DenseHermitian:
         columns scattered through the block's rows of F into a zeroed
         (2^n, width) array, rotated back by one Walsh-Hadamard transform.
 
-        A slab is 2^n / 32 columns wide: with the transform's ufunc buffers
-        (up to about 1.5 slabs on a narrow strided array) it stays near a
-        tenth of V, inside the block and eigh workspace that `to_dense`
-        counted and freed, four of the largest of at most four blocks, so
-        4^n / 4 entries or more.  It is at least 8 wide, because each slab
-        costs about 4n numpy calls: below 8 sites, where 8 columns are a
-        few KiB, this keeps the slabs few.
+        A slab is 2^n / 32 columns wide: with the previous slab, which a
+        reader holds while the next is built, and the transform's buffered
+        input, one slab more, a reader's peak stays near a tenth of V
+        (tracemalloc read 0.099 V for `scaled_weights` at 12 sites), inside
+        the block and eigh workspace that `to_dense` counted and freed, four
+        of the largest of at most four blocks, so 4^n / 4 entries or more.
+        It is at least 8 wide, because each slab costs a fixed number of
+        numpy calls, its scatter and the transform's products: below 8
+        sites, where 8 columns are a few KiB, this keeps the slabs few.
         """
         width = max(8, self.dim // 32)
         for rows, cols, _, u in self.blocks:
@@ -359,7 +379,7 @@ class DenseHermitian:
         """C = V^dagger amps for a (2^n, m) batch of column states, rows in
         block order: one Walsh-Hadamard transform of the batch, then per
         block its rows of F and one product."""
-        batch = np.array(amps, dtype=complex)
+        batch = np.array(amps, dtype=complex, order="C")
         if self.rotated:
             walsh_hadamard(batch)
         coeffs = np.empty(batch.shape, dtype=complex)

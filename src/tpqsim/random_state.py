@@ -8,16 +8,19 @@ bonds in 1D, and horizontal-even / horizontal-odd / vertical-even /
 vertical-odd grid bonds in 2D (parity of the bond's column, resp. row).
 
 `random_state` replays one seed's circuit gate by gate; `random_states`
-prepares the states of many seeds as one (2^n, R) batch, with the same gate
-draws and equal amplitudes, applying each entangling layer as one +-1 diagonal
-or one permutation of the whole batch.  `state_entropy` takes such a batch
-too, and returns one basis entropy per column.
+prepares the states of many seeds as one batch, with the same gate draws and
+equal amplitudes, running the same single-qubit kernel as the replay: one
+product per (block, qubit) on the batch's rows, each row with its own 2x2
+matrix, and each entangling layer as one +-1 diagonal or one permutation of
+the whole batch.  `state_entropy` takes such a batch too, and returns one
+basis entropy per column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 # numpy >= 2 defers this import to first use; every subcommand draws
@@ -29,7 +32,7 @@ from .lattice import LatticeSpec, nearest_neighbor_pairs
 from .pauli import _check_budget
 from .statevector import (
     StateVector,
-    _apply_1q,
+    _apply_low,
     _cz_signs,
     _permutation,
     apply_circuit,
@@ -94,18 +97,29 @@ def _gate_choices(seed: int, n: int, depth: int) -> np.ndarray:
     return blocks
 
 
+@lru_cache(maxsize=16)
+def _gate_table(lattice: LatticeSpec, entangler: str) -> tuple:
+    """The random circuits' gates on `lattice`, built once: a (3, n) object
+    array holding GATE_SET[k] on qubit q at [k, q], and each entangling
+    pattern's gates."""
+    n = lattice.n_sites
+    singles = np.empty((len(GATE_SET), n), dtype=object)
+    for k, (kind, angle) in enumerate(GATE_SET):
+        singles[k] = [Gate(kind, (q,), angle) for q in range(n)]
+    singles.flags.writeable = False
+    return singles, tuple(tuple(Gate(entangler, bond) for bond in pattern)
+                          for pattern in entangling_patterns(lattice))
+
+
 def build_random_circuit(spec: RandomCircuitSpec) -> Circuit:
     """Deterministic circuit for (lattice, depth, entangler, seed)."""
     n = spec.lattice.n_sites
-    patterns = entangling_patterns(spec.lattice)
-    circuit = Circuit(n)
+    singles, layers = _gate_table(spec.lattice, spec.entangler)
+    gates = []
     for block, choices in enumerate(_gate_choices(spec.seed, n, spec.depth)):
-        for q, choice in enumerate(choices):
-            kind, angle = GATE_SET[choice]
-            circuit.append(kind, q, angle=angle)
-        for i, j in patterns[block % len(patterns)]:
-            circuit.append(spec.entangler, i, j)
-    return circuit
+        gates += singles[choices, range(n)].tolist()
+        gates += layers[block % len(layers)]
+    return Circuit(n, gates)
 
 
 def random_state(spec: RandomCircuitSpec) -> StateVector:
@@ -114,29 +128,33 @@ def random_state(spec: RandomCircuitSpec) -> StateVector:
 
 
 def _entangling_layer(n: int, entangler: str, pattern: list[tuple[int, int]]):
-    """A pattern's gates as one map of a (2^n, R) batch: the product of their
-    +-1 diagonals (cz), or the composition of their permutations (cnot)."""
+    """A pattern's gates as one map of an (R, 2^n) batch of rows: the product
+    of their +-1 diagonals (cz), or the composition of their permutations
+    (cnot)."""
     if entangler == "cz":
         signs = np.ones(1 << n, dtype=np.int8)
         for i, j in pattern:
             signs *= _cz_signs(n, i, j)
-        return lambda amps: amps * signs[:, None]
+        return lambda rows: rows * signs
     source = np.arange(1 << n)
     for i, j in pattern:
         source = source[_permutation("cnot", n, i, j)]
-    return lambda amps: amps[source]
+    return lambda rows: rows[:, source]
 
 
 def random_states(lattice: LatticeSpec, depth: int, entangler: str,
                   seeds) -> np.ndarray:
-    """`random_state` of each seed, as the columns of one (2^n, R) batch.
+    """`random_state` of each seed, as the columns of one C-ordered
+    (2^n, R) batch.
 
     The gates are drawn as `build_random_circuit` draws them, but no circuit
-    is built: each single-qubit layer applies one 2x2 matrix per column and
-    qubit, and each entangling layer is one precomputed map of the batch.
-    The columns equal the gate-by-gate states.  Raises DimensionOverflow,
-    before drawing, when the table of gate choices, one byte per seed, block
-    and qubit, exceeds physical memory.
+    is built: the batch is held as (R, 2^n) rows, each single-qubit layer is
+    one product per qubit with each row's own 2x2 matrix (the kernel
+    `apply_circuit` runs, so the bit order comes back after each layer), and
+    each entangling layer is one precomputed map of the batch.  The columns
+    equal the gate-by-gate states.  Raises DimensionOverflow, before
+    drawing, when the table of gate choices, one byte per seed, block and
+    qubit, exceeds physical memory.
     """
     RandomCircuitSpec(lattice, depth, entangler)  # checks depth and entangler
     n = lattice.n_sites
@@ -149,13 +167,13 @@ def random_states(lattice: LatticeSpec, depth: int, entangler: str,
                      for kind, angle in GATE_SET])
     layers = [_entangling_layer(n, entangler, pattern)
               for pattern in entangling_patterns(lattice)]
-    amps = np.zeros((1 << n, len(choices)), dtype=complex)
-    amps[0] = 1.0
+    rows = np.zeros((len(choices), 1 << n), dtype=complex)
+    rows[:, 0] = 1.0
     for block in range(depth):
         for q in range(n):
-            amps = _apply_1q(amps, n, mats[choices[:, block, q]], q)
-        amps = layers[block % len(layers)](amps)
-    return amps
+            rows = _apply_low(rows, mats[choices[:, block, q]])
+        rows = layers[block % len(layers)](rows)
+    return np.ascontiguousarray(rows.T)
 
 
 def sample_haar_state(n: int, seed: int) -> StateVector:

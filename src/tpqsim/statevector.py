@@ -1,8 +1,14 @@
-"""Dense statevector simulation: gate kernels, expectations, shot sampling.
+"""Dense statevector simulation: one gate kernel, expectations, shot sampling.
 
-Qubit 0 is the least significant index bit.  The gate kernels also accept a
-(2^n, m) batch whose columns are independent states; `expectations` and
-`sample_expectations` measure such a batch.
+Qubit 0 is the least significant index bit.  A single-qubit gate is one
+product of its 2x2 matrix with an (m, 2^n) batch of row states viewed as
+(m, 2, 2^(n-1)) on its lowest bit (`_apply_low`); the result holds the
+acted-on qubit in its highest bit, so the bit order rotates by one, and n
+gates taken in qubit order bring it back.  `apply_circuit` tracks that
+rotation and moves a target to the lowest bit by one transposed copy only
+when it is not already there; CZ, CNOT and SWAP are one cached diagonal or
+permutation of the rotated bits.  `expectations` and `sample_expectations`
+measure a (2^n, m) batch whose columns are independent states.
 """
 
 from __future__ import annotations
@@ -38,20 +44,20 @@ def _rz(theta: float) -> np.ndarray:
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate."""
-    if g.kind == "h":
-        return _H
-    if g.kind == "x":
-        return _X
-    if g.kind == "t":
-        return _T
-    if g.kind == "rx":
-        return _rx(g.angle)
-    if g.kind == "ry":
-        return _ry(g.angle)
-    if g.kind == "rz":
-        return _rz(g.angle)
-    raise ValueError(f"not a single-qubit gate: {g.kind}")
+    """2x2 matrix of a single-qubit gate (cached, read-only)."""
+    return _matrix(g.kind, g.angle)
+
+
+@lru_cache(maxsize=1024)
+def _matrix(kind: str, angle: float | None) -> np.ndarray:
+    if kind in ("rx", "ry", "rz"):
+        mat = {"rx": _rx, "ry": _ry, "rz": _rz}[kind](angle)
+    elif kind in ("h", "x", "t"):
+        mat = {"h": _H, "x": _X, "t": _T}[kind].copy()
+    else:
+        raise ValueError(f"not a single-qubit gate: {kind}")
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass
@@ -71,16 +77,22 @@ def zero_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
-    """A 2x2 matrix on qubit q of a state or a (2^n, m) batch, or one matrix
-    per column when `mat` is (m, 2, 2)."""
-    # index bit q splits the amplitudes into the (high, bit q, low) axes
-    a = amps.reshape((1 << (n - 1 - q), 2, 1 << q) + amps.shape[1:])
-    a0, a1 = a[:, 0], a[:, 1]
-    out = np.empty_like(a)
-    out[:, 0] = mat[..., 0, 0] * a0 + mat[..., 0, 1] * a1
-    out[:, 1] = mat[..., 1, 0] * a0 + mat[..., 1, 1] * a1
-    return out.reshape(amps.shape)
+def _apply_low(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """A 2x2 matrix, or one per row when `mat` is (m, 2, 2), on the lowest
+    bit of each row of an (m, 2^n) batch, as one product: the acted-on
+    qubit comes out in the highest bit and every other bit moves down one."""
+    m = len(rows)
+    return np.matmul(mat, rows.reshape(m, -1, 2).transpose(0, 2, 1)).reshape(
+        rows.shape)
+
+
+def _rotate(rows: np.ndarray, p: int) -> np.ndarray:
+    """The (m, 2^n) rows with bit p moved to bit 0 and each bit b to
+    (b - p) mod n, by one transposed copy (none when p is 0)."""
+    if p == 0:
+        return rows
+    m = len(rows)
+    return rows.reshape(m, -1, 1 << p).transpose(0, 2, 1).reshape(m, -1)
 
 
 @lru_cache(maxsize=128)
@@ -105,23 +117,37 @@ def _permutation(kind: str, n: int, q0: int, q1: int) -> np.ndarray:
     return perm
 
 
+def _run(rows: np.ndarray, n: int, gates) -> np.ndarray:
+    """The gates in order on each row of an (m, 2^n) batch.
+
+    Qubit q sits at bit (q - r) mod n of the working rows: each single-qubit
+    gate first rotates its target to bit 0 unless it is there, and then
+    advances r by one; the two-qubit gates act on their qubits' current
+    bits.  One rotation at the end restores the order.
+    """
+    r = 0
+    for g in gates:
+        bits = [(q - r) % n for q in g.qubits]
+        if g.kind == "cz":
+            rows = rows * _cz_signs(n, *bits)
+        elif g.kind in ("cnot", "swap"):
+            rows = rows[:, _permutation(g.kind, n, *bits)]
+        else:
+            rows = _apply_low(_rotate(rows, bits[0]), gate_matrix(g))
+            r += bits[0] + 1
+    return _rotate(rows, -r % n) if n else rows
+
+
 def _apply_gate(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
-    if g.kind == "cz":
-        signs = _cz_signs(n, *g.qubits)
-        return amps * (signs if amps.ndim == 1 else signs[:, None])
-    if g.kind in ("cnot", "swap"):
-        return amps[_permutation(g.kind, n, *g.qubits)]
-    return _apply_1q(amps, n, gate_matrix(g), g.qubits[0])
+    """One gate on a state or on each column of a (2^n, m) batch."""
+    return _run(amps.reshape(1 << n, -1).T, n, [g]).T.reshape(amps.shape)
 
 
 def apply_circuit(psi: StateVector, c: Circuit) -> StateVector:
     """Run all gates in order; the input state is not modified."""
     if c.width > psi.n:
         raise IndexError(f"circuit width {c.width} exceeds state size {psi.n}")
-    amps = psi.amps.copy()
-    for g in c.gates:
-        amps = _apply_gate(amps, psi.n, g)
-    return StateVector(psi.n, amps)
+    return StateVector(psi.n, _run(psi.amps.copy()[None], psi.n, c.gates)[0])
 
 
 def expectations(amps: np.ndarray, a: PauliSum) -> np.ndarray:

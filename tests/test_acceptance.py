@@ -120,8 +120,8 @@ def test_single_state_error_shrinks_with_system_size():
     sizes = list(range(2, 11))
     chains = [LatticeSpec(1, (n,), Jx=1.0, Jy=1.0, Jz=1.0, hx=1.0)
               for n in sizes]
-    dsq = {d: squared_error_scan(chains, d, beta=0.5, realizations=100,
-                                 base_seed=0) for d in (2, 50)}
+    dsq = dict(zip((2, 50), squared_error_scan(chains, (2, 50), beta=0.5,
+                                               realizations=100, base_seed=0)))
     slopes = {d: float(np.polyfit(sizes,
                                   np.log([dsq[d][n] for n in sizes]), 1)[0])
               for d in (2, 50)}

@@ -311,20 +311,30 @@ def test_dilation_scan(runner, tmp_path):
     assert float(small[2]) <= float(large[2])  # P0 rises with epsilon
 
 
-def test_error_scan(runner, tmp_path):
+def test_error_scan(runner, tmp_path, monkeypatch):
+    # one eigenbasis per chain for every depth, and one for the 4 runs of
+    # the R comparison
+    calls = []
+
+    def counted(h, n):
+        calls.append(n)
+        return to_dense(h, n)
+
+    monkeypatch.setattr("tpqsim.estimator.to_dense", counted)
     cfg = write_config(tmp_path, {
         "model": {"dimension": 1, "extents": [2]},
-        "error_scan": {"sizes": [2, 3], "depths": [5], "R": 5,
+        "error_scan": {"sizes": [2, 3], "depths": [5, 2], "R": 5,
                        "compare_R": [1, 5], "compare_N": 3,
                        "compare_seeds": 2},
         "output": {"path": str(tmp_path / "err.csv")},
     })
     result = runner.invoke(main, ["error-scan", cfg])
     assert result.exit_code == 0, result.output
+    assert calls == [2, 3, 3]
     lines = (tmp_path / "err.csv").read_text().splitlines()
     assert any(line.startswith("# trend_d5_slope=") for line in lines)
     data = [line.split(",") for line in lines if not line.startswith("#")][1:]
-    assert sum(r[0] == "dsq" for r in data) == 2
+    assert sum(r[0] == "dsq" for r in data) == 4
     assert sum(r[0] == "rcomp" for r in data) == 2
 
 
@@ -534,7 +544,8 @@ def test_config_errors_come_before_compute(runner, tmp_path, monkeypatch,
         raise AssertionError("computed before the config was checked")
 
     for name in ("build_heisenberg", "random_state", "random_states",
-                 "run_ensemble", "squared_error_scan", "to_dense"):
+                 "run_ensemble", "run_ensembles", "squared_error_scan",
+                 "to_dense"):
         monkeypatch.setattr(f"tpqsim.cli.{name}", compute)
     cfg = write_config(tmp_path, {
         "model": {"dimension": 1, "extents": [2]},

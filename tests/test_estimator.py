@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tpqsim.estimator
 import tpqsim.fable
 import tpqsim.nonunitary
 from tpqsim import (
@@ -220,10 +221,33 @@ def test_magnetization_observable(chain3):
 
 
 def test_squared_error_scan_positive():
-    out = squared_error_scan([LatticeSpec(1, (n,)) for n in (2, 3)],
-                             depth=10, beta=0.5, realizations=10, base_seed=6)
+    (out,) = squared_error_scan([LatticeSpec(1, (n,)) for n in (2, 3)],
+                                depths=[10], beta=0.5, realizations=10,
+                                base_seed=6)
     assert set(out) == {2, 3}
     assert all(v > 0 for v in out.values())
+
+
+def test_squared_error_scan_shares_one_eigenbasis_per_chain(monkeypatch):
+    # one to_dense per chain for all depths, and each depth's values equal
+    # those of its own run
+    chains = [LatticeSpec(1, (n,)) for n in (2, 3, 4)]
+    calls = []
+
+    def counted(h, n):
+        calls.append(n)
+        return to_dense(h, n)
+
+    monkeypatch.setattr(tpqsim.estimator, "to_dense", counted)
+    shared = squared_error_scan(chains, [2, 5, 2], beta=0.5, realizations=4,
+                                base_seed=3)
+    assert calls == [2, 3, 4]
+    for depth, dsq in zip([2, 5, 2], shared):
+        spec = TpqRunSpec(chains[1], (0.5,), realizations=4, depth=depth,
+                          base_seed=3)
+        est = run_ensemble(spec)
+        assert dsq[3] == float(np.mean((est.values[0]
+                                        - est.ensemble_ref[0]) ** 2))
 
 
 def test_averaging_reduces_error(chain3):

@@ -371,17 +371,49 @@ def test_walsh_hadamard_matches_butterfly_loop():
             h *= 2
         return a
 
-    for m in (0, 1, 2, 5, 8):
+    # 5 bits per product: one, two and three products, with remainders
+    for m in (0, 1, 2, 5, 6, 7, 8, 10, 11, 13):
         rng = np.random.default_rng(m)
         a = rng.normal(size=1 << m)
         scale = np.sqrt(len(a))  # 2^{m/2}: orthogonal vs halved per stage
-        assert np.max(np.abs(walsh_hadamard(a.copy()) / scale
-                             - loop_sfwht(a))) < 1e-15
-        # a (2^m, 3) batch transforms each column along axis 0
+        out = a.copy()
+        assert walsh_hadamard(out) is out  # in place
+        assert np.max(np.abs(out / scale - loop_sfwht(a))) < 1e-15
+        # a (2^m, 3) batch transforms each column along axis 0, complex or
+        # real
         batch = rng.normal(size=(1 << m, 3)) + 1j * rng.normal(size=(1 << m, 3))
-        ref = np.stack([loop_sfwht(col) for col in batch.T], axis=1)
-        assert np.max(np.abs(walsh_hadamard(batch.copy()) / scale
-                             - ref)) < 1e-15
+        for b in (batch, batch.real.copy()):
+            ref = np.stack([loop_sfwht(col) for col in b.T], axis=1)
+            assert np.max(np.abs(walsh_hadamard(b.copy()) / scale
+                                 - ref)) < 1e-15
+
+
+def test_walsh_hadamard_takes_five_bits_per_product(monkeypatch):
+    # ceil(m / 5) products, one per Sylvester matrix fetched, lowest bits
+    # first, the remainder last
+    sizes, sylvester = [], tpqsim.pauli._sylvester
+    monkeypatch.setattr(tpqsim.pauli, "_sylvester",
+                        lambda k: sizes.append(k) or sylvester(k))
+    for m in range(14):
+        sizes.clear()
+        walsh_hadamard(np.ones((1 << m, 2)))
+        assert sizes == [5] * (m // 5) + [m % 5] * (m % 5 > 0)
+
+
+@pytest.mark.parametrize("case", ["chain5", "yz_chain5", "z_field"])
+def test_to_eigenbasis_takes_a_batch_in_any_memory_order(case):
+    # the transform needs a C-ordered batch: an F-ordered one, or a
+    # transposed view, is copied into one
+    h, n, _ = BLOCK_CASES[case]
+    dense = to_dense(h, n)
+    rng = np.random.default_rng(7)
+    batch = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    coeffs = dense.to_eigenbasis(batch)
+    for layout in (np.asfortranarray(batch), np.ascontiguousarray(batch.T).T):
+        assert np.array_equal(dense.to_eigenbasis(layout), coeffs)
+        assert np.array_equal(dense.from_eigenbasis(np.asfortranarray(coeffs)),
+                              dense.from_eigenbasis(coeffs))
+    assert np.max(np.abs(dense.from_eigenbasis(coeffs) - batch)) < 1e-12
 
 
 def test_invalid_lattice():

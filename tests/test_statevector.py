@@ -127,6 +127,73 @@ def test_gate_kernels_match_reference(n, batch):
             assert np.max(np.abs(out - ref)) < 1e-15 * np.max(np.abs(amps)), g
 
 
+def replayed(psi, gates):
+    """psi pushed through `gates` one `reference_gate` at a time."""
+    amps = psi.amps
+    for g in gates:
+        amps = reference_gate(amps, psi.n, g)
+    return amps
+
+
+def _one(kind, q, angle=None):
+    return Gate(kind, (q,), angle)
+
+
+# circuits that leave the kernel's bit order rotated between gates and at
+# their end: (state size, gates), the circuit as wide as its highest qubit
+ROTATING_CIRCUITS = {
+    # out of qubit order, qubits skipped and repeated
+    "scrambled": (5, [_one("h", 3), _one("rx", 3, 0.4), _one("t", 0),
+                      _one("ry", 4, 1.1), _one("h", 1), _one("rz", 1, -0.6),
+                      _one("x", 2), _one("h", 0), _one("ry", 0, 0.3)]),
+    # two-qubit gates placed mid-rotation, each order of their qubits
+    "entangled": (4, [_one("h", q) for q in range(4)]
+                  + [_one("ry", 1, 0.9), Gate("cz", (0, 2)),
+                     Gate("cnot", (3, 1)), _one("t", 2), Gate("swap", (2, 0)),
+                     _one("rx", 0, 0.5), Gate("cnot", (0, 3)),
+                     _one("h", 3), Gate("cz", (3, 1)), Gate("swap", (1, 3)),
+                     _one("ry", 2, -0.2)]),
+    # a circuit narrower than the state
+    "narrow": (5, [_one("h", 0), _one("ry", 2, 0.7), Gate("cnot", (2, 1)),
+                   _one("rx", 1, 1.3), Gate("cz", (0, 1)), _one("t", 2)]),
+    "one_qubit": (1, [_one("h", 0), _one("t", 0), _one("rx", 0, 0.8),
+                      _one("h", 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROTATING_CIRCUITS))
+def test_apply_circuit_tracks_the_rotated_bit_order(case):
+    n, gates = ROTATING_CIRCUITS[case]
+    psi = sample_haar_state(n, 3)
+    width = 1 + max(q for g in gates for q in g.qubits)
+    # every prefix: the order is restored after any gate
+    for k in range(len(gates) + 1):
+        out = apply_circuit(psi, Circuit(width, gates[:k])).amps
+        ref = replayed(psi, gates[:k])
+        assert np.max(np.abs(out - ref)) < 1e-15 * np.max(np.abs(ref)), k
+
+
+def test_two_qubit_gates_move_amplitudes_exactly_mid_rotation():
+    # a basis state stays one: CZ, CNOT and SWAP after rotating gates (X
+    # exactly permutes) leave exactly the reference's amplitudes
+    gates = [_one("x", 2), _one("x", 0), Gate("cnot", (0, 3)), _one("x", 1),
+             Gate("cz", (1, 3)), _one("x", 3), Gate("swap", (3, 0)),
+             Gate("cnot", (2, 1)), _one("x", 0)]
+    for k in range(len(gates) + 1):
+        out = apply_circuit(zero_state(4), Circuit(4, gates[:k])).amps
+        assert np.array_equal(out, replayed(zero_state(4), gates[:k]))
+
+
+def test_gate_matrices_are_cached_and_read_only():
+    g = Gate("rx", (2,), 0.3)
+    mat = gate_matrix(g)
+    assert gate_matrix(Gate("rx", (0,), 0.3)) is mat
+    assert not mat.flags.writeable
+    assert not gate_matrix(Gate("h", (0,))).flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
+
+
 def test_random_circuit_unitarity():
     spec = RandomCircuitSpec(LatticeSpec(1, (5,)), depth=20, seed=3)
     out = apply_circuit(zero_state(5), build_random_circuit(spec))
